@@ -28,7 +28,7 @@ from .formats import (
     save_labels,
 )
 from .reporting import build_report, load_candidate, load_target
-from .scores import oracle_score, pas, pas_avg_pairwise, pas_euclidean
+from .scores import PerSampleBreakdown, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
 EXIT_OK = 0
@@ -82,6 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _breakdown_rows(result) -> list:
+    """The breakdown as PerSampleBreakdown-shaped dicts, built from the
+    columns without a per-sample object."""
+    keys = [f.name for f in dataclasses.fields(PerSampleBreakdown)]
+    columns = (c.tolist() for c in result.breakdown_arrays())
+    return [dict(zip(keys, (i, *row))) for i, row in enumerate(zip(*columns))]
+
+
 def _cmd_score(args) -> int:
     source_emb = load_embeddings(args.source_emb)
     labels = load_labels(args.source_labels)
@@ -118,7 +126,7 @@ def _cmd_score(args) -> int:
     if args.json:
         payload = {"method": args.method, "value": value}
         if result is not None:
-            payload["breakdown"] = [dataclasses.asdict(b) for b in result.breakdown]
+            payload["breakdown"] = _breakdown_rows(result)
         print(json.dumps(payload))
     else:
         print(f"{value:.5f}")

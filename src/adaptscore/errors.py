@@ -120,3 +120,8 @@ class NonFiniteValue(FormatError):
         self.row = row
         self.col = col
         super().__init__(f"non-finite value at row {row}, col {col}")
+
+
+class ManifestError(FormatError):
+    """A manifest or one of its entries is not a JSON object or lacks a
+    required key."""

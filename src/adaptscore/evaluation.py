@@ -7,7 +7,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
 from .errors import (
@@ -72,10 +71,26 @@ def pearson(x, y) -> float:
     return float(np.sum(xc * yc) / denom)
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing the mean of their
+    ranks (scipy.stats.rankdata's "average" method, NaN propagating)."""
+    x = np.asarray(x)
+    if np.isnan(x).any():
+        return np.full(x.shape[0], np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.shape[0])
+    group = np.repeat(np.arange(starts.shape[0]), ends - starts)
+    ranks = np.empty(x.shape[0])
+    ranks[order] = ((starts + ends + 1) / 2.0)[group]
+    return ranks
+
+
 def spearman(x, y) -> float:
     """Pearson correlation of average-rank vectors."""
     x, y = _validated_xy(x, y)
-    return pearson(rankdata(x), rankdata(y))
+    return pearson(_average_ranks(x), _average_ranks(y))
 
 
 def correlate(x, y) -> CorrelationResult:

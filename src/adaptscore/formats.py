@@ -11,13 +11,14 @@ Values are stored at 32-bit precision and widened to float64 in memory.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .embed_core import EmbeddingSet
-from .errors import BadMagic, NonFiniteValue, RaggedCsv, TruncatedFile
+from .errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
 
 PEMB_MAGIC = b"PEMB"
 PLBL_MAGIC = b"PLBL"
@@ -43,29 +44,50 @@ def save_embeddings_csv(path, e: EmbeddingSet) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _check_finite(arr: np.ndarray) -> None:
+_CHUNK_ROWS = 8192
+
+
+def _check_finite(arr: np.ndarray, row_offset: int = 0) -> None:
     if not np.isfinite(arr).all():
         r, c = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteValue(int(r), int(c))
+        raise NonFiniteValue(row_offset + int(r), int(c))
+
+
+def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
+    """Read a PEMB file into one preallocated float64 array, widening and
+    checking _CHUNK_ROWS rows at a time."""
+    header = fh.read(PEMB_HEADER.size)
+    if len(header) < PEMB_HEADER.size:
+        raise TruncatedFile(str(path), PEMB_HEADER.size, size)
+    magic, version, dtype, n, d = PEMB_HEADER.unpack(header)
+    if version != 1 or dtype != 0:
+        raise BadMagic(str(path), header[:6])
+    expected = PEMB_HEADER.size + 4 * n * d
+    if size != expected:
+        raise TruncatedFile(str(path), expected, size)
+    if n == 0 or d == 0:
+        return EmbeddingSet(np.empty((n, d)))  # rejected there: no rows or no columns
+    arr = np.empty((n, d))
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        chunk = np.fromfile(fh, dtype="<f4", count=(hi - lo) * d)
+        if chunk.size != (hi - lo) * d:  # the file shrank while it was read
+            raise TruncatedFile(str(path), expected, fh.tell())
+        chunk = chunk.reshape(hi - lo, d)
+        _check_finite(chunk, lo)
+        arr[lo:hi] = chunk
+    return EmbeddingSet(arr)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Load a PEMB or CSV embedding file (sniffed by magic bytes)."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] == PEMB_MAGIC:
-        if len(blob) < PEMB_HEADER.size:
-            raise TruncatedFile(str(path), PEMB_HEADER.size, len(blob))
-        magic, version, dtype, n, d = PEMB_HEADER.unpack_from(blob)
-        if version != 1 or dtype != 0:
-            raise BadMagic(str(path), blob[:6])
-        expected = PEMB_HEADER.size + 4 * n * d
-        if len(blob) != expected:
-            raise TruncatedFile(str(path), expected, len(blob))
-        arr = np.frombuffer(blob, dtype="<f4", offset=PEMB_HEADER.size).reshape(n, d)
-        arr = arr.astype(np.float64)
-        _check_finite(arr)
-        return EmbeddingSet(arr)
+    with open(path, "rb") as fh:
+        is_pemb = fh.read(4) == PEMB_MAGIC
+        fh.seek(0)
+        if is_pemb:
+            return _load_pemb(fh, path, os.fstat(fh.fileno()).st_size)
+        blob = fh.read()
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
@@ -138,10 +160,26 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def manifest_field(entry: dict, key: str, where: str):
+    """entry[key], or ManifestError naming the missing key and its place."""
+    if not isinstance(entry, dict):
+        raise ManifestError(f"{where} is not a JSON object")
+    if key not in entry:
+        raise ManifestError(f"{where} has no {key!r} key")
+    return entry[key]
+
+
 def load_manifest(path) -> dict:
+    """Read a rank/substudy manifest: a "target" entry and a list of
+    "candidates", each with a unique "id" and either "emb"/"labels" files
+    or an inline "synth" config."""
     with open(path) as fh:
         manifest = json.load(fh)
-    ids = [c["id"] for c in manifest.get("candidates", [])]
+    manifest_field(manifest, "target", "manifest")
+    candidates = manifest_field(manifest, "candidates", "manifest")
+    if not isinstance(candidates, list) or not candidates:
+        raise ManifestError("manifest candidates must be a non-empty list")
+    ids = [manifest_field(c, "id", f"candidate {i}") for i, c in enumerate(candidates)]
     if len(ids) != len(set(ids)):
         raise ValueError("candidate ids must be unique")
     return manifest

@@ -12,7 +12,7 @@ from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_d
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
 from .errors import AdaptScoreError, ConfigInvalid
 from .evaluation import CandidateScoreRow, rank_candidates
-from .formats import REPORT_SCHEMA, load_embeddings, load_labels
+from .formats import REPORT_SCHEMA, load_embeddings, load_labels, manifest_field
 from .scores import oracle_score, pas, pas_avg_pairwise, pas_euclidean, worker_count
 from .synth import SynthConfig, generate_pair
 
@@ -39,7 +39,7 @@ def load_target(spec) -> tuple:
         cfg = SynthConfig.from_dict(spec["synth"])
         _, target = generate_pair(cfg)
         return target.embeddings, target.labels
-    emb = load_embeddings(spec["emb"])
+    emb = load_embeddings(manifest_field(spec, "emb", "target"))
     labels = load_labels(spec["labels"]) if "labels" in spec else None
     return emb, labels
 
@@ -53,8 +53,9 @@ def load_candidate(entry) -> LabeledEmbeddingSet:
         cfg = SynthConfig.from_dict(entry["synth"])
         source, _ = generate_pair(cfg)
         return source
-    emb = load_embeddings(entry["source_emb"])
-    labels = load_labels(entry["source_labels"])
+    where = f"candidate {entry.get('id')!r}"
+    emb = load_embeddings(manifest_field(entry, "emb", where))
+    labels = load_labels(manifest_field(entry, "labels", where))
     num_classes = int(labels.max()) + 1
     return LabeledEmbeddingSet(emb, labels, num_classes)
 

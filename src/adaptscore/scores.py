@@ -1,10 +1,13 @@
 """Potential-adaptability scoring: PAS, its oracle, and design variants.
 
-Every scorer follows the same pipeline: unit-normalize, build source class
-centroids, compute per-target distances to C class representatives, take
-the two smallest (d1 <= d2), and average a per-sample contribution.
+Every scorer follows the same pipeline: unit-normalize the source, build C
+class representatives, then run one block kernel over the raw target rows
+that normalizes each row, computes its distances to the C representatives,
+keeps the two that matter (d1, d2) and writes a per-sample contribution.
+The score is the mean contribution; the per-sample values are kept as
+columns.
 
-Per-target work runs in fixed-size row blocks that may be dispatched to a
+The kernel runs in fixed-size row blocks that may be dispatched to a
 thread pool; the block grid and the final summation order are independent
 of the worker count, so multi-threaded results are bit-identical to a
 sequential run.
@@ -12,20 +15,22 @@ sequential run.
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_core import (
-    CentroidTable,
+    EPS_NORM,
     EmbeddingSet,
     LabeledEmbeddingSet,
     class_centroids,
     unit_normalize,
 )
-from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
+from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses, ZeroVector
 
 _BLOCK_ROWS = 8192
 
@@ -56,22 +61,65 @@ class PerSampleBreakdown:
     contribution: float
 
 
-@dataclass(frozen=True)
+class Breakdown(Sequence):
+    """Read-only per-sample view over the columns of a ScoreResult.
+
+    Items are built on access, so holding a breakdown costs no more than
+    its four columns. Indexing takes negative indices and slices (a slice
+    yields a list).
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, d1, d2, nearest_class, contribution):
+        self._columns = (d1, d2, nearest_class, contribution)
+
+    def __len__(self) -> int:
+        return self._columns[0].shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"breakdown index {index} out of range for {len(self)} samples")
+        d1, d2, nearest, contrib = self._columns
+        return PerSampleBreakdown(i, float(d1[i]), float(d2[i]), int(nearest[i]), float(contrib[i]))
+
+    def __iter__(self):
+        rows = zip(*(c.tolist() for c in self._columns))
+        return (PerSampleBreakdown(i, *row) for i, row in enumerate(rows))
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreResult:
+    """A score and its per-sample columns, each of length n_target and
+    read-only."""
+
     method: str
     value: float
-    breakdown: list
     n_target: int
     n_source: int
     num_classes: int
+    d1: np.ndarray
+    d2: np.ndarray
+    nearest_class: np.ndarray
+    contribution: np.ndarray
+
+    def __post_init__(self):
+        for column in self.breakdown_arrays():
+            column.flags.writeable = False
+
+    @property
+    def breakdown(self) -> Breakdown:
+        """Per-sample PerSampleBreakdown items as a lazy read-only sequence."""
+        return Breakdown(*self.breakdown_arrays())
 
     def breakdown_arrays(self):
         """(d1, d2, nearest_class, contribution) as numpy columns."""
-        d1 = np.array([b.d1 for b in self.breakdown])
-        d2 = np.array([b.d2 for b in self.breakdown])
-        nearest = np.array([b.nearest_class for b in self.breakdown])
-        contrib = np.array([b.contribution for b in self.breakdown])
-        return d1, d2, nearest, contrib
+        return self.d1, self.d2, self.nearest_class, self.contribution
 
 
 def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
@@ -96,87 +144,90 @@ def _run_blocks(fn, n: int):
             list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _two_smallest(dist_block: np.ndarray):
-    """Per row: the two smallest distances and the argmin (lowest class id
-    among minimizers, since argmin returns the first occurrence)."""
-    nearest = dist_block.argmin(axis=1)
-    part = np.partition(dist_block, 1, axis=1)
-    d1 = part[:, 0]
-    d2 = part[:, 1]
-    return d1, d2, nearest
+def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_labels=None):
+    """d1/d2/nearest/contribution columns of the raw target rows against C
+    reference rows.
 
+    Each block unit-normalizes its own rows (raising ZeroVector at the
+    first zero row), so no normalized n x d copy exists; the per-row
+    arithmetic is that of unit_normalize followed by one GEMM per block.
+    `dist_kind` is "cosine" (1 - cos, clipped to [0, 2]) or "euclidean"
+    (between unit rows and unit reference rows). The nearest class is the
+    lowest class id among minimizers (argmin returns the first).
 
-def _pas_contribution(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    # 0/0 convention: d2 == 0 forces d1 == 0 too; no preference -> 0.
-    out = np.zeros_like(d1)
-    nz = d2 > 0.0
-    out[nz] = (d2[nz] - d1[nz]) / d2[nz]
-    return out
-
-
-def _assemble(method, d1, d2, nearest, contrib, n_source, num_classes) -> ScoreResult:
-    n = contrib.shape[0]
-    value = float(np.sum(contrib) / n)
-    breakdown = [
-        PerSampleBreakdown(i, float(d1[i]), float(d2[i]), int(nearest[i]), float(contrib[i]))
-        for i in range(n)
-    ]
-    return ScoreResult(method, value, breakdown, n, n_source, num_classes)
-
-
-def _centroid_pipeline(source: LabeledEmbeddingSet, target: EmbeddingSet):
-    _check_pair(source, target)
-    src_unit = unit_normalize(source.embeddings)
-    centroids = class_centroids(
-        LabeledEmbeddingSet(src_unit, source.labels, source.num_classes)
-    )
-    tgt_unit = unit_normalize(target)
-    return tgt_unit, centroids
-
-
-def _score_against_rows(target_unit: EmbeddingSet, rows: np.ndarray, dist_kind: str):
-    """d1/d2/nearest/contribution of each target row against C reference
-    rows, blockwise."""
-    n = target_unit.n
-    tdata = target_unit.data
+    Without true_labels, d1 <= d2 are the two smallest distances. With
+    them (the oracle rule), d1 is the distance to the true class and d2
+    the smallest among the others. Either way the contribution is
+    (d2 - d1) / max(d1, d2), which is PAS's (d2 - d1) / d2 when d1 <= d2,
+    and 0 when both are 0 (no preference).
+    """
+    data = target.data
+    n = target.n
     d1 = np.empty(n)
     d2 = np.empty(n)
     nearest = np.empty(n, dtype=np.int64)
     contrib = np.empty(n)
 
     def block(lo, hi):
-        sims = tdata[lo:hi] @ rows.T
+        x = data[lo:hi]
+        norms = np.linalg.norm(x, axis=1)
+        small = norms <= EPS_NORM
+        if small.any():
+            raise ZeroVector(lo + int(np.argmax(small)))
+        sims = (x / norms[:, None]) @ rows.T
         if dist_kind == "cosine":
             dist = np.clip(1.0 - sims, 0.0, 2.0)
-        else:  # euclidean between unit rows and unit reference rows
-            sq = np.clip(2.0 - 2.0 * sims, 0.0, None)
-            dist = np.sqrt(sq)
-        b1, b2, bn = _two_smallest(dist)
+        else:
+            dist = np.sqrt(np.clip(2.0 - 2.0 * sims, 0.0, None))
+        nearest[lo:hi] = dist.argmin(axis=1)
+        if true_labels is None:
+            part = np.partition(dist, 1, axis=1)
+            b1, b2 = part[:, 0], part[:, 1]
+        else:
+            idx = np.arange(hi - lo)
+            true = true_labels[lo:hi]
+            b1 = dist[idx, true]
+            dist[idx, true] = np.inf
+            b2 = dist.min(axis=1)
         d1[lo:hi] = b1
         d2[lo:hi] = b2
-        nearest[lo:hi] = bn
-        contrib[lo:hi] = _pas_contribution(b1, b2)
+        denom = np.maximum(b1, b2)
+        out = np.zeros(hi - lo)
+        nz = denom > 0.0
+        out[nz] = (b2[nz] - b1[nz]) / denom[nz]
+        contrib[lo:hi] = out
 
     _run_blocks(block, n)
     return d1, d2, nearest, contrib
 
 
+def _assemble(method, columns, source: LabeledEmbeddingSet) -> ScoreResult:
+    contrib = columns[3]
+    n = contrib.shape[0]
+    value = float(np.sum(contrib) / n)
+    return ScoreResult(method, value, n, source.n, source.num_classes, *columns)
+
+
+def _source_centroids(source: LabeledEmbeddingSet, target: EmbeddingSet) -> np.ndarray:
+    _check_pair(source, target)
+    src_unit = unit_normalize(source.embeddings)
+    return class_centroids(
+        LabeledEmbeddingSet(src_unit, source.labels, source.num_classes)
+    ).centroids
+
+
 def pas(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """Mean over target samples of (d2 - d1) / d2, where d1, d2 are the two
     smallest cosine distances to the source class centroids."""
-    tgt_unit, centroids = _centroid_pipeline(source, target)
-    d1, d2, nearest, contrib = _score_against_rows(tgt_unit, centroids.centroids, "cosine")
-    return _assemble(METHOD_PAS, d1, d2, nearest, contrib, source.n, source.num_classes)
+    columns = _block_kernel(target, _source_centroids(source, target), "cosine")
+    return _assemble(METHOD_PAS, columns, source)
 
 
 def pas_euclidean(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """PAS with the Euclidean distance between unit-normalized rows and
     centroids in place of the cosine distance."""
-    tgt_unit, centroids = _centroid_pipeline(source, target)
-    d1, d2, nearest, contrib = _score_against_rows(tgt_unit, centroids.centroids, "euclidean")
-    return _assemble(
-        METHOD_PAS_EUCLIDEAN, d1, d2, nearest, contrib, source.n, source.num_classes
-    )
+    columns = _block_kernel(target, _source_centroids(source, target), "euclidean")
+    return _assemble(METHOD_PAS_EUCLIDEAN, columns, source)
 
 
 def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
@@ -192,61 +243,18 @@ def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> Score
     np.add.at(sums, source.labels, src_unit.data)
     counts = np.bincount(source.labels, minlength=source.num_classes).astype(np.float64)
     means = sums / counts[:, None]
-    tgt_unit = unit_normalize(target)
-
-    n = tgt_unit.n
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    nearest = np.empty(n, dtype=np.int64)
-    contrib = np.empty(n)
-
-    def block(lo, hi):
-        dist = np.clip(1.0 - tgt_unit.data[lo:hi] @ means.T, 0.0, 2.0)
-        b1, b2, bn = _two_smallest(dist)
-        d1[lo:hi] = b1
-        d2[lo:hi] = b2
-        nearest[lo:hi] = bn
-        contrib[lo:hi] = _pas_contribution(b1, b2)
-
-    _run_blocks(block, n)
-    return _assemble(
-        METHOD_PAS_AVG_PAIRWISE, d1, d2, nearest, contrib, source.n, source.num_classes
-    )
+    columns = _block_kernel(target, means, "cosine")
+    return _assemble(METHOD_PAS_AVG_PAIRWISE, columns, source)
 
 
 def oracle_score(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> ScoreResult:
     """Label-aware PAS variant: d1 is the cosine distance to the true-class
     centroid, d2 the smallest distance among the other centroids, and the
     contribution is (d2 - d1) / max(d1, d2) in [-1, 1]."""
-    tgt_unit, centroids = _centroid_pipeline(source, target.embeddings)
+    centroids = _source_centroids(source, target.embeddings)
     labels = target.labels
     if labels.max() >= source.num_classes or labels.min() < 0:
         bad = labels[(labels < 0) | (labels >= source.num_classes)][0]
         raise LabelOutOfRange(int(bad), source.num_classes)
-
-    n = tgt_unit.n
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    nearest = np.empty(n, dtype=np.int64)
-    contrib = np.empty(n)
-    rows = centroids.centroids
-
-    def block(lo, hi):
-        dist = np.clip(1.0 - tgt_unit.data[lo:hi] @ rows.T, 0.0, 2.0)
-        nearest[lo:hi] = dist.argmin(axis=1)
-        true = labels[lo:hi]
-        idx = np.arange(hi - lo)
-        b1 = dist[idx, true]
-        masked = dist.copy()
-        masked[idx, true] = np.inf
-        b2 = masked.min(axis=1)
-        d1[lo:hi] = b1
-        d2[lo:hi] = b2
-        denom = np.maximum(b1, b2)
-        out = np.zeros(hi - lo)
-        nz = denom > 0.0
-        out[nz] = (b2[nz] - b1[nz]) / denom[nz]
-        contrib[lo:hi] = out
-
-    _run_blocks(block, n)
-    return _assemble(METHOD_ORACLE, d1, d2, nearest, contrib, source.n, source.num_classes)
+    columns = _block_kernel(target.embeddings, centroids, "cosine", labels)
+    return _assemble(METHOD_ORACLE, columns, source)

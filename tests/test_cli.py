@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptscore import EmbeddingSet
+from adaptscore import EmbeddingSet, LabeledEmbeddingSet, pas
 from adaptscore.cli import main
 from adaptscore.formats import (
     REPORT_SCHEMA,
@@ -64,6 +67,28 @@ class TestScoreCommand:
         assert payload["method"] == "pas"
         assert len(payload["breakdown"]) == 1
         assert payload["breakdown"][0]["nearest_class"] == 0
+
+    def test_json_matches_asdict_rendering(self, tmp_path, rng, capsys):
+        x_src = rng.standard_normal((12, 5))
+        y_src = np.arange(12) % 3
+        x_tgt = rng.standard_normal((9, 5))
+        save_embeddings(tmp_path / "src.pemb", EmbeddingSet(x_src))
+        save_labels(tmp_path / "src.plbl", y_src)
+        save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(x_tgt))
+        code = main([
+            "score", "--method", "pas", "--json",
+            "--source-emb", str(tmp_path / "src.pemb"),
+            "--source-labels", str(tmp_path / "src.plbl"),
+            "--target-emb", str(tmp_path / "tgt.pemb"),
+        ])
+        assert code == 0
+        result = pas(
+            LabeledEmbeddingSet(load_embeddings(tmp_path / "src.pemb"), y_src, 3),
+            load_embeddings(tmp_path / "tgt.pemb"),
+        )
+        rows = [dataclasses.asdict(b) for b in result.breakdown]
+        want = json.dumps({"method": "pas", "value": result.value, "breakdown": rows})
+        assert capsys.readouterr().out == want + "\n"
 
     def test_oracle_needs_labels(self, axes_fixture, capsys):
         code = main([
@@ -128,6 +153,63 @@ class TestRankCommand:
         r1.pop("created_at")
         r2.pop("created_at")
         assert r1 == r2
+
+
+def _readme_manifest() -> dict:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    return json.loads(block)
+
+
+class TestManifestSchema:
+    @pytest.fixture
+    def readme_dir(self, tmp_path, monkeypatch, rng):
+        """The README manifest's files, 8-d to match its synth candidate."""
+        save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(rng.standard_normal((30, 8))))
+        save_embeddings(tmp_path / "a.pemb", EmbeddingSet(rng.standard_normal((40, 8))))
+        save_labels(tmp_path / "a.plbl", np.arange(40) % 4)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_readme_manifest_ranks(self, readme_dir):
+        manifest = _readme_manifest()
+        (readme_dir / "m.json").write_text(json.dumps(manifest))
+        assert main(["rank", "--manifest", "m.json", "--out", "r.json"]) == 0
+        report = json.loads((readme_dir / "r.json").read_text())
+        assert sorted(r["candidate_id"] for r in report["rows"]) == ["a", "b"]
+        assert set(report["selection"]) == set(manifest["methods"])
+
+    @pytest.mark.parametrize("command", ["rank", "substudy"])
+    @pytest.mark.parametrize("where, key", [
+        ("candidate", "labels"), ("candidate", "emb"), ("candidate", "id"), ("target", "emb"),
+    ])
+    def test_missing_key_is_a_format_error(self, readme_dir, capsys, command, where, key):
+        manifest = _readme_manifest()
+        entry = manifest["candidates"][0] if where == "candidate" else manifest["target"]
+        del entry[key]
+        (readme_dir / "m.json").write_text(json.dumps(manifest))
+        argv = [command, "--manifest", "m.json", "--out", "out.json", "--json"]
+        if command == "substudy":
+            argv += ["--fractions", "1.0", "--repeats", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ManifestError" and err["exit_code"] == 2
+        assert repr(key) in err["message"]
+        assert "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        {"target": "tgt.pemb", "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": []},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [1]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": {"id": "a"}},
+    ])
+    def test_malformed_manifest_is_a_format_error(self, readme_dir, capsys, manifest):
+        (readme_dir / "m.json").write_text(json.dumps(manifest))
+        assert main(["rank", "--manifest", "m.json", "--out", "out.json", "--json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
 
 
 class TestCorrCommand:

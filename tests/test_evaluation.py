@@ -11,7 +11,7 @@ from adaptscore import (
     subsample_study,
 )
 from adaptscore.errors import ConstantInput, LengthMismatch, MissingScore
-from adaptscore.evaluation import derive_seed
+from adaptscore.evaluation import _average_ranks, derive_seed
 from conftest import random_labeled
 from reference_tables import OFFICE_31_RESNET50, OFFICE_HOME_RESNET50, flat
 
@@ -64,6 +64,17 @@ class TestSpearman:
         x = rng.standard_normal(15)
         y = rng.standard_normal(15)
         assert spearman(x, y) == pytest.approx(spearman(y, x), abs=1e-12)
+
+    def test_average_ranks_equal_scipy_rankdata(self, rng):
+        from scipy.stats import rankdata
+
+        for _ in range(300):
+            x = rng.integers(0, rng.integers(1, 6), size=rng.integers(1, 40))
+            np.testing.assert_array_equal(_average_ranks(x), rankdata(x), strict=True)
+            xf = x.astype(np.float64)
+            np.testing.assert_array_equal(_average_ranks(xf), rankdata(xf), strict=True)
+        with_nan = np.array([2.0, np.nan, 1.0, 2.0])
+        np.testing.assert_array_equal(_average_ranks(with_nan), rankdata(with_nan))
 
 
 class TestRankCandidates:

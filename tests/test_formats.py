@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from adaptscore import EmbeddingSet
+from adaptscore import EmbeddingSet, formats
 from adaptscore.errors import BadMagic, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
     load_accuracy_csv,
@@ -68,6 +68,26 @@ class TestPemb:
         )
         with pytest.raises(NonFiniteValue):
             load_embeddings(p)
+
+    def test_chunked_read_matches_and_locates_nonfinite(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(formats, "_CHUNK_ROWS", 4)
+        data = rng.standard_normal((11, 3))
+        p = tmp_path / "e.pemb"
+        save_embeddings(p, EmbeddingSet(data))
+        np.testing.assert_array_equal(
+            load_embeddings(p).data, data.astype(np.float32).astype(np.float64)
+        )
+        blob = bytearray(p.read_bytes())
+        for row, col, bad in ((9, 2, np.inf), (5, 0, np.nan)):
+            struct.pack_into("<f", blob, 24 + 4 * (3 * row + col), bad)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(NonFiniteValue) as info:
+            load_embeddings(p)
+        assert (info.value.row, info.value.col) == (5, 0)
+        p.write_bytes(bytes(blob[:-4]))
+        with pytest.raises(TruncatedFile) as info:
+            load_embeddings(p)
+        assert (info.value.expected, info.value.got) == (24 + 4 * 33, 24 + 4 * 32)
 
 
 class TestCsv:
