@@ -12,11 +12,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
-from .embed_core import LabeledEmbeddingSet
-from .errors import AdaptScoreError, DataError, FormatError
+from .errors import AdaptScoreError, FormatError, MissingScore
 from .evaluation import pearson, spearman, subsample_study
 from .formats import (
     dump_report,
@@ -27,8 +23,8 @@ from .formats import (
     save_embeddings,
     save_labels,
 )
-from .reporting import build_report, load_candidate, load_target
-from .scores import PerSampleBreakdown, oracle_score, pas, pas_avg_pairwise, pas_euclidean
+from .reporting import build_report, load_candidate, load_source, load_target, resolve_method
+from .scores import PerSampleBreakdown, ScoreResult
 from .synth import SynthConfig, generate_pair
 
 EXIT_OK = 0
@@ -91,41 +87,16 @@ def _breakdown_rows(result) -> list:
 
 
 def _cmd_score(args) -> int:
-    source_emb = load_embeddings(args.source_emb)
-    labels = load_labels(args.source_labels)
-    source = LabeledEmbeddingSet(source_emb, labels, int(labels.max()) + 1)
+    source = load_source(args.source_emb, args.source_labels)
     target = load_embeddings(args.target_emb)
-
-    if args.method == "pas":
-        result = pas(source, target)
-    elif args.method == "pas_euclidean":
-        result = pas_euclidean(source, target)
-    elif args.method == "pas_avg_pairwise":
-        result = pas_avg_pairwise(source, target)
-    elif args.method == "oracle":
-        if not args.target_labels:
-            raise DataError("oracle requires --target-labels")
-        tlabels = load_labels(args.target_labels)
-        result = oracle_score(source, LabeledEmbeddingSet(target, tlabels, source.num_classes, require_all_classes=False))
-    elif args.method == "mmd":
-        cfg = MmdConfig(max_samples_per_domain=args.max_samples, seed=args.seed)
-        value = mmd_gaussian(source.embeddings, target, cfg)
-        result = None
-    elif args.method == "adist":
-        cfg = ProxyClassifierConfig(seed=args.seed)
-        value = proxy_a_distance(source.embeddings, target, cfg)
-        result = None
-    elif args.method == "silhouette":
-        value = silhouette(source)
-        result = None
-    else:
-        raise DataError(f"unknown method {args.method!r}")
-
-    if result is not None:
-        value = result.value
+    method = resolve_method(args.method, bool(args.target_labels))
+    target_labels = load_labels(args.target_labels) if method.needs_target_labels else None
+    result = method.score(source, target, target_labels, args.seed, args.max_samples)
+    has_breakdown = isinstance(result, ScoreResult)
+    value = result.value if has_breakdown else result
     if args.json:
         payload = {"method": args.method, "value": value}
-        if result is not None:
+        if has_breakdown:
             payload["breakdown"] = _breakdown_rows(result)
         print(json.dumps(payload))
     else:
@@ -141,16 +112,33 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
+def _corr_pairs(report, method: str, accuracy: dict):
+    """(scores, accuracies) of the report rows whose string candidate_id has
+    an accuracy, in row order."""
+    rows = report.get("rows") if isinstance(report, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise FormatError("report rows must be a list of JSON objects")
+    xs, ys = [], []
+    for row in rows:
+        cid = row.get("candidate_id")
+        if isinstance(cid, str) and cid in accuracy:
+            scores = row.get("method_scores")
+            value = scores.get(method) if isinstance(scores, dict) else None
+            if value is None:
+                raise MissingScore(cid, method)
+            if not isinstance(value, (int, float)):
+                raise FormatError(f"report row {cid!r}: the {method} score is not a number")
+            xs.append(value)
+            ys.append(accuracy[cid])
+    return xs, ys
+
+
 def _cmd_corr(args) -> int:
     with open(args.report) as fh:
         report = json.load(fh)
     accuracy = load_accuracy_csv(args.accuracy)
-    xs, ys = [], []
-    for row in report["rows"]:
-        cid = row["candidate_id"]
-        if cid in accuracy:
-            xs.append(row["method_scores"][args.method])
-            ys.append(accuracy[cid])
+    resolve_method(args.method)
+    xs, ys = _corr_pairs(report, args.method, accuracy)
     p = pearson(xs, ys)
     s = spearman(xs, ys)
     if args.json:
@@ -225,13 +213,10 @@ def main(argv=None) -> int:
     as_json = getattr(args, "json", False)
     try:
         return _COMMANDS[args.command](args)
-    except FormatError as exc:
+    except (FormatError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _emit_error(exc, as_json, EXIT_DATA)
         return EXIT_DATA
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        _emit_error(exc, as_json, EXIT_DATA)
-        return EXIT_DATA
-    except (DataError, AdaptScoreError) as exc:
+    except AdaptScoreError as exc:
         _emit_error(exc, as_json, EXIT_PRECONDITION)
         return EXIT_PRECONDITION
 

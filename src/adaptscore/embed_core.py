@@ -6,7 +6,7 @@ dense row-major.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     LabelOutOfRange,
     MissingClass,
+    NonFiniteValue,
     TooFewClasses,
     ZeroVector,
 )
@@ -42,7 +43,7 @@ class EmbeddingSet:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             r, c = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite entry at ({r}, {c})")
+            raise NonFiniteValue(int(r), int(c))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -81,9 +82,11 @@ class LabeledEmbeddingSet:
         if bad.any():
             raise LabelOutOfRange(int(labels[bad][0]), self.num_classes)
         if self.require_all_classes:
-            present = np.bincount(labels, minlength=self.num_classes)
-            if (present == 0).any():
-                raise MissingClass(int(np.argmin(present > 0)))
+            # unique, not bincount: a corrupt label file can claim ~2**32 classes
+            present = np.unique(labels)
+            if present.shape[0] < self.num_classes:
+                gaps = np.flatnonzero(present != np.arange(present.shape[0]))
+                raise MissingClass(int(gaps[0]) if gaps.size else present.shape[0])
         object.__setattr__(self, "labels", labels)
 
     @property

@@ -79,12 +79,6 @@ class MissingScore(DataError):
         super().__init__(f"candidate {candidate_id!r} has no score for method {method!r}")
 
 
-class EmptyClassAfterSubsample(DataError):
-    def __init__(self, class_id: int):
-        self.class_id = class_id
-        super().__init__(f"class {class_id} empty after subsampling (10 retries exhausted)")
-
-
 class ConfigInvalid(AdaptScoreError):
     pass
 
@@ -115,7 +109,7 @@ class RaggedCsv(FormatError):
         super().__init__(f"{path}: line {line} has an inconsistent field count")
 
 
-class NonFiniteValue(FormatError):
+class NonFiniteValue(FormatError, ValueError):
     def __init__(self, row: int, col: int):
         self.row = row
         self.col = col

@@ -4,17 +4,12 @@ study."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
-from .errors import (
-    ConstantInput,
-    EmptyClassAfterSubsample,
-    LengthMismatch,
-    MissingScore,
-)
+from .errors import ConstantInput, LengthMismatch, MissingScore
 from .scores import pas
 
 
@@ -151,9 +146,9 @@ def subsample_study(
     """PAS stability under joint source/target subsampling.
 
     Fraction 1.0 bypasses the sampling path entirely, so its row is
-    bit-identical to direct scoring. Stratified source sampling keeps at
-    least one sample per class; a draw that still loses a class is retried
-    up to 10 times before raising EmptyClassAfterSubsample.
+    bit-identical to direct scoring. Stratified source sampling keeps
+    max(1, round(f * n_c)) <= n_c rows of every class, so a subsample
+    never loses a class.
     """
     fractions = [float(f) for f in fractions]
     if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
@@ -182,18 +177,9 @@ def subsample_study(
                     rep_scores.append(full_scores[ci])
                     continue
                 rng = np.random.default_rng(derive_seed(base_seed, f, r, ci))
-                value = None
-                for _ in range(10):
-                    try:
-                        sub_src = _stratified_subsample(src, f, rng)
-                    except Exception:
-                        continue
-                    sub_tgt = _uniform_subsample(target, f, rng)
-                    value = pas(sub_src, sub_tgt).value
-                    break
-                if value is None:
-                    raise EmptyClassAfterSubsample(-1)
-                rep_scores.append(value)
+                sub_src = _stratified_subsample(src, f, rng)
+                sub_tgt = _uniform_subsample(target, f, rng)
+                rep_scores.append(pas(sub_src, sub_tgt).value)
             for ci, v in enumerate(rep_scores):
                 f_scores[ci].append(v)
             ranking = rank_candidates(

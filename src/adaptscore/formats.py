@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed_core import EmbeddingSet
-from .errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
+from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 
 PEMB_MAGIC = b"PEMB"
 PLBL_MAGIC = b"PLBL"
@@ -47,15 +47,9 @@ def save_embeddings_csv(path, e: EmbeddingSet) -> None:
 _CHUNK_ROWS = 8192
 
 
-def _check_finite(arr: np.ndarray, row_offset: int = 0) -> None:
-    if not np.isfinite(arr).all():
-        r, c = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteValue(row_offset + int(r), int(c))
-
-
 def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
-    """Read a PEMB file into one preallocated float64 array, widening and
-    checking _CHUNK_ROWS rows at a time."""
+    """Read a PEMB file into one preallocated float64 array, widening
+    _CHUNK_ROWS rows at a time."""
     header = fh.read(PEMB_HEADER.size)
     if len(header) < PEMB_HEADER.size:
         raise TruncatedFile(str(path), PEMB_HEADER.size, size)
@@ -73,9 +67,7 @@ def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
         chunk = np.fromfile(fh, dtype="<f4", count=(hi - lo) * d)
         if chunk.size != (hi - lo) * d:  # the file shrank while it was read
             raise TruncatedFile(str(path), expected, fh.tell())
-        chunk = chunk.reshape(hi - lo, d)
-        _check_finite(chunk, lo)
-        arr[lo:hi] = chunk
+        arr[lo:hi] = chunk.reshape(hi - lo, d)
     return EmbeddingSet(arr)
 
 
@@ -108,9 +100,7 @@ def load_embeddings(path) -> EmbeddingSet:
             raise RaggedCsv(str(path), lineno) from None
     if not rows:
         raise TruncatedFile(str(path), 1, 0)
-    arr = np.asarray(rows, dtype=np.float64)
-    _check_finite(arr)
-    return EmbeddingSet(arr)
+    return EmbeddingSet(np.asarray(rows, dtype=np.float64))
 
 
 def save_labels(path, labels) -> None:
@@ -152,7 +142,7 @@ def load_labels(path) -> np.ndarray:
             v = int(line.strip())
         except ValueError:
             raise RaggedCsv(str(path), lineno) from None
-        if v < 0:
+        if not 0 <= v < 2**32:  # the PLBL range
             raise RaggedCsv(str(path), lineno)
         values.append(v)
     if not values:
@@ -160,28 +150,40 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def manifest_field(entry: dict, key: str, where: str):
-    """entry[key], or ManifestError naming the missing key and its place."""
+_JSON_TYPE_NAMES = {dict: "JSON object", list: "JSON list", str: "string"}
+
+
+def manifest_field(entry: dict, key: str, where: str, kind: type):
+    """entry[key], or ManifestError when entry is not a JSON object, lacks
+    the key, or holds a value that is not a `kind`."""
     if not isinstance(entry, dict):
         raise ManifestError(f"{where} is not a JSON object")
     if key not in entry:
         raise ManifestError(f"{where} has no {key!r} key")
+    if not isinstance(entry[key], kind):
+        raise ManifestError(f"{where} {key!r} is not a {_JSON_TYPE_NAMES[kind]}")
     return entry[key]
 
 
 def load_manifest(path) -> dict:
-    """Read a rank/substudy manifest: a "target" entry and a list of
-    "candidates", each with a unique "id" and either "emb"/"labels" files
-    or an inline "synth" config."""
+    """Read a rank/substudy manifest: a "target" object, a non-empty list of
+    "candidates" (each with a unique string "id" and "emb"/"labels" files or
+    a "synth" config), and optional "methods", "seed" and "max_samples"."""
     with open(path) as fh:
         manifest = json.load(fh)
-    manifest_field(manifest, "target", "manifest")
-    candidates = manifest_field(manifest, "candidates", "manifest")
-    if not isinstance(candidates, list) or not candidates:
+    manifest_field(manifest, "target", "manifest", dict)
+    candidates = manifest_field(manifest, "candidates", "manifest", list)
+    if not candidates:
         raise ManifestError("manifest candidates must be a non-empty list")
-    ids = [manifest_field(c, "id", f"candidate {i}") for i, c in enumerate(candidates)]
+    ids = [manifest_field(c, "id", f"candidate {i}", str) for i, c in enumerate(candidates)]
     if len(ids) != len(set(ids)):
         raise ValueError("candidate ids must be unique")
+    methods = manifest.get("methods", [])
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ManifestError("manifest 'methods' is not a JSON list of strings")
+    for key in ("seed", "max_samples"):
+        if type(manifest.get(key, 0)) is not int:  # not a float, bool or string
+            raise ManifestError(f"manifest {key!r} is not an integer")
     return manifest
 
 

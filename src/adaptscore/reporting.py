@@ -1,33 +1,80 @@
-"""Manifest-driven scoring pipeline and report assembly."""
+"""Manifest-driven scoring pipeline, the method table and report assembly."""
 
 from __future__ import annotations
 
 import datetime
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
-from .errors import AdaptScoreError, ConfigInvalid
+from .errors import ConfigInvalid
 from .evaluation import CandidateScoreRow, rank_candidates
 from .formats import REPORT_SCHEMA, load_embeddings, load_labels, manifest_field
-from .scores import oracle_score, pas, pas_avg_pairwise, pas_euclidean, worker_count
+from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean, worker_count
 from .synth import SynthConfig, generate_pair
 
-# Methods where the stored raw value is negated for ranking/display
-# ("lower distance is better" rendered as "higher is better").
-NEGATED_METHODS = {"mmd", "adist"}
-ALL_METHODS = (
-    "pas",
-    "pas_euclidean",
-    "pas_avg_pairwise",
-    "oracle",
-    "mmd",
-    "adist",
-    "silhouette",
-)
+
+@dataclass(frozen=True)
+class Method:
+    """A scoring method: score(source, target, target_labels, seed,
+    max_samples) returns a ScoreResult for the PAS family and a float for
+    the baselines. A negated method is lower-is-better, so rankings use its
+    raw value negated."""
+
+    score: Callable
+    needs_target_labels: bool = False
+    negated: bool = False
+
+
+# The entries call the scorers through their module-global names at call
+# time rather than holding the function objects, so a tracer that patches
+# those names also sees the calls made through the table.
+METHODS = {
+    "pas": Method(lambda s, t, *_: pas(s, t)),
+    "pas_euclidean": Method(lambda s, t, *_: pas_euclidean(s, t)),
+    "pas_avg_pairwise": Method(lambda s, t, *_: pas_avg_pairwise(s, t)),
+    "oracle": Method(
+        lambda s, t, labels, *_: oracle_score(
+            s, LabeledEmbeddingSet(t, labels, s.num_classes, require_all_classes=False)
+        ),
+        needs_target_labels=True,
+    ),
+    "mmd": Method(
+        lambda s, t, _labels, seed, cap: mmd_gaussian(
+            s.embeddings, t, MmdConfig(max_samples_per_domain=cap, seed=seed)
+        ),
+        negated=True,
+    ),
+    "adist": Method(
+        lambda s, t, _labels, seed, _cap: proxy_a_distance(
+            s.embeddings, t, ProxyClassifierConfig(seed=seed)
+        ),
+        negated=True,
+    ),
+    "silhouette": Method(lambda s, *_: silhouette(s)),
+}
+
+
+def resolve_method(name, have_target_labels: bool = True) -> Method:
+    """The METHODS entry for `name`. ConfigInvalid for an unknown name, or
+    for a method that needs target labels when none were given."""
+    method = METHODS.get(name)
+    if method is None:
+        raise ConfigInvalid(f"unknown method {name!r}; known: {', '.join(METHODS)}")
+    if method.needs_target_labels and not have_target_labels:
+        raise ConfigInvalid(f"{name} scoring requires target labels")
+    return method
+
+
+def load_source(emb_path, labels_path) -> LabeledEmbeddingSet:
+    """A labeled source set from its embedding and label files. The class
+    count is the largest label + 1, and every class needs a member."""
+    emb = load_embeddings(emb_path)
+    labels = load_labels(labels_path)
+    return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
 
 
 def load_target(spec) -> tuple:
@@ -36,11 +83,11 @@ def load_target(spec) -> tuple:
     A {"synth": cfg} entry yields the target half of the generated pair.
     """
     if "synth" in spec:
-        cfg = SynthConfig.from_dict(spec["synth"])
+        cfg = SynthConfig.from_dict(manifest_field(spec, "synth", "target", dict))
         _, target = generate_pair(cfg)
         return target.embeddings, target.labels
-    emb = load_embeddings(manifest_field(spec, "emb", "target"))
-    labels = load_labels(spec["labels"]) if "labels" in spec else None
+    emb = load_embeddings(manifest_field(spec, "emb", "target", str))
+    labels = load_labels(manifest_field(spec, "labels", "target", str)) if "labels" in spec else None
     return emb, labels
 
 
@@ -49,15 +96,12 @@ def load_candidate(entry) -> LabeledEmbeddingSet:
 
     A {"synth": cfg} entry yields the source half of the generated pair.
     """
+    where = f"candidate {entry.get('id')!r}"
     if "synth" in entry:
-        cfg = SynthConfig.from_dict(entry["synth"])
+        cfg = SynthConfig.from_dict(manifest_field(entry, "synth", where, dict))
         source, _ = generate_pair(cfg)
         return source
-    where = f"candidate {entry.get('id')!r}"
-    emb = load_embeddings(manifest_field(entry, "emb", where))
-    labels = load_labels(manifest_field(entry, "labels", where))
-    num_classes = int(labels.max()) + 1
-    return LabeledEmbeddingSet(emb, labels, num_classes)
+    return load_source(manifest_field(entry, "emb", where, str), manifest_field(entry, "labels", where, str))
 
 
 def score_candidate(
@@ -68,36 +112,17 @@ def score_candidate(
     seed: int = 0,
     max_samples: int = 10_000,
 ) -> dict:
+    """{method: raw score} of one source against the target."""
     out = {}
-    for method in methods:
-        if method == "pas":
-            out[method] = pas(source, target).value
-        elif method == "pas_euclidean":
-            out[method] = pas_euclidean(source, target).value
-        elif method == "pas_avg_pairwise":
-            out[method] = pas_avg_pairwise(source, target).value
-        elif method == "oracle":
-            if target_labels is None:
-                raise ConfigInvalid("oracle scoring requires target labels")
-            labeled = LabeledEmbeddingSet(
-                target, target_labels, source.num_classes, require_all_classes=False
-            )
-            out[method] = oracle_score(source, labeled).value
-        elif method == "mmd":
-            cfg = MmdConfig(max_samples_per_domain=max_samples, seed=seed)
-            out[method] = mmd_gaussian(source.embeddings, target, cfg)
-        elif method == "adist":
-            cfg = ProxyClassifierConfig(seed=seed)
-            out[method] = proxy_a_distance(source.embeddings, target, cfg)
-        elif method == "silhouette":
-            out[method] = silhouette(source)
-        else:
-            raise ConfigInvalid(f"unknown method {method!r}")
+    for name in methods:
+        method = resolve_method(name, target_labels is not None)
+        result = method.score(source, target, target_labels, seed, max_samples)
+        out[name] = result.value if isinstance(result, ScoreResult) else result
     return out
 
 
 def display_value(method: str, raw: float) -> float:
-    return -raw if method in NEGATED_METHODS else raw
+    return -raw if METHODS[method].negated else raw
 
 
 def build_report(manifest: dict) -> dict:
@@ -110,6 +135,8 @@ def build_report(manifest: dict) -> dict:
     """
     target_emb, target_labels = load_target(manifest["target"])
     methods = manifest.get("methods", ["pas"])
+    for name in methods:
+        resolve_method(name, target_labels is not None)
     seed = int(manifest.get("seed", 0))
     max_samples = int(manifest.get("max_samples", 10_000))
     candidates = manifest["candidates"]

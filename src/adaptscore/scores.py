@@ -34,11 +34,6 @@ from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses, ZeroVecto
 
 _BLOCK_ROWS = 8192
 
-METHOD_PAS = "pas"
-METHOD_PAS_EUCLIDEAN = "pas_euclidean"
-METHOD_PAS_AVG_PAIRWISE = "pas_avg_pairwise"
-METHOD_ORACLE = "oracle"
-
 
 def worker_count() -> int:
     """Worker cap from ADAPTSCORE_THREADS (0 or unset means auto)."""
@@ -220,14 +215,14 @@ def pas(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """Mean over target samples of (d2 - d1) / d2, where d1, d2 are the two
     smallest cosine distances to the source class centroids."""
     columns = _block_kernel(target, _source_centroids(source, target), "cosine")
-    return _assemble(METHOD_PAS, columns, source)
+    return _assemble("pas", columns, source)
 
 
 def pas_euclidean(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """PAS with the Euclidean distance between unit-normalized rows and
     centroids in place of the cosine distance."""
     columns = _block_kernel(target, _source_centroids(source, target), "euclidean")
-    return _assemble(METHOD_PAS_EUCLIDEAN, columns, source)
+    return _assemble("pas_euclidean", columns, source)
 
 
 def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
@@ -244,7 +239,7 @@ def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> Score
     counts = np.bincount(source.labels, minlength=source.num_classes).astype(np.float64)
     means = sums / counts[:, None]
     columns = _block_kernel(target, means, "cosine")
-    return _assemble(METHOD_PAS_AVG_PAIRWISE, columns, source)
+    return _assemble("pas_avg_pairwise", columns, source)
 
 
 def oracle_score(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> ScoreResult:
@@ -257,4 +252,4 @@ def oracle_score(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> Sc
         bad = labels[(labels < 0) | (labels >= source.num_classes)][0]
         raise LabelOutOfRange(int(bad), source.num_classes)
     columns = _block_kernel(target.embeddings, centroids, "cosine", labels)
-    return _assemble(METHOD_ORACLE, columns, source)
+    return _assemble("oracle", columns, source)

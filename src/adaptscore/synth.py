@@ -3,7 +3,8 @@ oracle for desk-scale validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,6 +31,12 @@ class SynthConfig:
     target_spread: float | None = None
 
     def __post_init__(self):
+        counts = (self.num_classes, self.dim, self.n_source_per_class, self.n_target_per_class, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in counts):
+            raise ConfigInvalid("num_classes, dim, the per-class counts and seed must be integers")
+        spreads = (self.intra_spread, self.shift, 0.0 if self.target_spread is None else self.target_spread)
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in spreads):
+            raise ConfigInvalid("intra_spread, shift and target_spread must be numbers")
         if self.num_classes < 2 or self.dim < 2:
             raise ConfigInvalid("need num_classes >= 2 and dim >= 2")
         if self.n_source_per_class < 1 or self.n_target_per_class < 1:
@@ -40,19 +47,18 @@ class SynthConfig:
             raise ConfigInvalid("target_spread must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "n_source_per_class": self.n_source_per_class,
-            "n_target_per_class": self.n_target_per_class,
-            "intra_spread": self.intra_spread,
-            "shift": self.shift,
-            "seed": self.seed,
-            "target_spread": self.target_spread,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
+        """The config of a JSON object; ConfigInvalid for a non-object or an
+        unknown or missing key."""
+        if not isinstance(d, dict):
+            raise ConfigInvalid("a synth config must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if unknown or missing:
+            raise ConfigInvalid(f"synth config: unknown keys {unknown}, missing keys {missing}")
         return cls(**d)
 
 

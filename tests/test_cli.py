@@ -16,6 +16,7 @@ from adaptscore.formats import (
     save_embeddings,
     save_labels,
 )
+from adaptscore.reporting import METHODS
 
 
 @pytest.fixture
@@ -107,6 +108,16 @@ class TestScoreCommand:
             "--target-emb", str(axes_fixture / "tgt.pemb"),
         ])
         assert code == 2
+
+    def test_directory_path_is_data_error(self, axes_fixture, capsys):
+        code = main([
+            "score", "--method", "pas", "--json",
+            "--source-emb", str(axes_fixture),
+            "--source-labels", str(axes_fixture / "src.plbl"),
+            "--target-emb", str(axes_fixture / "tgt.pemb"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
     def test_usage_error(self):
         assert main(["score", "--method"]) == 1
@@ -205,11 +216,91 @@ class TestManifestSchema:
         {"target": {"emb": "tgt.pemb"}, "candidates": []},
         {"target": {"emb": "tgt.pemb"}, "candidates": [1]},
         {"target": {"emb": "tgt.pemb"}, "candidates": {"id": "a"}},
+        {"target": 5, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"emb": 5}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"emb": "tgt.pemb", "labels": 5},
+         "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"synth": 5}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": 5, "labels": "a.plbl"}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": ["x"]}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "synth": 5}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": 5, "emb": "a.pemb", "labels": "a.plbl"}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
+         "methods": "pas"},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
+         "methods": ["pas", 1]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
+         "seed": [5]},
     ])
     def test_malformed_manifest_is_a_format_error(self, readme_dir, capsys, manifest):
         (readme_dir / "m.json").write_text(json.dumps(manifest))
         assert main(["rank", "--manifest", "m.json", "--out", "out.json", "--json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ManifestError"
+
+
+class TestMethodTable:
+    @pytest.fixture
+    def fixture_dir(self, tmp_path, rng, monkeypatch):
+        """One candidate and a labeled target, ranked under every method."""
+        save_embeddings(tmp_path / "src.pemb", EmbeddingSet(rng.standard_normal((24, 5))))
+        save_labels(tmp_path / "src.plbl", np.arange(24) % 3)
+        save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(rng.standard_normal((12, 5))))
+        save_labels(tmp_path / "tgt.plbl", np.arange(12) % 3)
+        manifest = {
+            "target": {"emb": "tgt.pemb", "labels": "tgt.plbl"},
+            "candidates": [{"id": "a", "emb": "src.pemb", "labels": "src.plbl"}],
+            "methods": list(METHODS),
+            "seed": 4,
+            "max_samples": 20,
+        }
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    SCORE_ARGS = [
+        "--source-emb", "src.pemb", "--source-labels", "src.plbl", "--target-emb", "tgt.pemb",
+        "--target-labels", "tgt.plbl", "--seed", "4", "--max-samples", "20", "--json",
+    ]
+
+    def test_score_and_rank_agree_on_every_method(self, fixture_dir, capsys):
+        assert main(["rank", "--manifest", "m.json", "--out", "r.json"]) == 0
+        row = json.loads((fixture_dir / "r.json").read_text())["rows"][0]
+        capsys.readouterr()
+        for name, method in METHODS.items():
+            assert main(["score", "--method", name, *self.SCORE_ARGS]) == 0
+            value = json.loads(capsys.readouterr().out)["value"]
+            assert value == row["method_scores"][name], name
+            assert row["display_scores"][name] == (-value if method.negated else value), name
+
+    def test_readme_table_matches(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = re.findall(r"^\| `(\w+)` \| (yes|no) \| (yes|no) \|$", readme, re.M)
+        assert {name: (labels == "yes", negated == "yes") for name, labels, negated in table} == {
+            name: (m.needs_target_labels, m.negated) for name, m in METHODS.items()
+        }
+
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_unknown_method_is_config_invalid(self, fixture_dir, capsys, command):
+        if command == "score":
+            argv = ["score", "--method", "nope", *self.SCORE_ARGS]
+        else:
+            manifest = json.loads((fixture_dir / "m.json").read_text())
+            manifest["methods"] = ["pas", "nope"]
+            (fixture_dir / "m.json").write_text(json.dumps(manifest))
+            argv = ["rank", "--manifest", "m.json", "--out", "r.json", "--json"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
+
+    def test_rank_checks_methods_before_loading_candidates(self, fixture_dir, capsys):
+        manifest = {
+            "target": {"emb": "tgt.pemb"},
+            "candidates": [{"id": "a", "emb": "missing.pemb", "labels": "src.plbl"}],
+            "methods": ["oracle"],
+        }
+        (fixture_dir / "m.json").write_text(json.dumps(manifest))
+        assert main(["rank", "--manifest", "m.json", "--out", "r.json", "--json"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
 
 
 class TestCorrCommand:
@@ -233,7 +324,44 @@ class TestCorrCommand:
         assert out == "0.73 / 0.66"
 
 
+class TestCorrErrors:
+    ROWS = [
+        {"candidate_id": "a", "method_scores": {"pas": 0.5}},
+        {"candidate_id": "b", "method_scores": {"pas": 0.3}},
+    ]
+
+    @pytest.mark.parametrize("report, method, code, error", [
+        ({"rows": ROWS}, "mmd", 3, "MissingScore"),
+        ({"rows": ROWS}, "nope", 3, "ConfigInvalid"),
+        ({"rows": {"candidate_id": "a"}}, "pas", 2, "FormatError"),
+        ({"rows": [1, 2]}, "pas", 2, "FormatError"),
+        ({}, "pas", 2, "FormatError"),
+        ({"rows": [dict(ROWS[0], method_scores={"pas": [0.5]}), ROWS[1]]}, "pas", 2, "FormatError"),
+    ])
+    def test_typed_errors(self, tmp_path, capsys, report, method, code, error):
+        (tmp_path / "r.json").write_text(json.dumps(report))
+        (tmp_path / "acc.csv").write_text("a,70.0\nb,60.0\n")
+        argv = ["corr", "--report", str(tmp_path / "r.json"), "--accuracy", str(tmp_path / "acc.csv"),
+                "--method", method, "--json"]
+        assert main(argv) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 class TestSynthCommand:
+    @pytest.mark.parametrize("config", [
+        [synth_entry(3)],
+        {k: v for k, v in synth_entry(3).items() if k != "n_target_per_class"},
+        dict(synth_entry(3), colour="red"),
+        dict(synth_entry(3), dim="8"),
+        dict(synth_entry(3), n_source_per_class=True),
+    ])
+    def test_bad_config_is_config_invalid(self, tmp_path, capsys, config):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(config))
+        argv = ["synth", "--config", str(cpath), "--out-dir", str(tmp_path / "out"), "--json"]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+
     def test_writes_pair(self, tmp_path, capsys):
         cpath = tmp_path / "cfg.json"
         cpath.write_text(json.dumps(synth_entry(3)))

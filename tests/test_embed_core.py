@@ -12,7 +12,9 @@ from adaptscore import (
 from adaptscore.errors import (
     DegenerateClass,
     DimensionMismatch,
+    FormatError,
     MissingClass,
+    NonFiniteValue,
     ZeroVector,
 )
 from conftest import random_labeled, random_orthogonal
@@ -101,6 +103,17 @@ class TestClassCentroids:
         with pytest.raises(MissingClass):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0]]), [0], 2)
 
+    @pytest.mark.parametrize("labels, num_classes, missing", [
+        ([0, 2, 3], 4, 1),
+        ([1, 0, 1], 3, 2),
+        # a corrupt label file: no per-class array of 2**32 entries is built
+        ([0, 1, 2**32 - 1], 2**32, 2),
+    ])
+    def test_missing_class_is_the_lowest_absent_id(self, labels, num_classes, missing):
+        with pytest.raises(MissingClass) as info:
+            LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), labels, num_classes)
+        assert info.value.class_id == missing
+
     def test_unit_norm_rows(self, rng):
         s = random_labeled(rng)
         table = class_centroids(
@@ -138,6 +151,12 @@ class TestContainers:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EmbeddingSet([[1.0, np.nan]])
+
+    def test_nonfinite_names_the_first_entry_in_row_major_order(self):
+        with pytest.raises(NonFiniteValue) as info:
+            EmbeddingSet([[1.0, 2.0, 3.0], [4.0, 5.0, np.inf], [np.nan, 0.0, 0.0]])
+        assert (info.value.row, info.value.col) == (1, 2)
+        assert isinstance(info.value, FormatError) and isinstance(info.value, ValueError)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,12 @@ class TestLabels:
         with pytest.raises(RaggedCsv):
             load_labels(p)
 
+    def test_label_beyond_u32_rejected(self, tmp_path):
+        p = tmp_path / "l.txt"
+        p.write_text("0\n99999999999999999999\n")
+        with pytest.raises(RaggedCsv):
+            load_labels(p)
+
 
 class TestManifestAndAccuracy:
     def test_duplicate_candidate_ids_rejected(self, tmp_path):
