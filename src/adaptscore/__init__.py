@@ -28,7 +28,6 @@ from .baselines import (  # noqa: F401
 )
 from .evaluation import (  # noqa: F401
     CandidateScoreRow,
-    CorrelationResult,
     SubsampleStudyResult,
     pearson,
     spearman,

@@ -2,7 +2,8 @@
 and the classical silhouette.
 
 All baselines run on unit-normalized embeddings for consistency with the
-centroid scores.
+centroid scores, so every pairwise distance comes from one GEMM through
+the identity ||x - y||^2 = 2 - 2 x.y on unit rows.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet, unit_normalize
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     TooFewClasses,
     TooFewSamples,
 )
+from .scores import _block_ranges
 
 MEDIAN_HEURISTIC = "median_heuristic"
 
@@ -61,49 +62,67 @@ def _digest64(arr: np.ndarray) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _subsample(data: np.ndarray, cap: int, seed: int, stream: int) -> np.ndarray:
+def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
+    """Pairwise distances between the unit rows of XA and XB from one GEMM,
+    transformed in place: "cosine" is 1 - x.y clipped to [0, 2] (the PAS
+    block kernel's formula), "sqeuclidean" is max(2 - 2 x.y, 0) and
+    "euclidean" its square root. Rounding in 2 - 2 x.y puts the distance
+    between (near-)identical rows at up to ~2e-8 instead of 0."""
+    dist = XA @ XB.T
+    if metric == "cosine":
+        np.subtract(1.0, dist, out=dist)
+        return np.clip(dist, 0.0, 2.0, out=dist)
+    dist *= -2.0
+    dist += 2.0
+    np.maximum(dist, 0.0, out=dist)
+    return np.sqrt(dist, out=dist) if metric == "euclidean" else dist
+
+
+def _subsample(data: np.ndarray, cap: int, seed: int) -> np.ndarray:
+    """At most `cap` rows in their original order, drawn with a seed keyed
+    on the domain's own bytes so argument order cannot change the draw."""
     if data.shape[0] <= cap:
         return data
-    rng = np.random.default_rng([seed, stream])
+    rng = np.random.default_rng([seed, _digest64(data)])
     idx = np.sort(rng.choice(data.shape[0], size=cap, replace=False))
     return data[idx]
+
+
+def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
+    k = cdist(x, y, "sqeuclidean")
+    k *= -gamma
+    return float(np.mean(np.exp(k, out=k)))
 
 
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
-    Domains above cfg.max_samples_per_domain are subsampled with a seeded
-    RNG. Inputs below the cap are canonically ordered before the
-    cross-kernel sum, so the estimate is exactly symmetric in its arguments.
+    Domains above cfg.max_samples_per_domain are subsampled with a seed
+    keyed on each domain's bytes. The two domains are then put in a
+    canonical order before any arithmetic, so the estimate is exactly
+    symmetric in its arguments.
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     if source.n < 2 or target.n < 2:
         raise TooFewSamples(2, min(source.n, target.n))
 
-    s = _subsample(unit_normalize(source).data, cfg.max_samples_per_domain, cfg.seed, 0)
-    t = _subsample(unit_normalize(target).data, cfg.max_samples_per_domain, cfg.seed, 1)
+    a = _subsample(unit_normalize(source).data, cfg.max_samples_per_domain, cfg.seed)
+    b = _subsample(unit_normalize(target).data, cfg.max_samples_per_domain, cfg.seed)
+    if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
+        a, b = b, a
 
     if cfg.bandwidth_policy == "fixed":
         sigma = cfg.sigma
     else:
-        pooled = np.vstack([s, t])
-        # Median of the full pairwise multiset; order-independent.
-        dists = cdist(pooled, pooled, "euclidean")
-        sigma = float(np.median(dists))
+        pooled = np.vstack([a, b])
+        # Median of the full pairwise multiset, selected in place.
+        sigma = float(np.median(cdist(pooled, pooled, "euclidean"), overwrite_input=True))
         if sigma <= 0:
             sigma = 1.0
 
     gamma = 1.0 / (2.0 * sigma * sigma)
-    # Canonical operand order keeps the cross-term summation identical
-    # under argument swap.
-    a, b = s, t
-    if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
-        a, b = b, a
-    k_aa = np.exp(-gamma * cdist(a, a, "sqeuclidean"))
-    k_bb = np.exp(-gamma * cdist(b, b, "sqeuclidean"))
-    k_ab = np.exp(-gamma * cdist(a, b, "sqeuclidean"))
-    value = float(np.mean(k_aa)) + float(np.mean(k_bb)) - 2.0 * float(np.mean(k_ab))
+    value = _kernel_mean(a, a, gamma) + _kernel_mean(b, b, gamma) - 2.0 * _kernel_mean(a, b, gamma)
     return max(value, 0.0)
 
 
@@ -174,7 +193,9 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
 def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion.
 
-    metric is "cosine" (on unit-normalized rows) or "euclidean".
+    metric is "cosine" or "euclidean", both between unit-normalized rows.
+    Each block of rows takes its distances to all n rows and their class
+    sums, so memory grows with block x n, not n x n.
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
@@ -184,24 +205,21 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     if (counts < 2).any():
         raise SingletonClass(int(np.argmax(counts < 2)))
 
-    if metric == "cosine":
-        x = unit_normalize(data.embeddings).data
-        dist = np.clip(1.0 - x @ x.T, 0.0, 2.0)
-    else:
-        x = unit_normalize(data.embeddings).data
-        dist = cdist(x, x, "euclidean")
-
+    x = unit_normalize(data.embeddings).data
     labels = data.labels
-    n = data.n
-    scores = np.empty(n)
-    for i in range(n):
-        same = labels == labels[i]
-        a = (dist[i, same].sum() - dist[i, i]) / (same.sum() - 1)
-        b = np.inf
-        for c in range(data.num_classes):
-            if c == labels[i]:
-                continue
-            b = min(b, dist[i, labels == c].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    onehot = np.zeros((data.n, data.num_classes))
+    onehot[np.arange(data.n), labels] = 1.0
+    scores = np.zeros(data.n)
+    for lo, hi in _block_ranges(data.n):
+        rows = np.arange(hi - lo)
+        own = labels[lo:hi]
+        dist = cdist(x[lo:hi], x, metric)
+        sums = dist @ onehot
+        # The own-class mean leaves out the row's distance to itself.
+        a = (sums[rows, own] - dist[rows, lo + rows]) / (counts[own] - 1)
+        sums /= counts
+        sums[rows, own] = np.inf
+        b = sums.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=scores[lo:hi], where=denom != 0.0)
     return float(scores.mean())

@@ -116,6 +116,6 @@ class NonFiniteValue(FormatError, ValueError):
         super().__init__(f"non-finite value at row {row}, col {col}")
 
 
-class ManifestError(FormatError):
-    """A manifest or one of its entries is not a JSON object or lacks a
-    required key."""
+class ManifestError(FormatError, ValueError):
+    """A manifest or one of its entries is not a JSON object, lacks a
+    required key or repeats a candidate id."""

@@ -20,13 +20,6 @@ class CandidateScoreRow:
     accuracy: float | None = None  # percent, when known externally
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    pearson: float
-    spearman: float
-    n: int
-
-
 @dataclass
 class SubsampleStudyResult:
     fractions: list
@@ -86,11 +79,6 @@ def spearman(x, y) -> float:
     """Pearson correlation of average-rank vectors."""
     x, y = _validated_xy(x, y)
     return pearson(_average_ranks(x), _average_ranks(y))
-
-
-def correlate(x, y) -> CorrelationResult:
-    x = np.asarray(x, dtype=np.float64)
-    return CorrelationResult(pearson(x, y), spearman(x, y), n=x.shape[0])
 
 
 def rank_candidates(rows, method: str) -> list:
@@ -153,6 +141,8 @@ def subsample_study(
     fractions = [float(f) for f in fractions]
     if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
         raise ValueError("fractions must be ascending values in (0, 1]")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if candidate_ids is None:
         candidate_ids = [f"candidate_{i}" for i in range(len(sources))]
 
@@ -191,7 +181,7 @@ def subsample_study(
                 matches += 1
         scores.append(f_scores)
         rankings.append(f_rankings)
-        match_fraction.append(matches / repeats if repeats else 1.0)
+        match_fraction.append(matches / repeats)
         stable.append(matches == repeats)
 
     return SubsampleStudyResult(

@@ -177,7 +177,7 @@ def load_manifest(path) -> dict:
         raise ManifestError("manifest candidates must be a non-empty list")
     ids = [manifest_field(c, "id", f"candidate {i}", str) for i, c in enumerate(candidates)]
     if len(ids) != len(set(ids)):
-        raise ValueError("candidate ids must be unique")
+        raise ManifestError("candidate ids must be unique")
     methods = manifest.get("methods", [])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ManifestError("manifest 'methods' is not a JSON list of strings")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import datetime
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -13,7 +12,7 @@ from .embed_core import EmbeddingSet, LabeledEmbeddingSet
 from .errors import ConfigInvalid
 from .evaluation import CandidateScoreRow, rank_candidates
 from .formats import REPORT_SCHEMA, load_embeddings, load_labels, manifest_field
-from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean, worker_count
+from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
 
@@ -129,9 +128,9 @@ def build_report(manifest: dict) -> dict:
     """Score every manifest candidate against the target and assemble the
     adaptscore-report-v1 document.
 
-    Candidates are scored concurrently into fixed slots; the report dict is
-    assembled by a single writer afterwards, so identical manifest+seed
-    yields an identical report (the created_at timestamp aside).
+    Candidates are scored one after another (the block kernel and BLAS are
+    the parallel parts), so identical manifest+seed yields an identical
+    report (the created_at timestamp aside).
     """
     target_emb, target_labels = load_target(manifest["target"])
     methods = manifest.get("methods", ["pas"])
@@ -139,23 +138,11 @@ def build_report(manifest: dict) -> dict:
         resolve_method(name, target_labels is not None)
     seed = int(manifest.get("seed", 0))
     max_samples = int(manifest.get("max_samples", 10_000))
-    candidates = manifest["candidates"]
-
-    def work(entry):
-        source = load_candidate(entry)
-        return score_candidate(
-            source, target_emb, methods, target_labels, seed=seed, max_samples=max_samples
-        )
-
-    workers = min(worker_count(), max(len(candidates), 1))
-    if workers <= 1 or len(candidates) <= 1:
-        raw_scores = [work(c) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw_scores = list(pool.map(work, candidates))
 
     rows = []
-    for entry, raw in zip(candidates, raw_scores):
+    for entry in manifest["candidates"]:
+        source = load_candidate(entry)
+        raw = score_candidate(source, target_emb, methods, target_labels, seed, max_samples)
         rows.append(
             {
                 "candidate_id": entry["id"],

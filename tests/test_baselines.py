@@ -12,6 +12,8 @@ from adaptscore import (
     proxy_a_distance,
     silhouette,
 )
+from adaptscore import baselines, scores
+from adaptscore.embed_core import unit_normalize
 from adaptscore.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -34,6 +36,40 @@ def brute_force_mmd(x, y, sigma):
     return xx + yy - 2 * xy
 
 
+def loop_silhouette(data, metric):
+    """The per-sample loop over a dense n x n matrix that the blockwise
+    silhouette replaced."""
+    from scipy.spatial.distance import cdist
+
+    x = unit_normalize(data.embeddings).data
+    if metric == "cosine":
+        dist = np.clip(1.0 - x @ x.T, 0.0, 2.0)
+    else:
+        dist = cdist(x, x, "euclidean")
+    labels = data.labels
+    per_sample = np.empty(data.n)
+    for i in range(data.n):
+        same = labels == labels[i]
+        a = (dist[i, same].sum() - dist[i, i]) / (same.sum() - 1)
+        b = np.inf
+        for c in range(data.num_classes):
+            if c == labels[i]:
+                continue
+            b = min(b, dist[i, labels == c].mean())
+        denom = max(a, b)
+        per_sample[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(per_sample.mean())
+
+
+@pytest.mark.parametrize("metric", ["cosine", "sqeuclidean", "euclidean"])
+def test_cdist_matches_scipy_on_unit_rows(rng, metric):
+    from scipy.spatial.distance import cdist
+
+    xa = unit_normalize(EmbeddingSet(rng.standard_normal((40, 16)))).data
+    xb = unit_normalize(EmbeddingSet(rng.standard_normal((25, 16)))).data
+    np.testing.assert_allclose(baselines.cdist(xa, xb, metric), cdist(xa, xb, metric), rtol=0, atol=1e-12)
+
+
 class TestMmd:
     def test_identical_sets_zero(self, rng):
         x = rng.standard_normal((10, 4))
@@ -53,6 +89,15 @@ class TestMmd:
             s = EmbeddingSet(rng.standard_normal((rng.integers(2, 15), 5)))
             t = EmbeddingSet(rng.standard_normal((rng.integers(2, 15), 5)))
             cfg = MmdConfig(seed=i)
+            assert mmd_gaussian(s, t, cfg) == mmd_gaussian(t, s, cfg)
+
+    @pytest.mark.parametrize("rows, cap", [(300, 10_000), (120, 90)])
+    def test_symmetry_exact_with_hundreds_of_rows(self, rng, rows, cap):
+        # Above the cap each domain's draw must not depend on its position.
+        for i in range(4):
+            s = EmbeddingSet(rng.standard_normal((rows + 7 * i, 24)))
+            t = EmbeddingSet(rng.standard_normal((rows, 24)) + 0.2)
+            cfg = MmdConfig(max_samples_per_domain=cap, seed=i)
             assert mmd_gaussian(s, t, cfg) == mmd_gaussian(t, s, cfg)
 
     def test_nonnegative(self, rng):
@@ -191,6 +236,13 @@ class TestSilhouette:
             EmbeddingSet(data.embeddings.data @ q.T), data.labels, data.num_classes
         )
         assert silhouette(rotated, "cosine") == pytest.approx(base, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_blocks_match_per_sample_loop(self, rng, monkeypatch, metric):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        for spread in (0.3, 1.5):
+            data = random_labeled(rng, n_per_class=9, num_classes=4, dim=6, spread=spread)
+            assert silhouette(data, metric) == pytest.approx(loop_silhouette(data, metric), abs=1e-12)
 
     def test_singleton_class(self):
         data = LabeledEmbeddingSet(

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptscore
 from adaptscore import EmbeddingSet, LabeledEmbeddingSet, pas
 from adaptscore.cli import main
 from adaptscore.formats import (
@@ -231,6 +235,8 @@ class TestManifestSchema:
          "methods": ["pas", 1]},
         {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
          "seed": [5]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"},
+                                                       {"id": "a", "synth": {}}]},
     ])
     def test_malformed_manifest_is_a_format_error(self, readme_dir, capsys, manifest):
         (readme_dir / "m.json").write_text(json.dumps(manifest))
@@ -396,3 +402,28 @@ class TestSubstudyCommand:
         assert study["fractions"] == [0.5, 1.0]
         assert len(study["scores"]) == 2
         assert study["rank_stable"][1] is True
+
+    @pytest.mark.parametrize("repeats", ["-3", "0"])
+    def test_repeats_below_one_is_a_data_error(self, tmp_path, capsys, repeats):
+        manifest = {
+            "target": {"synth": synth_entry(2, shift=0.0)},
+            "candidates": [{"id": "a", "synth": synth_entry(2)}],
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "study.json"
+        code = main([
+            "substudy", "--manifest", str(mpath), "--json",
+            "--fractions", "0.5,1.0", "--repeats", repeats, "--out", str(out),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(adaptscore.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, adaptscore.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
