@@ -25,6 +25,10 @@ from .scores import _block_ranges
 
 MEDIAN_HEURISTIC = "median_heuristic"
 
+# Entries of one silhouette distance block (block rows x n, float64): the
+# row block shrinks as n grows so the block stays near 128 MB.
+_SILHOUETTE_BLOCK_ENTRIES = 2**24
+
 
 @dataclass(frozen=True)
 class MmdConfig:
@@ -195,7 +199,8 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
 
     metric is "cosine" or "euclidean", both between unit-normalized rows.
     Each block of rows takes its distances to all n rows and their class
-    sums, so memory grows with block x n, not n x n.
+    sums. The block has at most _SILHOUETTE_BLOCK_ENTRIES // n rows, so
+    its memory stays bounded as n grows instead of reaching n x n.
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
@@ -210,7 +215,7 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     onehot = np.zeros((data.n, data.num_classes))
     onehot[np.arange(data.n), labels] = 1.0
     scores = np.zeros(data.n)
-    for lo, hi in _block_ranges(data.n):
+    for lo, hi in _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n):
         rows = np.arange(hi - lo)
         own = labels[lo:hi]
         dist = cdist(x[lo:hi], x, metric)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .formats import (
     save_labels,
 )
 from .reporting import build_report, load_candidate, load_source, load_target, resolve_method
-from .scores import PerSampleBreakdown, ScoreResult
+from .scores import ScoreResult
 from .synth import SynthConfig, generate_pair
 
 EXIT_OK = 0
@@ -78,12 +79,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _breakdown_rows(result) -> list:
-    """The breakdown as PerSampleBreakdown-shaped dicts, built from the
-    columns without a per-sample object."""
-    keys = [f.name for f in dataclasses.fields(PerSampleBreakdown)]
+# One breakdown row as json.dumps renders a PerSampleBreakdown dict: ints
+# and floats by repr, the default ", " and ": " separators.
+_ROW_JSON = (
+    '{{"sample_index": {}, "d1": {!r}, "d2": {!r}, '
+    '"nearest_class": {}, "contribution": {!r}}}'
+)
+
+
+def _score_json(method: str, value: float, result) -> str:
+    """json.dumps({"method", "value", "breakdown": [rows]}) with the rows
+    formatted straight from a ScoreResult's columns; no breakdown for a
+    baseline's plain float."""
+    head = json.dumps({"method": method, "value": value})
+    if not isinstance(result, ScoreResult):
+        return head
     columns = (c.tolist() for c in result.breakdown_arrays())
-    return [dict(zip(keys, (i, *row))) for i, row in enumerate(zip(*columns))]
+    rows = ", ".join(map(_ROW_JSON.format, itertools.count(), *columns))
+    return f'{head[:-1]}, "breakdown": [{rows}]}}'
 
 
 def _cmd_score(args) -> int:
@@ -92,13 +105,9 @@ def _cmd_score(args) -> int:
     method = resolve_method(args.method, bool(args.target_labels))
     target_labels = load_labels(args.target_labels) if method.needs_target_labels else None
     result = method.score(source, target, target_labels, args.seed, args.max_samples)
-    has_breakdown = isinstance(result, ScoreResult)
-    value = result.value if has_breakdown else result
+    value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
-        payload = {"method": args.method, "value": value}
-        if has_breakdown:
-            payload["breakdown"] = _breakdown_rows(result)
-        print(json.dumps(payload))
+        print(_score_json(args.method, value, result))
     else:
         print(f"{value:.5f}")
     return EXIT_OK

@@ -1,7 +1,11 @@
 """Embedding containers, normalization, distances, and class centroids.
 
-All arithmetic is float64 regardless of on-disk precision. Matrices are
-dense row-major.
+An EmbeddingSet keeps float32 data as float32 (half the memory of a
+loaded PEMB file widened up front) and widens every other dtype to
+float64. All arithmetic is float64 regardless of storage: unit_normalize
+and the scorers' block kernel widen their rows before the first
+operation, and everything derived from the data (unit rows, centroids,
+CentroidTable) is float64. Matrices are dense row-major.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ from .errors import (
 EPS_NORM = 1e-12
 
 
-def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+def _as_matrix(data, dtypes=(np.float64,)) -> np.ndarray:
+    """A C-contiguous 2-D array of one of `dtypes`, widened to float64 when
+    it is of none of them."""
+    arr = np.asarray(data)
+    if arr.dtype not in dtypes:
+        arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     return np.ascontiguousarray(arr)
@@ -33,17 +41,26 @@ def _as_matrix(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """An n x d matrix of finite real-valued feature embeddings."""
+    """An n x d matrix of finite real-valued feature embeddings.
+
+    float32 data is kept as float32; any other dtype is widened to float64.
+    Raises NonFiniteValue at the first non-finite entry in row-major order.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.data)
+        from .scores import _block_ranges  # scores imports this module
+
+        arr = _as_matrix(self.data, (np.float32, np.float64))
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            r, c = np.argwhere(~np.isfinite(arr))[0]
-            raise NonFiniteValue(int(r), int(c))
+        # Row blocks bound the boolean temporary at block x d.
+        for lo, hi in _block_ranges(arr.shape[0]):
+            finite = np.isfinite(arr[lo:hi])
+            if not finite.all():
+                r, c = np.argwhere(~finite)[0]
+                raise NonFiniteValue(lo + int(r), int(c))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -125,13 +142,16 @@ class CentroidTable:
 def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm.
 
-    Raises ZeroVector for rows with norm <= EPS_NORM.
+    The rows are widened to float64 first, so the result is float64
+    whatever the storage dtype. Raises ZeroVector for rows with norm <=
+    EPS_NORM.
     """
-    norms = np.linalg.norm(e.data, axis=1)
+    data = e.data.astype(np.float64, copy=False)
+    norms = np.linalg.norm(data, axis=1)
     small = norms <= EPS_NORM
     if small.any():
         raise ZeroVector(int(np.argmax(small)))
-    return EmbeddingSet(e.data / norms[:, None])
+    return EmbeddingSet(data / norms[:, None])
 
 
 def cosine_distance(u, v) -> float:

@@ -5,7 +5,8 @@ PEMB v1: magic "PEMB", version byte 1, dtype byte 0 (float32 LE), two
 reserved zero bytes, n and d as u64 LE, then n*d floats row-major
 (24-byte header). PLBL v1: magic "PLBL", version byte 1, three reserved
 zero bytes, n as u64 LE, then n u32 LE class ids (16-byte header).
-Values are stored at 32-bit precision and widened to float64 in memory.
+Values are stored at 32-bit precision. A loaded PEMB file stays float32
+in memory (CSV input is float64); all arithmetic on it is float64.
 """
 
 from __future__ import annotations
@@ -44,12 +45,8 @@ def save_embeddings_csv(path, e: EmbeddingSet) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-_CHUNK_ROWS = 8192
-
-
 def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
-    """Read a PEMB file into one preallocated float64 array, widening
-    _CHUNK_ROWS rows at a time."""
+    """Read a PEMB payload with one readinto into an (n, d) float32 array."""
     header = fh.read(PEMB_HEADER.size)
     if len(header) < PEMB_HEADER.size:
         raise TruncatedFile(str(path), PEMB_HEADER.size, size)
@@ -59,16 +56,11 @@ def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
     expected = PEMB_HEADER.size + 4 * n * d
     if size != expected:
         raise TruncatedFile(str(path), expected, size)
-    if n == 0 or d == 0:
-        return EmbeddingSet(np.empty((n, d)))  # rejected there: no rows or no columns
-    arr = np.empty((n, d))
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        chunk = np.fromfile(fh, dtype="<f4", count=(hi - lo) * d)
-        if chunk.size != (hi - lo) * d:  # the file shrank while it was read
-            raise TruncatedFile(str(path), expected, fh.tell())
-        arr[lo:hi] = chunk.reshape(hi - lo, d)
-    return EmbeddingSet(arr)
+    arr = np.empty((n, d), dtype="<f4")
+    got = fh.readinto(arr)
+    if got != arr.nbytes:  # the file shrank while it was read
+        raise TruncatedFile(str(path), expected, PEMB_HEADER.size + got)
+    return EmbeddingSet(arr)  # rejects n == 0 or d == 0
 
 
 def load_embeddings(path) -> EmbeddingSet:

@@ -124,8 +124,10 @@ def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
         raise DimensionMismatch(source.dim, target.dim)
 
 
-def _block_ranges(n: int):
-    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+def _block_ranges(n: int, max_rows: int = _BLOCK_ROWS):
+    """Row ranges of min(_BLOCK_ROWS, max_rows) rows (at least one) each."""
+    step = max(1, min(_BLOCK_ROWS, max_rows))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _run_blocks(fn, n: int):
@@ -143,16 +145,18 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     """d1/d2/nearest/contribution columns of the raw target rows against C
     reference rows.
 
-    Each block unit-normalizes its own rows (raising ZeroVector at the
-    first zero row), so no normalized n x d copy exists; the per-row
-    arithmetic is that of unit_normalize followed by one GEMM per block.
-    `dist_kind` is "cosine" (1 - cos, clipped to [0, 2]) or "euclidean"
-    (between unit rows and unit reference rows). The nearest class is the
-    lowest class id among minimizers (argmin returns the first).
+    Each block widens its own rows to float64 and unit-normalizes them in
+    place (raising ZeroVector at the first zero row), so no normalized
+    n x d copy exists; the per-row arithmetic is that of unit_normalize
+    followed by one GEMM per block. `dist_kind` is "cosine" (1 - cos,
+    clipped to [0, 2]) or "euclidean" (between unit rows and unit
+    reference rows). The nearest class is the lowest class id among
+    minimizers (argmin returns the first).
 
-    Without true_labels, d1 <= d2 are the two smallest distances. With
-    them (the oracle rule), d1 is the distance to the true class and d2
-    the smallest among the others. Either way the contribution is
+    d1 is the distance to the picked class and d2 the smallest among the
+    others. Without true_labels the picked class is the nearest one, so
+    d1 <= d2 are the two smallest distances; with them (the oracle rule)
+    it is the true class. Either way the contribution is
     (d2 - d1) / max(d1, d2), which is PAS's (d2 - d1) / d2 when d1 <= d2,
     and 0 when both are 0 (no preference).
     """
@@ -161,36 +165,35 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     d1 = np.empty(n)
     d2 = np.empty(n)
     nearest = np.empty(n, dtype=np.int64)
-    contrib = np.empty(n)
+    contrib = np.zeros(n)
 
     def block(lo, hi):
-        x = data[lo:hi]
+        x = data[lo:hi].astype(np.float64)
         norms = np.linalg.norm(x, axis=1)
         small = norms <= EPS_NORM
         if small.any():
             raise ZeroVector(lo + int(np.argmax(small)))
-        sims = (x / norms[:, None]) @ rows.T
+        x /= norms[:, None]
+        dist = x @ rows.T
         if dist_kind == "cosine":
-            dist = np.clip(1.0 - sims, 0.0, 2.0)
+            np.subtract(1.0, dist, out=dist)
+            np.clip(dist, 0.0, 2.0, out=dist)
         else:
-            dist = np.sqrt(np.clip(2.0 - 2.0 * sims, 0.0, None))
-        nearest[lo:hi] = dist.argmin(axis=1)
-        if true_labels is None:
-            part = np.partition(dist, 1, axis=1)
-            b1, b2 = part[:, 0], part[:, 1]
-        else:
-            idx = np.arange(hi - lo)
-            true = true_labels[lo:hi]
-            b1 = dist[idx, true]
-            dist[idx, true] = np.inf
-            b2 = dist.min(axis=1)
+            dist *= -2.0
+            dist += 2.0
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+        idx = np.arange(hi - lo)
+        nearest[lo:hi] = pick = dist.argmin(axis=1)
+        if true_labels is not None:
+            pick = true_labels[lo:hi]
+        b1 = dist[idx, pick]
+        dist[idx, pick] = np.inf
+        b2 = dist.min(axis=1)
         d1[lo:hi] = b1
         d2[lo:hi] = b2
         denom = np.maximum(b1, b2)
-        out = np.zeros(hi - lo)
-        nz = denom > 0.0
-        out[nz] = (b2[nz] - b1[nz]) / denom[nz]
-        contrib[lo:hi] = out
+        np.divide(b2 - b1, denom, out=contrib[lo:hi], where=denom > 0.0)
 
     _run_blocks(block, n)
     return d1, d2, nearest, contrib

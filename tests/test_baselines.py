@@ -242,7 +242,11 @@ class TestSilhouette:
         monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
         for spread in (0.3, 1.5):
             data = random_labeled(rng, n_per_class=9, num_classes=4, dim=6, spread=spread)
-            assert silhouette(data, metric) == pytest.approx(loop_silhouette(data, metric), abs=1e-12)
+            want = loop_silhouette(data, metric)
+            # 7-row blocks, then 3-row blocks from a 108-entry budget at n = 36
+            for budget in (baselines._SILHOUETTE_BLOCK_ENTRIES, 3 * data.n):
+                monkeypatch.setattr(baselines, "_SILHOUETTE_BLOCK_ENTRIES", budget)
+                assert silhouette(data, metric) == pytest.approx(want, abs=1e-12)
 
     def test_singleton_class(self):
         data = LabeledEmbeddingSet(

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import adaptscore
-from adaptscore import EmbeddingSet, LabeledEmbeddingSet, pas
+from adaptscore import (
+    EmbeddingSet,
+    LabeledEmbeddingSet,
+    oracle_score,
+    pas,
+    pas_avg_pairwise,
+    pas_euclidean,
+)
 from adaptscore.cli import main
 from adaptscore.formats import (
     REPORT_SCHEMA,
@@ -74,26 +81,51 @@ class TestScoreCommand:
         assert payload["breakdown"][0]["nearest_class"] == 0
 
     def test_json_matches_asdict_rendering(self, tmp_path, rng, capsys):
+        # Classes 0 and 1 are pure axes, so the first two target rows sit
+        # exactly between their centroids (d1 == d2); the oracle labels one
+        # of them with a third class and draws the rest at random, which
+        # gives negative contributions.
         x_src = rng.standard_normal((12, 5))
         y_src = np.arange(12) % 3
+        x_src[y_src == 0] = np.eye(5)[0]
+        x_src[y_src == 1] = np.eye(5)[1]
         x_tgt = rng.standard_normal((9, 5))
+        x_tgt[:2] = [[1.0, 1.0, 0.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0, 0.0]]
+        y_tgt = rng.integers(0, 3, 9)
+        y_tgt[:2] = [2, 0]
         save_embeddings(tmp_path / "src.pemb", EmbeddingSet(x_src))
         save_labels(tmp_path / "src.plbl", y_src)
         save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(x_tgt))
-        code = main([
-            "score", "--method", "pas", "--json",
-            "--source-emb", str(tmp_path / "src.pemb"),
-            "--source-labels", str(tmp_path / "src.plbl"),
-            "--target-emb", str(tmp_path / "tgt.pemb"),
-        ])
-        assert code == 0
-        result = pas(
-            LabeledEmbeddingSet(load_embeddings(tmp_path / "src.pemb"), y_src, 3),
-            load_embeddings(tmp_path / "tgt.pemb"),
-        )
-        rows = [dataclasses.asdict(b) for b in result.breakdown]
-        want = json.dumps({"method": "pas", "value": result.value, "breakdown": rows})
-        assert capsys.readouterr().out == want + "\n"
+        save_labels(tmp_path / "tgt.plbl", y_tgt)
+        source = LabeledEmbeddingSet(load_embeddings(tmp_path / "src.pemb"), y_src, 3)
+        target = load_embeddings(tmp_path / "tgt.pemb")
+        scorers = {
+            "pas": lambda: pas(source, target),
+            "pas_euclidean": lambda: pas_euclidean(source, target),
+            "pas_avg_pairwise": lambda: pas_avg_pairwise(source, target),
+            "oracle": lambda: oracle_score(
+                source, LabeledEmbeddingSet(target, y_tgt, 3, require_all_classes=False)
+            ),
+        }
+        for method, score in scorers.items():
+            code = main([
+                "score", "--method", method, "--json",
+                "--source-emb", str(tmp_path / "src.pemb"),
+                "--source-labels", str(tmp_path / "src.plbl"),
+                "--target-emb", str(tmp_path / "tgt.pemb"),
+                "--target-labels", str(tmp_path / "tgt.plbl"),
+            ])
+            assert code == 0
+            result = score()
+            d1, d2, _, contrib = result.breakdown_arrays()
+            assert d1[1] == d2[1] and contrib[1] == 0.0
+            if method == "oracle":
+                assert contrib[0] < 0.0 and (contrib < 0.0).sum() > 1
+            else:
+                assert d1[0] == d2[0]
+            rows = [dataclasses.asdict(b) for b in result.breakdown]
+            want = json.dumps({"method": method, "value": result.value, "breakdown": rows})
+            assert capsys.readouterr().out == want + "\n"
 
     def test_oracle_needs_labels(self, axes_fixture, capsys):
         code = main([

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from adaptscore import EmbeddingSet, formats
+from adaptscore import EmbeddingSet, scores
 from adaptscore.errors import BadMagic, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
     load_accuracy_csv,
@@ -70,7 +70,7 @@ class TestPemb:
             load_embeddings(p)
 
     def test_chunked_read_matches_and_locates_nonfinite(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(formats, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 4)  # the finiteness check's row blocks
         data = rng.standard_normal((11, 3))
         p = tmp_path / "e.pemb"
         save_embeddings(p, EmbeddingSet(data))
@@ -88,6 +88,34 @@ class TestPemb:
         with pytest.raises(TruncatedFile) as info:
             load_embeddings(p)
         assert (info.value.expected, info.value.got) == (24 + 4 * 33, 24 + 4 * 32)
+
+    def test_pemb_stays_float32_in_memory(self, tmp_path, rng):
+        x32 = rng.standard_normal((10, 6)).astype(np.float32)
+        p = tmp_path / "e.pemb"
+        p.write_bytes(struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, 10, 6) + x32.astype("<f4").tobytes())
+        out = load_embeddings(p).data
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, x32, strict=True)
+
+    def test_csv_and_float64_input_stay_float64(self, tmp_path, rng):
+        x = rng.standard_normal((5, 3))
+        p = tmp_path / "e.csv"
+        save_embeddings_csv(p, EmbeddingSet(x))
+        assert load_embeddings(p).data.dtype == np.float64
+        assert EmbeddingSet(x).data.dtype == np.float64
+        assert EmbeddingSet(x.astype(np.float16)).data.dtype == np.float64
+        assert EmbeddingSet([[1, 2], [3, 4]]).data.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_float32_nonfinite_position(self, rng, monkeypatch, bad):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        x32 = rng.standard_normal((30, 4)).astype(np.float32)
+        x32[23, 1] = bad
+        x32[17, 3] = bad
+        for data in (x32, x32.astype(np.float64)):
+            with pytest.raises(NonFiniteValue) as info:
+                EmbeddingSet(data)
+            assert (info.value.row, info.value.col) == (17, 3)
 
 
 class TestCsv:

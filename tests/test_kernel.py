@@ -15,6 +15,13 @@ from adaptscore import (
     pas_euclidean,
 )
 from adaptscore import scores
+from adaptscore.baselines import (
+    MmdConfig,
+    ProxyClassifierConfig,
+    mmd_gaussian,
+    proxy_a_distance,
+    silhouette,
+)
 from adaptscore.embed_core import class_centroids, unit_normalize
 from adaptscore.errors import ZeroVector
 from conftest import random_labeled
@@ -108,6 +115,46 @@ def test_zero_rows_in_two_blocks_raise_at_the_lower_index(pair, threads, monkeyp
     with pytest.raises(ZeroVector) as info:
         pas(source, EmbeddingSet(data))
     assert info.value.row_index == 2 * BLOCK + 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_float32_storage_bit_identical_to_float64(pair, threads, monkeypatch):
+    """float32 data stays float32 in an EmbeddingSet; every scorer and
+    baseline widens it before its arithmetic, so it gives the same bits as
+    the same values stored as float64."""
+    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    source, target = pair
+
+    def sets(dtype):
+        src = EmbeddingSet(source.embeddings.data.astype(np.float32).astype(dtype))
+        tgt = EmbeddingSet(target.embeddings.data.astype(np.float32).astype(dtype))
+        assert src.data.dtype == tgt.data.dtype == dtype
+        labeled_src = LabeledEmbeddingSet(src, source.labels, source.num_classes)
+        labeled_tgt = LabeledEmbeddingSet(tgt, target.labels, target.num_classes)
+        return labeled_src, labeled_tgt
+
+    def outputs(dtype):
+        src, tgt = sets(dtype)
+        results = [fn(src, tgt.embeddings) for fn in (pas, pas_euclidean, pas_avg_pairwise)]
+        results.append(oracle_score(src, tgt))
+        out = {r.method: (r.value, *r.breakdown_arrays()) for r in results}
+        out["unit_normalize"] = (unit_normalize(tgt.embeddings).data,)
+        out["mmd"] = tuple(
+            mmd_gaussian(src.embeddings, tgt.embeddings, MmdConfig(max_samples_per_domain=cap))
+            for cap in (10_000, 30)
+        )
+        out["adist"] = (
+            proxy_a_distance(src.embeddings, tgt.embeddings, ProxyClassifierConfig(epochs=20)),
+        )
+        out["silhouette"] = (silhouette(src, "cosine"), silhouette(src, "euclidean"))
+        return out
+
+    got, want = outputs(np.float32), outputs(np.float64)
+    assert got.keys() == want.keys()
+    for name in want:
+        for g, w in zip(got[name], want[name]):
+            np.testing.assert_array_equal(g, w, strict=True, err_msg=name)
 
 
 class TestBreakdownSequence:
