@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet, unit_normalize
+from .embed_core import EmbeddingSet, LabeledEmbeddingSet, _unit_rows, unit_normalize
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -28,6 +28,12 @@ MEDIAN_HEURISTIC = "median_heuristic"
 # Entries of one silhouette distance block (block rows x n, float64): the
 # row block shrinks as n grows so the block stays near 128 MB.
 _SILHOUETTE_BLOCK_ENTRIES = 2**24
+
+# Rows of one MMD pairwise block (rows x pooled n, float64): 20 MB at the
+# default cap's 20,000 pooled rows.
+_MMD_BLOCK_ROWS = 128
+# First-level median buckets are floor(s * 2**_BUCKET_BITS) over s in [0, 4].
+_BUCKET_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -66,36 +72,119 @@ def _digest64(arr: np.ndarray) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _sq_from_gram(g: np.ndarray) -> np.ndarray:
+    """max(2 - 2 g, 0) in place: squared distances from the dot products
+    of unit rows."""
+    g *= -2.0
+    g += 2.0
+    return np.maximum(g, 0.0, out=g)
+
+
 def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise distances between the unit rows of XA and XB from one GEMM,
     transformed in place: "cosine" is 1 - x.y clipped to [0, 2] (the PAS
     block kernel's formula), "sqeuclidean" is max(2 - 2 x.y, 0) and
-    "euclidean" its square root. Rounding in 2 - 2 x.y puts the distance
-    between (near-)identical rows at up to ~2e-8 instead of 0."""
+    "euclidean" its square root.
+
+    Limit of the GEMM form: x.y of two equal unit rows rounds to within a
+    few ulp of 1, so the squared distance between duplicate rows at
+    different positions comes out as a multiple of 2**-52 up to ~1e-15,
+    and the Euclidean distance up to ~2e-8 instead of 0.
+    """
     dist = XA @ XB.T
     if metric == "cosine":
         np.subtract(1.0, dist, out=dist)
         return np.clip(dist, 0.0, 2.0, out=dist)
-    dist *= -2.0
-    dist += 2.0
-    np.maximum(dist, 0.0, out=dist)
+    _sq_from_gram(dist)
     return np.sqrt(dist, out=dist) if metric == "euclidean" else dist
 
 
-def _subsample(data: np.ndarray, cap: int, seed: int) -> np.ndarray:
-    """At most `cap` rows in their original order, drawn with a seed keyed
-    on the domain's own bytes so argument order cannot change the draw."""
-    if data.shape[0] <= cap:
-        return data
-    rng = np.random.default_rng([seed, _digest64(data)])
-    idx = np.sort(rng.choice(data.shape[0], size=cap, replace=False))
-    return data[idx]
+def _unit_sample(e: EmbeddingSet, cap: int, seed: int) -> np.ndarray:
+    """The unit rows of `e`; above `cap` rows, `cap` of them in their
+    original order, drawn with a seed keyed on the unit rows' bytes so
+    argument order cannot change the draw.
+
+    The key is hashed one normalized row block at a time and only the
+    drawn rows are normalized again, so no n x d float64 copy exists. The
+    lowest zero row raises ZeroVector either way.
+    """
+    if e.n <= cap:
+        return _unit_rows(e.data)
+    key = hashlib.blake2b(digest_size=8)
+    for lo, hi in _block_ranges(e.n):
+        key.update(_unit_rows(e.data[lo:hi], lo))
+    rng = np.random.default_rng([seed, int.from_bytes(key.digest(), "little")])
+    return _unit_rows(e.data[np.sort(rng.choice(e.n, size=cap, replace=False))])
 
 
-def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    k = cdist(x, y, "sqeuclidean")
-    k *= -gamma
-    return float(np.mean(np.exp(k, out=k)))
+def _upper_blocks(p: np.ndarray):
+    """Row blocks (lo, s) of the squared distances between the rows of p:
+    s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
+    below the diagonal, so each pair of rows appears once over all blocks.
+
+    Each block is one product p[lo:hi] @ p[lo:].T; only the last one
+    multiplies a block by its own transpose, so no product of the whole
+    pooled set with itself is formed.
+    """
+    ranges = _block_ranges(p.shape[0], _MMD_BLOCK_ROWS)
+    lower = np.tri(ranges[0][1], dtype=bool)
+    for lo, hi in ranges:
+        s = _sq_from_gram(p[lo:hi] @ p[lo:].T)
+        h = hi - lo
+        s[:, :h][lower[:h, :h]] = np.inf
+        yield lo, s
+
+
+def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.ndarray:
+    """Counts of the pairwise squared distances s of p per bucket
+    floor((s - lo) * scale) in [0, buckets); s outside is not counted.
+
+    scale is a power of two and s - lo is exact for s in range (lo is 0
+    or at least the bucket range), so the bucket edges are exact.
+    """
+    counts = np.zeros(buckets, dtype=np.int64)
+    for _, s in _upper_blocks(p):
+        s -= lo
+        s *= scale
+        np.floor(s, out=s)
+        np.clip(s, -1.0, buckets, out=s)
+        s += 1.0
+        counts += np.bincount(s.astype(np.intp).ravel(), minlength=buckets + 2)[1:-1]
+    return counts
+
+
+def _gather(p: np.ndarray, lo: float, hi: float):
+    """The distinct pairwise squared distances of p in [lo, hi), ascending,
+    with their multiplicities."""
+    parts = [np.unique(s[(s >= lo) & (s < hi)], return_counts=True) for _, s in _upper_blocks(p)]
+    values, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
+    return values, np.bincount(where, weights=np.concatenate([c for _, c in parts]))
+
+
+def _select(p: np.ndarray, ranks, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2**_BUCKET_BITS + 1):
+    """The values at `ranks` (ascending; one, or two adjacent) among the
+    pairwise squared distances of p in [lo, lo + buckets / scale).
+
+    One counting pass finds the bucket(s) holding the ranks and one pass
+    gathers them. A bucket range holding more values than one block of
+    _MMD_BLOCK_ROWS rows is split into 2**_BUCKET_BITS finer buckets first, down to
+    width 2**-42; every s is a multiple of 2**-52, so such a bucket holds
+    at most 1,024 distinct values and the gather stays small.
+    """
+    counts = _bucket_counts(p, lo, scale, buckets)
+    ends = np.cumsum(counts)
+    first, last = np.searchsorted(ends, [ranks[0], ranks[-1]], side="right")
+    before = ends - counts
+    if ends[last] - before[first] > _MMD_BLOCK_ROWS * p.shape[0] and scale < 2.0**42:
+        finer = scale * 2.0**_BUCKET_BITS
+        if first == last:
+            return _select(p, [r - before[first] for r in ranks], lo + first / scale, finer, 2**_BUCKET_BITS)
+        return [
+            _select(p, [r - before[b]], lo + b / scale, finer, 2**_BUCKET_BITS)[0]
+            for r, b in zip(ranks, (first, last))
+        ]
+    values, mult = _gather(p, lo + first / scale, lo + (last + 1) / scale)
+    return list(values[np.searchsorted(np.cumsum(mult), np.subtract(ranks, before[first]), side="right")])
 
 
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
@@ -105,28 +194,52 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     keyed on each domain's bytes. The two domains are then put in a
     canonical order before any arithmetic, so the estimate is exactly
     symmetric in its arguments.
+
+    The pooled rows are walked in row blocks over the upper triangle of
+    their pairwise squared distances s = max(2 - 2 x.y, 0), so memory is
+    O(block x n), never n x n. The diagonal of the pooled matrix is taken
+    as exactly 0 and every off-diagonal value appears twice, so the
+    median heuristic's sigma is the exact median of all n^2 pairwise
+    Euclidean distances (np.median's rule), selected by counting passes
+    rather than a sort. Duplicate rows at different positions keep the
+    GEMM form's rounding (see cdist).
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     if source.n < 2 or target.n < 2:
         raise TooFewSamples(2, min(source.n, target.n))
 
-    a = _subsample(unit_normalize(source).data, cfg.max_samples_per_domain, cfg.seed)
-    b = _subsample(unit_normalize(target).data, cfg.max_samples_per_domain, cfg.seed)
+    a = _unit_sample(source, cfg.max_samples_per_domain, cfg.seed)
+    b = _unit_sample(target, cfg.max_samples_per_domain, cfg.seed)
     if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
         a, b = b, a
+    na, nb = a.shape[0], b.shape[0]
+    p = np.concatenate([a, b])
+    del a, b
+    n = na + nb
 
     if cfg.bandwidth_policy == "fixed":
         sigma = cfg.sigma
     else:
-        pooled = np.vstack([a, b])
-        # Median of the full pairwise multiset, selected in place.
-        sigma = float(np.median(cdist(pooled, pooled, "euclidean"), overwrite_input=True))
+        # Middle positions of the n^2 multiset (n zeros, then each
+        # strict-upper value twice) as ranks among the strict-upper values.
+        ranks = sorted({((n * n - 1) // 2 - n) // 2, (n * n // 2 - n) // 2})
+        middle = np.sqrt(_select(p, ranks))
+        sigma = float(middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2)
         if sigma <= 0:
             sigma = 1.0
 
     gamma = 1.0 / (2.0 * sigma * sigma)
-    value = _kernel_mean(a, a, gamma) + _kernel_mean(b, b, gamma) - 2.0 * _kernel_mean(a, b, gamma)
+    aa = bb = ab = 0.0
+    for lo, s in _upper_blocks(p):
+        s *= -gamma
+        np.exp(s, out=s)
+        cols = max(na - lo, 0)  # the block's columns in a
+        rows = min(cols, s.shape[0])  # and its rows in a
+        aa += float(s[:rows, :cols].sum())
+        ab += float(s[:rows, cols:].sum())
+        bb += float(s[rows:, cols:].sum())
+    value = (2.0 * aa + na) / (na * na) + (2.0 * bb + nb) / (nb * nb) - 2.0 * ab / (na * nb)
     return max(value, 0.0)
 
 
@@ -198,9 +311,13 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion.
 
     metric is "cosine" or "euclidean", both between unit-normalized rows.
-    Each block of rows takes its distances to all n rows and their class
-    sums. The block has at most _SILHOUETTE_BLOCK_ENTRIES // n rows, so
-    its memory stays bounded as n grows instead of reaching n x n.
+    Each row block takes the sums of its distances to every class. For
+    cosine they come from one GEMM against the C class sums of the unit
+    rows, sum_{j in c} (1 - x.s_j) = n_c - x.S_c, so memory is O(block x
+    C) and no normalized n x d copy is kept. For euclidean they come from
+    the block's distances to all n rows; the block has at most
+    _SILHOUETTE_BLOCK_ENTRIES // n rows, so its memory stays bounded as n
+    grows instead of reaching n x n.
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
@@ -210,18 +327,33 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     if (counts < 2).any():
         raise SingletonClass(int(np.argmax(counts < 2)))
 
-    x = unit_normalize(data.embeddings).data
     labels = data.labels
-    onehot = np.zeros((data.n, data.num_classes))
-    onehot[np.arange(data.n), labels] = 1.0
+    raw = data.embeddings.data
+    if metric == "cosine":
+        ranges = _block_ranges(data.n)
+        class_sums = np.zeros((data.num_classes, data.dim))
+        for lo, hi in ranges:
+            np.add.at(class_sums, labels[lo:hi], _unit_rows(raw[lo:hi], lo))
+    else:
+        ranges = _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n)
+        x = unit_normalize(data.embeddings).data
+        onehot = np.zeros((data.n, data.num_classes))
+        onehot[np.arange(data.n), labels] = 1.0
     scores = np.zeros(data.n)
-    for lo, hi in _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n):
+    for lo, hi in ranges:
         rows = np.arange(hi - lo)
         own = labels[lo:hi]
-        dist = cdist(x[lo:hi], x, metric)
-        sums = dist @ onehot
+        if metric == "cosine":
+            xb = _unit_rows(raw[lo:hi], lo)
+            sums = counts - xb @ class_sums.T
+            self_dist = 1.0 - np.einsum("ij,ij->i", xb, xb)
+        else:
+            dist = cdist(x[lo:hi], x, metric)
+            sums = dist @ onehot
+            self_dist = dist[rows, lo + rows]
+            del dist  # before the next block's cdist allocates
         # The own-class mean leaves out the row's distance to itself.
-        a = (sums[rows, own] - dist[rows, lo + rows]) / (counts[own] - 1)
+        a = (sums[rows, own] - self_dist) / (counts[own] - 1)
         sums /= counts
         sums[rows, own] = np.inf
         b = sums.min(axis=1)

@@ -139,6 +139,23 @@ class CentroidTable:
         return self.centroids.shape[1]
 
 
+def _unit_rows(rows: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """A float64 copy of `rows` with every row scaled to unit norm.
+
+    Raises ZeroVector(first_row + i) at the first row i with norm <=
+    EPS_NORM, so a caller that walks a matrix in row blocks reports the
+    matrix row. The arithmetic is per row, so a block's unit rows are
+    bit-identical to the same rows of the whole matrix's.
+    """
+    x = rows.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    small = norms <= EPS_NORM
+    if small.any():
+        raise ZeroVector(first_row + int(np.argmax(small)))
+    x /= norms[:, None]
+    return x
+
+
 def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit Euclidean norm.
 
@@ -146,12 +163,7 @@ def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
     whatever the storage dtype. Raises ZeroVector for rows with norm <=
     EPS_NORM.
     """
-    data = e.data.astype(np.float64, copy=False)
-    norms = np.linalg.norm(data, axis=1)
-    small = norms <= EPS_NORM
-    if small.any():
-        raise ZeroVector(int(np.argmax(small)))
-    return EmbeddingSet(data / norms[:, None])
+    return EmbeddingSet(_unit_rows(e.data))
 
 
 def cosine_distance(u, v) -> float:

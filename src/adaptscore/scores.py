@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_core import (
-    EPS_NORM,
     EmbeddingSet,
     LabeledEmbeddingSet,
+    _unit_rows,
     class_centroids,
     unit_normalize,
 )
-from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses, ZeroVector
+from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
 
 _BLOCK_ROWS = 8192
 
@@ -168,13 +168,7 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     contrib = np.zeros(n)
 
     def block(lo, hi):
-        x = data[lo:hi].astype(np.float64)
-        norms = np.linalg.norm(x, axis=1)
-        small = norms <= EPS_NORM
-        if small.any():
-            raise ZeroVector(lo + int(np.argmax(small)))
-        x /= norms[:, None]
-        dist = x @ rows.T
+        dist = _unit_rows(data[lo:hi], lo) @ rows.T
         if dist_kind == "cosine":
             np.subtract(1.0, dist, out=dist)
             np.clip(dist, 0.0, 2.0, out=dist)
@@ -239,6 +233,7 @@ def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> Score
     src_unit = unit_normalize(source.embeddings)
     sums = np.zeros((source.num_classes, source.dim))
     np.add.at(sums, source.labels, src_unit.data)
+    del src_unit  # an n x d copy, not needed by the target kernel
     counts = np.bincount(source.labels, minlength=source.num_classes).astype(np.float64)
     means = sums / counts[:, None]
     columns = _block_kernel(target, means, "cosine")

@@ -20,6 +20,7 @@ from adaptscore.errors import (
     SingletonClass,
     TooFewClasses,
     TooFewSamples,
+    ZeroVector,
 )
 from conftest import random_labeled, random_orthogonal
 
@@ -120,6 +121,124 @@ class TestMmd:
             fast = mmd_gaussian(s, t, MmdConfig())
             slow = brute_force_mmd(su, tu, sigma)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @staticmethod
+    def reference(s, t, cfg):
+        """brute_force_mmd on the draw of the documented subsample formula,
+        in canonical order, at the fixed sigma or scipy's median."""
+        from scipy.spatial.distance import cdist
+
+        def draw(e):
+            unit = unit_normalize(e).data
+            cap = cfg.max_samples_per_domain
+            if unit.shape[0] <= cap:
+                return unit
+            gen = np.random.default_rng([cfg.seed, baselines._digest64(unit)])
+            return unit[np.sort(gen.choice(unit.shape[0], size=cap, replace=False))]
+
+        a, b = draw(s), draw(t)
+        if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
+            a, b = b, a
+        if cfg.bandwidth_policy == "fixed":
+            sigma = cfg.sigma
+        else:
+            pooled = np.vstack([a, b])
+            sigma = float(np.median(cdist(pooled, pooled, "euclidean"))) or 1.0
+        return brute_force_mmd(a, b, sigma)
+
+    @pytest.mark.parametrize(
+        "ns, nt, cfg",
+        [
+            (12, 9, MmdConfig()),  # pooled n odd: one middle element
+            (12, 10, MmdConfig()),  # even: the mean of two
+            (3, 30, MmdConfig()),  # a ends inside the first 7-row block
+            (16, 23, MmdConfig("fixed", sigma=0.6)),
+            (23, 31, MmdConfig(max_samples_per_domain=10, seed=4)),  # above the cap
+            (31, 8, MmdConfig(max_samples_per_domain=9, seed=1)),
+        ],
+    )
+    def test_blocks_match_brute_force(self, rng, monkeypatch, ns, nt, cfg):
+        # 7-row blocks straddle the boundary between the two domains.
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        for dup in (False, True):
+            x = rng.standard_normal((ns, 5))
+            y = rng.standard_normal((nt, 5)) + 0.3
+            if dup:  # duplicated rows inside and across the domains
+                x[1::3] = x[0]
+                y[::4] = x[0]
+            s, t = EmbeddingSet(x), EmbeddingSet(y)
+            want = self.reference(s, t, cfg)
+            assert mmd_gaussian(s, t, cfg) == pytest.approx(want, abs=1e-12)
+            assert mmd_gaussian(t, s, cfg) == pytest.approx(want, abs=1e-12)
+
+    def test_median_selection_refines_large_buckets(self, rng, monkeypatch):
+        # A tight cluster puts most squared distances in one first-level
+        # bucket; with a small gather cap the selection must split it and
+        # still return exactly the sorted values at the middle ranks.
+        calls = []
+        counts = baselines._bucket_counts
+        monkeypatch.setattr(baselines, "_bucket_counts", lambda *a: calls.append(a) or counts(*a))
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 1)  # a 30-value gather cap
+        x = rng.standard_normal((30, 4))
+        x[5:] = x[0] + 1e-5 * rng.standard_normal((25, 4))
+        x[20:24] = x[0]
+        p = unit_normalize(EmbeddingSet(x)).data
+        values = np.sort(np.concatenate([s[np.isfinite(s)] for _, s in baselines._upper_blocks(p)]))
+        assert values.shape[0] == 30 * 29 // 2
+        assert np.count_nonzero(values < 2.0**-14) == 325  # [324, 325] straddles its end
+        for ranks in ([100], [217, 218], [0, 1], [324, 325]):
+            calls.clear()
+            assert baselines._select(p, ranks) == list(values[ranks])
+            assert len(calls) > 1
+        assert baselines._select(p, [434]) == [values[-1]]
+
+    @pytest.mark.parametrize("cap", [10_000, 40])
+    def test_symmetry_and_workers_exact(self, rng, monkeypatch, cap):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        s = EmbeddingSet(rng.standard_normal((60, 6)).astype(np.float32))
+        t = EmbeddingSet(rng.standard_normal((45, 6)) + 0.1)
+        cfg = MmdConfig(max_samples_per_domain=cap, seed=3)
+        seen = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            seen |= {mmd_gaussian(s, t, cfg), mmd_gaussian(t, s, cfg)}
+        assert len(seen) == 1
+
+    def test_zero_row_above_cap_reported_at_lowest_index(self, monkeypatch):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        x = np.ones((40, 3))
+        x[[17, 30]] = 0.0
+        with pytest.raises(ZeroVector) as err:
+            mmd_gaussian(EmbeddingSet(x), EmbeddingSet(np.ones((5, 3))), MmdConfig(max_samples_per_domain=8))
+        assert err.value.row_index == 17
+
+    def test_pooled_memory_is_blockwise(self, rng):
+        # The dense n x n form of the pooled set would take 288 MB here.
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3000, 32)))
+        t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
+        pooled = s.n + t.n
+        tracemalloc.start()
+        try:
+            mmd_gaussian(s, t, MmdConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * baselines._MMD_BLOCK_ROWS * pooled * 8 + 4 * pooled * 32 * 8
+
+    def test_cap_draw_keeps_no_normalized_copy(self, rng):
+        import tracemalloc
+
+        big = EmbeddingSet(rng.standard_normal((100_000, 16)).astype(np.float32))
+        small = EmbeddingSet(rng.standard_normal((50, 16)))
+        tracemalloc.start()
+        try:
+            mmd_gaussian(big, small, MmdConfig(max_samples_per_domain=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.n * big.dim * 8 / 2
 
     def test_subsample_cap_deterministic(self, rng):
         s = EmbeddingSet(rng.standard_normal((50, 4)))
@@ -247,6 +366,18 @@ class TestSilhouette:
             for budget in (baselines._SILHOUETTE_BLOCK_ENTRIES, 3 * data.n):
                 monkeypatch.setattr(baselines, "_SILHOUETTE_BLOCK_ENTRIES", budget)
                 assert silhouette(data, metric) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    def test_cosine_class_sums_match_loop(self, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", block_rows)
+        x = rng.standard_normal((12, 5))
+        tied = LabeledEmbeddingSet(EmbeddingSet(np.vstack([x, x])), [0] * 12 + [1] * 12, 2)
+        for data in (random_labeled(rng, n_per_class=5, num_classes=4, dim=6, spread=0.8), tied):
+            assert silhouette(data, "cosine") == pytest.approx(loop_silhouette(data, "cosine"), abs=1e-12)
+        single = LabeledEmbeddingSet(
+            EmbeddingSet(data.embeddings.data.astype(np.float32)), data.labels, data.num_classes
+        )
+        assert silhouette(single, "cosine") == pytest.approx(loop_silhouette(single, "cosine"), abs=1e-12)
 
     def test_singleton_class(self):
         data = LabeledEmbeddingSet(
