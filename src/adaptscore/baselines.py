@@ -166,21 +166,18 @@ def _select(p: np.ndarray, ranks, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2
     pairwise squared distances of p in [lo, lo + buckets / scale).
 
     One counting pass finds the bucket(s) holding the ranks and one pass
-    gathers them. A bucket range holding more values than one block of
-    _MMD_BLOCK_ROWS rows is split into 2**_BUCKET_BITS finer buckets first, down to
-    width 2**-42; every s is a multiple of 2**-52, so such a bucket holds
-    at most 1,024 distinct values and the gather stays small.
+    gathers them. When they hold more values than one block of
+    _MMD_BLOCK_ROWS rows, each rank's bucket is split into 2**_BUCKET_BITS
+    finer ones instead, down to width 2**-42: every s is a multiple of
+    2**-52, so such a bucket holds at most 1,024 distinct values.
     """
     counts = _bucket_counts(p, lo, scale, buckets)
     ends = np.cumsum(counts)
-    first, last = np.searchsorted(ends, [ranks[0], ranks[-1]], side="right")
     before = ends - counts
+    first, last = np.searchsorted(ends, [ranks[0], ranks[-1]], side="right")
     if ends[last] - before[first] > _MMD_BLOCK_ROWS * p.shape[0] and scale < 2.0**42:
-        finer = scale * 2.0**_BUCKET_BITS
-        if first == last:
-            return _select(p, [r - before[first] for r in ranks], lo + first / scale, finer, 2**_BUCKET_BITS)
         return [
-            _select(p, [r - before[b]], lo + b / scale, finer, 2**_BUCKET_BITS)[0]
+            _select(p, [r - before[b]], lo + b / scale, scale * 2.0**_BUCKET_BITS, 2**_BUCKET_BITS)[0]
             for r, b in zip(ranks, (first, last))
         ]
     values, mult = _gather(p, lo + first / scale, lo + (last + 1) / scale)
