@@ -67,11 +67,6 @@ class ProxyClassifierConfig:
             raise ConfigInvalid("bad proxy classifier hyperparameters")
 
 
-def _digest64(arr: np.ndarray) -> int:
-    h = hashlib.blake2b(arr.tobytes(), digest_size=8)
-    return int.from_bytes(h.digest(), "little")
-
-
 def _sq_from_gram(g: np.ndarray) -> np.ndarray:
     """max(2 - 2 g, 0) in place: squared distances from the dot products
     of unit rows."""
@@ -99,21 +94,26 @@ def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
     return np.sqrt(dist, out=dist) if metric == "euclidean" else dist
 
 
-def _unit_sample(e: EmbeddingSet, cap: int, seed: int) -> np.ndarray:
-    """The unit rows of `e`; above `cap` rows, `cap` of them in their
-    original order, drawn with a seed keyed on the unit rows' bytes so
-    argument order cannot change the draw.
-
-    The key is hashed one normalized row block at a time and only the
-    drawn rows are normalized again, so no n x d float64 copy exists. The
-    lowest zero row raises ZeroVector either way.
-    """
-    if e.n <= cap:
-        return _unit_rows(e.data)
+def _unit_key(e: EmbeddingSet) -> int:
+    """blake2b-64 of the bytes of the unit rows of `e`, hashed one
+    normalized row block at a time, so no n x d float64 copy exists.
+    Raises ZeroVector at the lowest zero row."""
     key = hashlib.blake2b(digest_size=8)
     for lo, hi in _block_ranges(e.n):
         key.update(_unit_rows(e.data[lo:hi], lo))
-    rng = np.random.default_rng([seed, int.from_bytes(key.digest(), "little")])
+    return int.from_bytes(key.digest(), "little")
+
+
+def _unit_sample(e: EmbeddingSet, cap: int, seed: int) -> np.ndarray:
+    """The unit rows of `e`; above `cap` rows, `cap` of them in their
+    original order, drawn with a seed keyed on the unit rows' digest
+    (_unit_key) so argument order cannot change the draw. Only the drawn
+    rows are normalized again; the lowest zero row raises ZeroVector
+    either way.
+    """
+    if e.n <= cap:
+        return _unit_rows(e.data)
+    rng = np.random.default_rng([seed, _unit_key(e)])
     return _unit_rows(e.data[np.sort(rng.choice(e.n, size=cap, replace=False))])
 
 
@@ -188,7 +188,7 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
     Domains above cfg.max_samples_per_domain are subsampled with a seed
-    keyed on each domain's bytes. The two domains are then put in a
+    keyed on each domain's unit-row digest. The two domains are then put in a
     canonical order before any arithmetic, so the estimate is exactly
     symmetric in its arguments.
 
@@ -240,55 +240,46 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     return max(value, 0.0)
 
 
-def _split_indices(n: int, seed_material: int) -> np.ndarray:
-    """Seeded permutation for one domain, keyed on the domain's own bytes so
-    argument order cannot change the split."""
-    rng = np.random.default_rng([seed_material & 0xFFFFFFFF, seed_material >> 32])
-    return rng.permutation(n)
-
-
 def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClassifierConfig) -> float:
     """2 (1 - 2 e) where e is the held-out error of a linear domain
     classifier (logistic loss, full-batch gradient descent) separating
     source (label -1) from target (label +1), folded so e <= 1/2.
 
-    The training stack is in a canonical row order and labels are +-1 with
-    zero weight init, so swapping the arguments exactly negates the
-    trajectory and returns the identical score.
+    Each domain is split by a permutation seeded with cfg.seed and its
+    unit-row digest (_unit_key). The domains are stacked in canonical
+    order by (rows, digest) and labels are +-1 with zero weight init, so
+    swapping the arguments exactly negates the trajectory and returns the
+    identical score. Training rows are normalized block by block into one
+    (k, d + 1) design matrix whose last column is the bias; held-out rows
+    are normalized and counted block by block.
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     if source.n < 4 or target.n < 4:
         raise TooFewSamples(4, min(source.n, target.n))
 
-    s = unit_normalize(source).data
-    t = unit_normalize(target).data
+    domains = []
+    for label, e in ((-1.0, source), (1.0, target)):
+        key = _unit_key(e)  # the source first: its lowest zero row is raised first
+        seed = cfg.seed ^ key
+        perm = np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32]).permutation(e.n)
+        k = min(max(int(round(cfg.train_fraction * e.n)), 1), e.n - 1)
+        domains.append(((e.n, key), label, e.data, perm[:k], perm[k:]))
+    domains.sort(key=lambda dom: dom[0])  # stable: the source first on a tie
 
-    def split(data):
-        perm = _split_indices(data.shape[0], cfg.seed ^ _digest64(data))
-        k = int(round(cfg.train_fraction * data.shape[0]))
-        k = min(max(k, 1), data.shape[0] - 1)
-        return data[perm[:k]], data[perm[k:]]
+    d = source.dim
+    n = sum(len(dom[3]) for dom in domains)
+    xb = np.empty((n, d + 1))
+    xb[:, d] = 1.0
+    y_train = np.empty(n)
+    row = 0
+    for _, label, data, train, _ in domains:
+        for lo, hi in _block_ranges(len(train)):
+            xb[row + lo : row + hi, :d] = _unit_rows(data[train[lo:hi]])
+        y_train[row : row + len(train)] = label
+        row += len(train)
 
-    s_train, s_test = split(s)
-    t_train, t_test = split(t)
-
-    # Canonical stacking order (independent of which argument is source).
-    first_is_source = (s.shape[0], s.tobytes()) <= (t.shape[0], t.tobytes())
-    if first_is_source:
-        x_train = np.vstack([s_train, t_train])
-        y_train = np.concatenate([-np.ones(len(s_train)), np.ones(len(t_train))])
-        x_test = np.vstack([s_test, t_test])
-        y_test = np.concatenate([-np.ones(len(s_test)), np.ones(len(t_test))])
-    else:
-        x_train = np.vstack([t_train, s_train])
-        y_train = np.concatenate([np.ones(len(t_train)), -np.ones(len(s_train))])
-        x_test = np.vstack([t_test, s_test])
-        y_test = np.concatenate([np.ones(len(t_test)), -np.ones(len(s_test))])
-
-    xb = np.hstack([x_train, np.ones((x_train.shape[0], 1))])
-    w = np.zeros(xb.shape[1])
-    n = xb.shape[0]
+    w = np.zeros(d + 1)
     for _ in range(cfg.epochs):
         z = xb @ w
         # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
@@ -296,10 +287,15 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
         sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))
         grad = -(xb.T @ (y_train * sig)) / n + cfg.l2_penalty * w
         w = w - cfg.learning_rate * grad
+    del xb  # before the held-out blocks allocate
 
-    xt = np.hstack([x_test, np.ones((x_test.shape[0], 1))])
-    pred = np.where(xt @ w > 0.0, 1.0, -1.0)
-    err = float(np.mean(pred != y_test))
+    wrong = 0
+    for _, label, data, _, test in domains:
+        for lo, hi in _block_ranges(len(test)):
+            xt = np.ones((hi - lo, d + 1))
+            xt[:, :d] = _unit_rows(data[test[lo:hi]])
+            wrong += int(np.count_nonzero((xt @ w > 0.0) != (label > 0.0)))
+    err = wrong / (source.n + target.n - n)
     err = min(err, 1.0 - err)
     return 2.0 * (1.0 - 2.0 * err)
 

@@ -29,15 +29,18 @@ PLBL_HEADER = struct.Struct("<4sB3xQ")
 REPORT_SCHEMA = "adaptscore-report-v1"
 
 
-def save_embeddings(path, e: EmbeddingSet) -> None:
-    path = Path(path)
+def save_embeddings(path, e) -> None:
+    """Write an EmbeddingSet, or an array-like validated as one, as PEMB."""
+    e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
     payload = e.data.astype("<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(PEMB_HEADER.pack(PEMB_MAGIC, 1, 0, e.n, e.dim))
         fh.write(payload)
 
 
-def save_embeddings_csv(path, e: EmbeddingSet) -> None:
+def save_embeddings_csv(path, e) -> None:
+    """Write an EmbeddingSet, or an array-like validated as one, as CSV."""
+    e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
     # repr of the float32 value round-trips within 1 ulp of 32-bit
     data32 = e.data.astype(np.float32)
     with open(path, "w") as fh:
@@ -158,11 +161,16 @@ def manifest_field(entry: dict, key: str, where: str, kind: type):
 
 
 def load_manifest(path) -> dict:
-    """Read a rank/substudy manifest: a "target" object, a non-empty list of
-    "candidates" (each with a unique string "id" and "emb"/"labels" files or
-    a "synth" config), and optional "methods", "seed" and "max_samples"."""
+    """Read a rank/substudy manifest and check it (_check_manifest)."""
     with open(path) as fh:
-        manifest = json.load(fh)
+        return _check_manifest(json.load(fh))
+
+
+def _check_manifest(manifest) -> dict:
+    """`manifest`, or ManifestError unless it has a "target" object, a
+    non-empty list of "candidates" (each with a unique string "id" and
+    "emb"/"labels" files or a "synth" config), and optional "methods",
+    "seed" and "max_samples"."""
     manifest_field(manifest, "target", "manifest", dict)
     candidates = manifest_field(manifest, "candidates", "manifest", list)
     if not candidates:

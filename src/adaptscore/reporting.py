@@ -11,7 +11,7 @@ from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_d
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
 from .errors import ConfigInvalid
 from .evaluation import CandidateScoreRow, rank_candidates
-from .formats import REPORT_SCHEMA, load_embeddings, load_labels, manifest_field
+from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, manifest_field
 from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
@@ -130,14 +130,16 @@ def build_report(manifest: dict) -> dict:
 
     Candidates are scored one after another (the block kernel and BLAS are
     the parallel parts), so identical manifest+seed yields an identical
-    report (the created_at timestamp aside).
+    report (the created_at timestamp aside). Raises ManifestError for a
+    manifest that load_manifest would reject.
     """
+    _check_manifest(manifest)
     target_emb, target_labels = load_target(manifest["target"])
     methods = manifest.get("methods", ["pas"])
     for name in methods:
         resolve_method(name, target_labels is not None)
-    seed = int(manifest.get("seed", 0))
-    max_samples = int(manifest.get("max_samples", 10_000))
+    seed = manifest.get("seed", 0)
+    max_samples = manifest.get("max_samples", 10_000)
 
     rows = []
     for entry in manifest["candidates"]:

@@ -8,13 +8,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .embed_core import (
-    EmbeddingSet,
-    LabeledEmbeddingSet,
-    class_centroids,
-    unit_normalize,
-)
+from .embed_core import EmbeddingSet, LabeledEmbeddingSet, unit_normalize
 from .errors import ConfigInvalid
+from .scores import pas
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class SynthConfig:
 
 def _orthonormal_means(rng, num_classes: int, dim: int):
     """Seeded class directions: Gram-Schmidt when C <= d, otherwise uniform
-    sphere draws (flagged in the returned metadata)."""
+    sphere draws."""
     raw = rng.standard_normal((num_classes, dim))
     if num_classes <= dim:
         q = np.empty_like(raw)
@@ -77,9 +73,9 @@ def _orthonormal_means(rng, num_classes: int, dim: int):
                 v = rng.standard_normal(dim)
                 n = np.linalg.norm(v)
             q[i] = v / n
-        return q, False
+        return q
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw / norms, True
+    return raw / norms
 
 
 def _rotation_plane(rng, dim: int):
@@ -113,7 +109,7 @@ def generate_pair(cfg: SynthConfig):
     noise and normalization. Deterministic for a fixed config.
     """
     rng = np.random.default_rng(cfg.seed)
-    means, _sphere_fallback = _orthonormal_means(rng, cfg.num_classes, cfg.dim)
+    means = _orthonormal_means(rng, cfg.num_classes, cfg.dim)
     u, v = _rotation_plane(rng, cfg.dim)
     jitter = rng.standard_normal((cfg.num_classes, cfg.dim))
     jitter /= np.linalg.norm(jitter, axis=1, keepdims=True)
@@ -141,12 +137,6 @@ def generate_pair(cfg: SynthConfig):
 
 def nearest_centroid_accuracy(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> float:
     """Fraction of target samples whose nearest source-class centroid (by
-    cosine distance, lowest class id on ties) is their true class."""
-    src_unit = unit_normalize(source.embeddings)
-    centroids = class_centroids(
-        LabeledEmbeddingSet(src_unit, source.labels, source.num_classes)
-    )
-    tgt_unit = unit_normalize(target.embeddings)
-    dist = np.clip(1.0 - tgt_unit.data @ centroids.centroids.T, 0.0, 2.0)
-    pred = dist.argmin(axis=1)
-    return float(np.mean(pred == target.labels))
+    cosine distance, lowest class id on ties) is their true class: PAS's
+    nearest-class column against the target labels."""
+    return float(np.mean(pas(source, target.embeddings).nearest_class == target.labels))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestMmd:
             cap = cfg.max_samples_per_domain
             if unit.shape[0] <= cap:
                 return unit
-            gen = np.random.default_rng([cfg.seed, baselines._digest64(unit)])
+            digest = hashlib.blake2b(unit.tobytes(), digest_size=8).digest()
+            gen = np.random.default_rng([cfg.seed, int.from_bytes(digest, "little")])
             return unit[np.sort(gen.choice(unit.shape[0], size=cap, replace=False))]
 
         a, b = draw(s), draw(t)
@@ -293,6 +295,47 @@ class TestProxyADistance:
         t = EmbeddingSet(rng.standard_normal((40, 6)) + 0.5)
         cfg = ProxyClassifierConfig(seed=11)
         assert proxy_a_distance(s, t, cfg) == proxy_a_distance(t, s, cfg)
+
+    def test_swap_identical_at_equal_rows(self, rng):
+        # With equal row counts the unit-row digests decide the stacking
+        # order; both orders occur below.
+        firsts = set()
+        for seed in range(8):
+            s = EmbeddingSet(rng.standard_normal((40, 6)))
+            t = EmbeddingSet(rng.standard_normal((40, 6)) + 0.3)
+            firsts.add(baselines._unit_key(s) < baselines._unit_key(t))
+            cfg = ProxyClassifierConfig(seed=seed, learning_rate=0.5)
+            assert proxy_a_distance(s, t, cfg) == proxy_a_distance(t, s, cfg)
+        assert firsts == {True, False}
+
+    def test_lowest_source_zero_row_raised_before_target_rows(self, monkeypatch):
+        # The target (fewer rows) comes first in canonical order, and its
+        # row 0 is zero too.
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 4)
+        s = np.ones((20, 3))
+        s[[13, 17]] = 0.0
+        t = np.ones((10, 3))
+        t[0] = 0.0
+        with pytest.raises(ZeroVector) as err:
+            proxy_a_distance(EmbeddingSet(s), EmbeddingSet(t), ProxyClassifierConfig())
+        assert err.value.row_index == 13
+
+    def test_memory_is_one_training_copy_plus_blocks(self, rng):
+        # The stacked copies of the whole domains would take 65 MB here.
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3_000, 64), dtype=np.float32))
+        t = EmbeddingSet(rng.standard_normal((30_000, 64), dtype=np.float32) + 0.1)
+        train_rows = 1_500 + 15_000
+        tracemalloc.start()
+        try:
+            proxy_a_distance(s, t, ProxyClassifierConfig(epochs=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 copy of the training rows and their bias column, plus
+        # three blocks of rows.
+        assert peak < (train_rows + 3 * scores._BLOCK_ROWS) * (s.dim + 1) * 8
 
     def test_range(self, rng):
         for i in range(20):

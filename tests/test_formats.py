@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaptscore import EmbeddingSet, scores
-from adaptscore.errors import BadMagic, NonFiniteValue, RaggedCsv, TruncatedFile
+from adaptscore.errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
     load_accuracy_csv,
     load_embeddings,
@@ -118,6 +118,22 @@ class TestPemb:
             assert (info.value.row, info.value.col) == (17, 3)
 
 
+@pytest.mark.parametrize("save", [save_embeddings, save_embeddings_csv])
+class TestSaveArrayLike:
+    def test_bare_array_saves_the_bytes_of_its_set(self, tmp_path, rng, save):
+        for x in (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)).astype(np.float32), [[1, 2], [3, 4]]):
+            save(tmp_path / "set", EmbeddingSet(x))
+            save(tmp_path / "bare", x)
+            assert (tmp_path / "bare").read_bytes() == (tmp_path / "set").read_bytes()
+
+    def test_nonfinite_array_raises_before_writing(self, tmp_path, rng, save):
+        x = rng.standard_normal((6, 3))
+        x[4, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            save(tmp_path / "bad", x)
+        assert not (tmp_path / "bad").exists()
+
+
 class TestCsv:
     def test_equivalent_to_pemb(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -180,6 +196,26 @@ class TestManifestAndAccuracy:
         p.write_text(json.dumps({"target": {}, "candidates": [{"id": "a"}, {"id": "a"}]}))
         with pytest.raises(ValueError):
             load_manifest(p)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"candidates": []},
+            {"candidates": [{"id": "a", "synth": {}}, {"id": "a", "synth": {}}]},
+            {"seed": "7"},
+        ],
+    )
+    def test_build_report_checks_a_dict_like_load_manifest(self, tmp_path, change):
+        from adaptscore.reporting import build_report
+
+        synth = {"num_classes": 2, "dim": 4, "n_source_per_class": 3, "n_target_per_class": 3}
+        manifest = dict({"target": {"synth": synth}, "candidates": [{"id": "a", "synth": synth}]}, **change)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError):
+            load_manifest(p)
+        with pytest.raises(ManifestError):
+            build_report(manifest)
 
     def test_accuracy_csv(self, tmp_path):
         p = tmp_path / "acc.csv"
