@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet, _unit_rows, unit_normalize
+from .embed_core import EmbeddingSet, LabeledEmbeddingSet, _class_sums, _unit_rows, unit_normalize
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -324,9 +324,7 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     raw = data.embeddings.data
     if metric == "cosine":
         ranges = _block_ranges(data.n)
-        class_sums = np.zeros((data.num_classes, data.dim))
-        for lo, hi in ranges:
-            np.add.at(class_sums, labels[lo:hi], _unit_rows(raw[lo:hi], lo))
+        class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
     else:
         ranges = _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n)
         x = unit_normalize(data.embeddings).data

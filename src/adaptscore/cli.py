@@ -123,7 +123,8 @@ def _cmd_rank(args) -> int:
 
 def _corr_pairs(report, method: str, accuracy: dict):
     """(scores, accuracies) of the report rows whose string candidate_id has
-    an accuracy, in row order."""
+    an accuracy, in row order; FormatError for a score that is not a finite
+    number."""
     rows = report.get("rows") if isinstance(report, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise FormatError("report rows must be a list of JSON objects")
@@ -135,8 +136,11 @@ def _corr_pairs(report, method: str, accuracy: dict):
             value = scores.get(method) if isinstance(scores, dict) else None
             if value is None:
                 raise MissingScore(cid, method)
-            if not isinstance(value, (int, float)):
-                raise FormatError(f"report row {cid!r}: the {method} score is not a number")
+            # JSON true/false load as bools, which are ints; NaN and ints
+            # beyond float range fail the comparison.
+            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise FormatError(f"report row {cid!r}: the {method} score is not a finite number")
             xs.append(value)
             ys.append(accuracy[cid])
     return xs, ys

@@ -139,21 +139,36 @@ class CentroidTable:
         return self.centroids.shape[1]
 
 
-def _unit_rows(rows: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """A float64 copy of `rows` with every row scaled to unit norm.
+def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """A float64 copy of `rows` with every row scaled to unit norm, written
+    to `out` (a new array unless given).
 
+    The rows go through in chunks of about _CHUNK_ENTRIES float64 entries,
+    so a chunk's square and norm temporaries stay in cache. Each chunk is
+    widened into `out`, squared, summed along its rows with np.add.reduce
+    and divided by the square root: np.linalg.norm's arithmetic, per row,
+    so a row's unit row is bit-identical in any chunk, block or order.
     Raises ZeroVector(first_row + i) at the first row i with norm <=
     EPS_NORM, so a caller that walks a matrix in row blocks reports the
-    matrix row. The arithmetic is per row, so a block's unit rows are
-    bit-identical to the same rows of the whole matrix's.
+    matrix row.
     """
-    x = rows.astype(np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    small = norms <= EPS_NORM
-    if small.any():
-        raise ZeroVector(first_row + int(np.argmax(small)))
-    x /= norms[:, None]
-    return x
+    from .scores import _CHUNK_ENTRIES, _block_ranges  # scores imports this module
+
+    n, d = rows.shape
+    if out is None:
+        out = np.empty((n, d))
+    ranges = _block_ranges(n, _CHUNK_ENTRIES // d)
+    sq = np.empty((ranges[0][1], d))
+    for lo, hi in ranges:
+        x = out[lo:hi]
+        x[...] = rows[lo:hi]
+        norms = np.add.reduce(np.multiply(x, x, out=sq[: hi - lo]), axis=1)
+        np.sqrt(norms, out=norms)
+        small = norms <= EPS_NORM
+        if small.any():
+            raise ZeroVector(first_row + lo + int(np.argmax(small)))
+        x /= norms[:, None]
+    return out
 
 
 def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
@@ -184,17 +199,67 @@ def euclidean_distance(u, v) -> float:
     return float(np.linalg.norm(u - v))
 
 
-def class_centroids(s: LabeledEmbeddingSet) -> CentroidTable:
-    """Unit-normalized per-class sums of (already unit-normalized) rows.
+def _class_sums(
+    data: np.ndarray, labels: np.ndarray, num_classes: int, unit: bool = False
+) -> np.ndarray:
+    """The num_classes x d float64 per-class sums of the rows of `data`, or
+    of their unit rows (_unit_rows) when `unit`.
 
-    Summation is sequential in row order so results are reproducible.
-    Raises DegenerateClass when a class's member rows cancel out.
+    Each class's rows are added one at a time in row order, starting from
+    0, which is the order of np.add.at(sums, labels, rows) and so gives its
+    bits. The rows are visited in a stable label order, in slices of at
+    most one block gathered after a spare row: a class's running sum is
+    written into the row just before its first row in the slice, and one
+    np.add.reduce over axis 0 carries it on row by row. With one column
+    that reduce would be pairwise, so cumsum stands in. No n x d float64
+    copy exists. Raises ZeroVector at the lowest zero row when `unit`.
     """
-    data = s.embeddings.data
-    sums = np.zeros((s.num_classes, s.dim), dtype=np.float64)
-    np.add.at(sums, s.labels, data)
+    from .scores import _block_ranges  # scores imports this module
+
+    d = data.shape[1]
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=num_classes))
+    sums = np.zeros((num_classes, d))
+    ranges = _block_ranges(data.shape[0])
+    buf = np.empty((ranges[0][1] + 1, d))
+    try:
+        for lo, hi in ranges:
+            if unit:
+                _unit_rows(data[order[lo:hi]], out=buf[1 : hi - lo + 1])
+            else:
+                buf[1 : hi - lo + 1] = data[order[lo:hi]]
+            start = lo
+            while start < hi:
+                c = int(np.searchsorted(ends, start, side="right"))
+                stop = min(int(ends[c]), hi)
+                run = buf[start - lo : stop - lo + 1]
+                run[0] = sums[c]
+                sums[c] = np.add.reduce(run, axis=0) if d > 1 else np.cumsum(run[:, 0])[-1]
+                start = stop
+    except ZeroVector:
+        # The slices run in label order; a row-order pass raises the lowest.
+        for lo, hi in ranges:
+            _unit_rows(data[lo:hi], lo)
+        raise
+    return sums
+
+
+def _centroid_table(sums: np.ndarray) -> CentroidTable:
+    """The class sums scaled to unit rows; DegenerateClass at the lowest
+    class whose sum has norm <= EPS_NORM."""
     norms = np.linalg.norm(sums, axis=1)
     small = norms <= EPS_NORM
     if small.any():
         raise DegenerateClass(int(np.argmax(small)))
     return CentroidTable(sums / norms[:, None])
+
+
+def class_centroids(s: LabeledEmbeddingSet) -> CentroidTable:
+    """Unit-normalized per-class sums of (already unit-normalized) rows.
+
+    Each class sum adds its rows one at a time in row order (_class_sums,
+    np.add.at's order), so results are reproducible bit for bit; no float64
+    copy of the rows is made. Raises DegenerateClass when a class's member
+    rows cancel out.
+    """
+    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes))

@@ -106,7 +106,7 @@ class RaggedCsv(FormatError):
     def __init__(self, path: str, line: int):
         self.path = path
         self.line = line
-        super().__init__(f"{path}: line {line} has an inconsistent field count")
+        super().__init__(f"{path}: line {line} has the wrong field count or an unparsable value")
 
 
 class NonFiniteValue(FormatError, ValueError):

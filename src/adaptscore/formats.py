@@ -12,6 +12,7 @@ in memory (CSV input is float64); all arithmetic on it is float64.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -194,7 +195,8 @@ def dump_report(report: dict, path) -> None:
 
 
 def load_accuracy_csv(path) -> dict:
-    """candidate_id,accuracy_percent rows into a dict."""
+    """candidate_id,accuracy_percent rows into a dict. A line without two
+    fields or with an unparsable or non-finite accuracy raises RaggedCsv."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -203,5 +205,11 @@ def load_accuracy_csv(path) -> dict:
             parts = line.strip().split(",")
             if len(parts) != 2:
                 raise RaggedCsv(str(path), lineno)
-            out[parts[0]] = float(parts[1])
+            try:
+                accuracy = float(parts[1])
+            except ValueError:
+                raise RaggedCsv(str(path), lineno) from None
+            if not math.isfinite(accuracy):
+                raise RaggedCsv(str(path), lineno)
+            out[parts[0]] = accuracy
     return out

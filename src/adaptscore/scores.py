@@ -26,13 +26,18 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    _centroid_table,
+    _class_sums,
     _unit_rows,
-    class_centroids,
-    unit_normalize,
 )
 from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
 
+# Rows of one block: one (block, d) @ (d, C) GEMM each. The GEMM shape is
+# part of the bit-identity contract; BLAS picks its path by row count.
 _BLOCK_ROWS = 8192
+# float64 entries (256 KB) of the row chunks that normalization and the
+# top-2 tail walk within a block, so their temporaries stay in cache.
+_CHUNK_ENTRIES = 2**15
 
 
 def worker_count() -> int:
@@ -145,13 +150,15 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     """d1/d2/nearest/contribution columns of the raw target rows against C
     reference rows.
 
-    Each block widens its own rows to float64 and unit-normalizes them in
-    place (raising ZeroVector at the first zero row), so no normalized
-    n x d copy exists; the per-row arithmetic is that of unit_normalize
-    followed by one GEMM per block. `dist_kind` is "cosine" (1 - cos,
-    clipped to [0, 2]) or "euclidean" (between unit rows and unit
-    reference rows). The nearest class is the lowest class id among
-    minimizers (argmin returns the first).
+    Each block unit-normalizes its own rows in cache-sized chunks
+    (_unit_rows, raising ZeroVector at the first zero row), so no
+    normalized n x d copy exists, then takes one (block, d) @ (d, C) GEMM.
+    The tail (distance transform, pick, d1/d2, contribution) walks the
+    block's distance matrix in row chunks of about _CHUNK_ENTRIES entries;
+    all of it is per row, so the chunking does not change a bit.
+    `dist_kind` is "cosine" (1 - cos, clipped to [0, 2]) or "euclidean"
+    (between unit rows and unit reference rows). The nearest class is the
+    lowest class id among minimizers (argmin returns the first).
 
     d1 is the distance to the picked class and d2 the smallest among the
     others. Without true_labels the picked class is the nearest one, so
@@ -167,8 +174,8 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     nearest = np.empty(n, dtype=np.int64)
     contrib = np.zeros(n)
 
-    def block(lo, hi):
-        dist = _unit_rows(data[lo:hi], lo) @ rows.T
+    def tail(lo, dist):
+        hi = lo + dist.shape[0]
         if dist_kind == "cosine":
             np.subtract(1.0, dist, out=dist)
             np.clip(dist, 0.0, 2.0, out=dist)
@@ -189,6 +196,11 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
         denom = np.maximum(b1, b2)
         np.divide(b2 - b1, denom, out=contrib[lo:hi], where=denom > 0.0)
 
+    def block(lo, hi):
+        dist = _unit_rows(data[lo:hi], lo) @ rows.T
+        for a, b in _block_ranges(hi - lo, _CHUNK_ENTRIES // dist.shape[1]):
+            tail(lo + a, dist[a:b])
+
     _run_blocks(block, n)
     return d1, d2, nearest, contrib
 
@@ -201,11 +213,12 @@ def _assemble(method, columns, source: LabeledEmbeddingSet) -> ScoreResult:
 
 
 def _source_centroids(source: LabeledEmbeddingSet, target: EmbeddingSet) -> np.ndarray:
+    """class_centroids of the source's unit rows, summed from the raw rows
+    slice by slice (_class_sums), so no normalized copy of the source
+    exists."""
     _check_pair(source, target)
-    src_unit = unit_normalize(source.embeddings)
-    return class_centroids(
-        LabeledEmbeddingSet(src_unit, source.labels, source.num_classes)
-    ).centroids
+    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
+    return _centroid_table(sums).centroids
 
 
 def pas(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
@@ -230,10 +243,7 @@ def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> Score
     the unit rows stand in for the centroid table.
     """
     _check_pair(source, target)
-    src_unit = unit_normalize(source.embeddings)
-    sums = np.zeros((source.num_classes, source.dim))
-    np.add.at(sums, source.labels, src_unit.data)
-    del src_unit  # an n x d copy, not needed by the target kernel
+    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
     counts = np.bincount(source.labels, minlength=source.num_classes).astype(np.float64)
     means = sums / counts[:, None]
     columns = _block_kernel(target, means, "cosine")

@@ -432,3 +432,18 @@ class TestSilhouette:
     def test_unknown_metric(self, rng):
         with pytest.raises(ConfigInvalid):
             silhouette(random_labeled(rng), "manhattan")
+
+    def test_cosine_memory_is_blocks(self, rng):
+        # A gather of each class's unit rows took 89 MB here.
+        import tracemalloc
+
+        x = rng.standard_normal((60_000, 256), dtype=np.float32)
+        x[30_000:] += 0.5
+        data = LabeledEmbeddingSet(EmbeddingSet(x), np.repeat([0, 1], 30_000), 2)
+        tracemalloc.start()
+        try:
+            silhouette(data, "cosine")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * scores._BLOCK_ROWS * 256 * 8

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,7 @@ class TestCorrErrors:
         ({"rows": [1, 2]}, "pas", 2, "FormatError"),
         ({}, "pas", 2, "FormatError"),
         ({"rows": [dict(ROWS[0], method_scores={"pas": [0.5]}), ROWS[1]]}, "pas", 2, "FormatError"),
+        ({"rows": [dict(ROWS[0], method_scores={"pas": True}), ROWS[1]]}, "pas", 2, "FormatError"),
     ])
     def test_typed_errors(self, tmp_path, capsys, report, method, code, error):
         (tmp_path / "r.json").write_text(json.dumps(report))
@@ -383,6 +385,32 @@ class TestCorrErrors:
                 "--method", method, "--json"]
         assert main(argv) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def _run(self, tmp_path, capsys, report, accuracy):
+        (tmp_path / "r.json").write_text(json.dumps(report))
+        (tmp_path / "acc.csv").write_text(accuracy)
+        argv = ["corr", "--report", str(tmp_path / "r.json"), "--accuracy", str(tmp_path / "acc.csv"),
+                "--json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, json.loads(captured.err)
+
+    @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,"])
+    def test_bad_accuracy_is_ragged_csv(self, tmp_path, capsys, line):
+        code, err = self._run(tmp_path, capsys, {"rows": self.ROWS}, f"a,70.0\n{line}\n")
+        assert (code, err["error"]) == (2, "RaggedCsv")
+        assert "line 2" in err["message"]
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int-overflow"])
+    def test_non_finite_score_is_format_error(self, tmp_path, capsys, score):
+        report = {"rows": [self.ROWS[0], dict(self.ROWS[1], method_scores={"pas": score})]}
+        code, err = self._run(tmp_path, capsys, report, "a,70.0\nb,60.0\n")
+        assert (code, err["error"]) == (2, "FormatError")
+        assert "'b'" in err["message"]
 
 
 class TestSynthCommand:

@@ -9,6 +9,8 @@ from adaptscore import (
     euclidean_distance,
     unit_normalize,
 )
+from adaptscore import scores
+from adaptscore.embed_core import _class_sums
 from adaptscore.errors import (
     DegenerateClass,
     DimensionMismatch,
@@ -145,6 +147,69 @@ class TestClassCentroids:
             LabeledEmbeddingSet(unit_normalize(scaled.embeddings), s.labels, s.num_classes)
         )
         np.testing.assert_allclose(a.centroids, b.centroids, atol=1e-12)
+
+
+def _add_at_sums(x, labels, num_classes, unit):
+    """The sequential reference: np.add.at over the (unit) rows in row order."""
+    rows = unit_normalize(EmbeddingSet(x)).data if unit else x
+    sums = np.zeros((num_classes, x.shape[1]))
+    np.add.at(sums, labels, rows)
+    return sums
+
+
+class TestClassSums:
+    """_class_sums walks the rows in label order, yet each class sum must
+    carry np.add.at's row-order bits."""
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_bit_identical_to_add_at(self, rng, dtype, dim, unit):
+        for _ in range(40):
+            num_classes = int(rng.integers(2, 6))
+            n = int(rng.integers(num_classes, 120))
+            labels = rng.integers(0, num_classes, n)  # interleaved, some classes may be empty
+            x = (rng.standard_normal((n, dim)) * rng.uniform(0.1, 1e3)).astype(dtype)
+            got = _class_sums(x, labels, num_classes, unit)
+            np.testing.assert_array_equal(got, _add_at_sums(x, labels, num_classes, unit), strict=True)
+
+    def test_class_spanning_several_slices(self, rng, monkeypatch):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        labels = np.concatenate([np.zeros(30, dtype=np.int64), rng.integers(0, 3, 40), [2] * 11])
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((labels.shape[0], 5)).astype(dtype)
+            for unit in (False, True):
+                np.testing.assert_array_equal(
+                    _class_sums(x, labels, 3, unit), _add_at_sums(x, labels, 3, unit), strict=True
+                )
+
+    def test_centroids_of_raw_rows_unchanged(self, rng):
+        s = random_labeled(rng, n_per_class=25, num_classes=4, dim=6)
+        order = rng.permutation(s.n)
+        shuffled = LabeledEmbeddingSet(EmbeddingSet(s.embeddings.data[order]), s.labels[order], 4)
+        sums = _add_at_sums(shuffled.embeddings.data, shuffled.labels, 4, unit=False)
+        want = sums / np.linalg.norm(sums, axis=1)[:, None]
+        np.testing.assert_array_equal(class_centroids(shuffled).centroids, want, strict=True)
+
+    @pytest.mark.parametrize("block", [2, 8192])
+    def test_lowest_zero_row_when_label_order_reverses_row_order(self, rng, monkeypatch, block):
+        monkeypatch.setattr(scores, "_BLOCK_ROWS", block)
+        x = rng.standard_normal((6, 3))
+        labels = np.array([1, 0, 1, 1, 0, 0])
+        x[[2, 4]] = 0.0  # row 2 is in class 1, row 4 in class 0, which is visited first
+        with pytest.raises(ZeroVector) as info:
+            _class_sums(x, labels, 2, unit=True)
+        assert info.value.row_index == 2
+
+    def test_degenerate_class_unchanged(self):
+        s = LabeledEmbeddingSet(
+            EmbeddingSet([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]),
+            [0, 1, 0, 1, 2, 2],
+            3,
+        )
+        with pytest.raises(DegenerateClass) as info:
+            class_centroids(s)
+        assert info.value.class_id == 1
 
 
 class TestContainers:

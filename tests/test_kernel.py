@@ -1,6 +1,7 @@
 """The PAS-family block kernel against a reference that normalizes the whole
-target first and then applies the top-2 and oracle rules block by block,
-and the lazy breakdown sequence over the result columns."""
+source and target first, sums the classes with np.add.at and then applies
+the top-2 and oracle rules block by block, and the lazy breakdown sequence
+over the result columns."""
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from adaptscore.baselines import (
     proxy_a_distance,
     silhouette,
 )
-from adaptscore.embed_core import class_centroids, unit_normalize
+from adaptscore.embed_core import unit_normalize
 from adaptscore.errors import ZeroVector
 from conftest import random_labeled
 
@@ -64,19 +65,36 @@ def _reference_columns(tgt_unit, rows, dist_kind, true_labels=None):
     return d1, d2, nearest, contrib
 
 
+def _unit(x):
+    """Whole-matrix unit rows, np.linalg.norm's arithmetic in float64."""
+    x = x.astype(np.float64)
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
 def _reference(method, source, target, target_labels=None):
-    src_unit = unit_normalize(source.embeddings)
+    sums = np.zeros((source.num_classes, source.dim))
+    np.add.at(sums, source.labels, _unit(source.embeddings.data))
     if method == "pas_avg_pairwise":
-        sums = np.zeros((source.num_classes, source.dim))
-        np.add.at(sums, source.labels, src_unit.data)
         rows = sums / np.bincount(source.labels, minlength=source.num_classes)[:, None]
     else:
-        rows = class_centroids(
-            LabeledEmbeddingSet(src_unit, source.labels, source.num_classes)
-        ).centroids
+        rows = sums / np.linalg.norm(sums, axis=1)[:, None]
     kind = "euclidean" if method == "pas_euclidean" else "cosine"
-    columns = _reference_columns(unit_normalize(target).data, rows, kind, target_labels)
+    columns = _reference_columns(_unit(target.data), rows, kind, target_labels)
     return float(np.sum(columns[3]) / target.n), columns
+
+
+def _assert_matches_reference(pair, method):
+    source, target = pair
+    if method == "oracle":
+        result = oracle_score(source, target)
+        want_value, want = _reference(method, source, target.embeddings, target.labels)
+    else:
+        fn = {"pas": pas, "pas_euclidean": pas_euclidean, "pas_avg_pairwise": pas_avg_pairwise}
+        result = fn[method](source, target.embeddings)
+        want_value, want = _reference(method, source, target.embeddings)
+    assert result.value == want_value
+    for got_col, want_col in zip(result.breakdown_arrays(), want):
+        np.testing.assert_array_equal(got_col, want_col, strict=True)
 
 
 @pytest.fixture
@@ -92,17 +110,18 @@ def pair(rng):
 def test_kernel_bit_identical_to_reference(pair, method, threads, monkeypatch):
     monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
-    source, target = pair
-    if method == "oracle":
-        result = oracle_score(source, target)
-        want_value, want = _reference(method, source, target.embeddings, target.labels)
-    else:
-        fn = {"pas": pas, "pas_euclidean": pas_euclidean, "pas_avg_pairwise": pas_avg_pairwise}
-        result = fn[method](source, target.embeddings)
-        want_value, want = _reference(method, source, target.embeddings)
-    assert result.value == want_value
-    for got_col, want_col in zip(result.breakdown_arrays(), want):
-        np.testing.assert_array_equal(got_col, want_col, strict=True)
+    _assert_matches_reference(pair, method)
+
+
+@pytest.mark.parametrize("chunk_entries", [15, 27], ids=["tail-3-rows", "normalize-3-rows"])
+@pytest.mark.parametrize("method", ["pas", "pas_euclidean", "pas_avg_pairwise", "oracle"])
+def test_small_chunks_bit_identical_to_reference(pair, method, chunk_entries, monkeypatch):
+    """Chunks of 15 entries cut the 5-class distance matrix into 3-row
+    chunks (and the 9-d rows into 1-row ones); 27 entries give 3-row
+    normalization chunks. Neither may change a bit."""
+    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(scores, "_CHUNK_ENTRIES", chunk_entries)
+    _assert_matches_reference(pair, method)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -11,6 +11,7 @@ from adaptscore import (
     pas_avg_pairwise,
     pas_euclidean,
 )
+from adaptscore import scores
 from adaptscore.errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
 from conftest import random_labeled, random_orthogonal
 
@@ -122,6 +123,23 @@ class TestPas:
         result = pas(src, EmbeddingSet([[R2, R2]]))
         assert result.breakdown[0].nearest_class == 0
         assert result.breakdown[0].contribution == 0.0
+
+    def test_memory_is_blocks_not_copies(self, monkeypatch):
+        # One float64 copy of the 60,000 x 256 source would take 123 MB.
+        import tracemalloc
+
+        monkeypatch.setenv("ADAPTSCORE_THREADS", "2")
+        x = np.random.default_rng(3).standard_normal((60_000, 256), dtype=np.float32)
+        x[30_000:] += 0.5
+        src = LabeledEmbeddingSet(EmbeddingSet(x), np.repeat([0, 1], 30_000), 2)
+        tracemalloc.start()
+        try:
+            pas(src, src.embeddings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two workers' unit-row blocks plus one gathered class-sum slice.
+        assert peak < 3 * scores._BLOCK_ROWS * 256 * 8
 
 
 class TestPasEuclidean:
