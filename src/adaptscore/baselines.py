@@ -50,6 +50,8 @@ class MmdConfig:
             raise ConfigInvalid("fixed bandwidth must be > 0")
         if self.max_samples_per_domain < 2:
             raise ConfigInvalid("max_samples_per_domain must be >= 2")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class ProxyClassifierConfig:
             raise ConfigInvalid("train_fraction must be in (0, 1)")
         if self.epochs < 1 or not self.learning_rate > 0 or self.l2_penalty < 0:
             raise ConfigInvalid("bad proxy classifier hyperparameters")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
 
 def _sq_from_gram(g: np.ndarray) -> np.ndarray:
@@ -104,17 +108,34 @@ def _unit_key(e: EmbeddingSet) -> int:
     return int.from_bytes(key.digest(), "little")
 
 
-def _unit_sample(e: EmbeddingSet, cap: int, seed: int) -> np.ndarray:
-    """The unit rows of `e`; above `cap` rows, `cap` of them in their
-    original order, drawn with a seed keyed on the unit rows' digest
-    (_unit_key) so argument order cannot change the draw. Only the drawn
-    rows are normalized again; the lowest zero row raises ZeroVector
+def _unit_sample(e: EmbeddingSet, cap: int, seed: int, out: np.ndarray) -> None:
+    """Write the unit rows of `e` to `out`; above `cap` rows, `cap` of them
+    in their original order, drawn with a seed keyed on the unit rows'
+    digest (_unit_key) so argument order cannot change the draw. Only the
+    drawn rows are normalized again; the lowest zero row raises ZeroVector
     either way.
     """
     if e.n <= cap:
-        return _unit_rows(e.data)
-    rng = np.random.default_rng([seed, _unit_key(e)])
-    return _unit_rows(e.data[np.sort(rng.choice(e.n, size=cap, replace=False))])
+        _unit_rows(e.data, out=out)
+    else:
+        rng = np.random.default_rng([seed, _unit_key(e)])
+        _unit_rows(e.data[np.sort(rng.choice(e.n, size=cap, replace=False))], out=out)
+
+
+def _order_halves(p: np.ndarray, h: int) -> None:
+    """Swap the two h-row halves of p when the bytes of the second sort
+    before those of the first. Both are compared and swapped one
+    _MMD_BLOCK_ROWS block at a time, so no copy of either half exists."""
+    ranges = _block_ranges(h, _MMD_BLOCK_ROWS)
+    for lo, hi in ranges:
+        first, second = p[lo:hi].tobytes(), p[h + lo : h + hi].tobytes()
+        if first != second:
+            break
+    if second < first:
+        for lo, hi in ranges:
+            block = p[lo:hi].copy()
+            p[lo:hi] = p[h + lo : h + hi]
+            p[h + lo : h + hi] = block
 
 
 def _upper_blocks(p: np.ndarray):
@@ -133,6 +154,7 @@ def _upper_blocks(p: np.ndarray):
         h = hi - lo
         s[:, :h][lower[:h, :h]] = np.inf
         yield lo, s
+        del s  # before the next product allocates
 
 
 def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.ndarray:
@@ -184,35 +206,98 @@ def _select(p: np.ndarray, ranks, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2
     return list(values[np.searchsorted(np.cumsum(mult), np.subtract(ranks, before[first]), side="right")])
 
 
+def _window(p: np.ndarray, ranks) -> tuple[float, float]:
+    """Edges [lo, hi] of a window of pairwise squared distances of p that
+    likely holds the values at `ranks` and about half of _MMD_BLOCK_ROWS * n
+    values.
+
+    The edges are quantiles of the squared distances from _MMD_BLOCK_ROWS
+    evenly spaced rows to all other rows (one extra block product), at the
+    ranks' fractions of the n (n - 1) / 2 values, widened by a quarter of
+    _MMD_BLOCK_ROWS * n values on each side. The sample only places the
+    window; a window that misses the ranks costs a fallback, never a wrong
+    value.
+    """
+    n = p.shape[0]
+    rows = np.linspace(0, n - 1, min(_MMD_BLOCK_ROWS, n)).astype(np.intp)
+    sample = _sq_from_gram(p[rows] @ p.T)
+    sample[np.arange(rows.shape[0]), rows] = np.inf  # self-pairs sort last
+    sample = sample.ravel()
+    size = rows.shape[0] * (n - 1)
+    half = _MMD_BLOCK_ROWS * n / 4  # window values on each side of the ranks
+    edges = np.array([ranks[0] - half, ranks[-1] + 1 + half]) / (n * (n - 1) / 2)
+    at = np.clip((edges * size).astype(np.intp), 0, size - 1)
+    sample.partition(at)
+    return sample[at[0]], sample[at[1]]
+
+
+def _select_windowed(p: np.ndarray, ranks):
+    """The values at `ranks` among the pairwise squared distances of p, as
+    _select returns them, in one walk of the triangle in the usual case.
+
+    The walk counts the values below a sampled window (_window) and copies
+    those inside it into one buffer of _MMD_BLOCK_ROWS * n values. When
+    the ranks fall inside, a partition of the buffer reads them; when they
+    do not, or the buffer would overflow, _select finds them instead.
+    """
+    lo, hi = _window(p, ranks)
+    buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
+    below = kept = 0
+    for _, s in _upper_blocks(p):
+        under = s < lo
+        inside = s <= hi
+        inside ^= under  # s < lo implies s <= hi
+        below += np.count_nonzero(under)
+        values = s[inside]
+        del s, under, inside  # before the next block allocates
+        if below > ranks[0] or kept + values.shape[0] > buf.shape[0]:
+            break
+        buf[kept : kept + values.shape[0]] = values
+        kept += values.shape[0]
+    else:
+        if ranks[-1] < below + kept:
+            window, at = buf[:kept], np.subtract(ranks, below)
+            window.partition(at)
+            return list(window[at])
+    del buf  # before the counting passes allocate
+    return _select(p, ranks)
+
+
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
     Domains above cfg.max_samples_per_domain are subsampled with a seed
-    keyed on each domain's unit-row digest. The two domains are then put in a
-    canonical order before any arithmetic, so the estimate is exactly
-    symmetric in its arguments.
+    keyed on each domain's unit-row digest. The two domains are normalized
+    into their halves of one pooled matrix in a canonical order, so the
+    estimate is exactly symmetric in its arguments.
 
     The pooled rows are walked in row blocks over the upper triangle of
     their pairwise squared distances s = max(2 - 2 x.y, 0), so memory is
     O(block x n), never n x n. The diagonal of the pooled matrix is taken
     as exactly 0 and every off-diagonal value appears twice, so the
     median heuristic's sigma is the exact median of all n^2 pairwise
-    Euclidean distances (np.median's rule), selected by counting passes
-    rather than a sort. Duplicate rows at different positions keep the
-    GEMM form's rounding (see cdist).
+    Euclidean distances (np.median's rule), selected in one walk of the
+    triangle when a sampled window holds it (_select_windowed) and by
+    counting passes otherwise, never by a sort. Duplicate rows at different
+    positions keep the GEMM form's rounding (see cdist).
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     if source.n < 2 or target.n < 2:
         raise TooFewSamples(2, min(source.n, target.n))
 
-    a = _unit_sample(source, cfg.max_samples_per_domain, cfg.seed)
-    b = _unit_sample(target, cfg.max_samples_per_domain, cfg.seed)
-    if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
-        a, b = b, a
-    na, nb = a.shape[0], b.shape[0]
-    p = np.concatenate([a, b])
-    del a, b
+    # Canonical order (rows, unit-row bytes): unequal row counts set it
+    # before anything is normalized, and the source is normalized first
+    # either way, so its lowest zero row is raised first.
+    cap = cfg.max_samples_per_domain
+    ns, nt = min(source.n, cap), min(target.n, cap)
+    p = np.empty((ns + nt, source.dim))
+    halves = (p[:ns], p[ns:]) if ns <= nt else (p[nt:], p[:nt])
+    for e, half in zip((source, target), halves):
+        _unit_sample(e, cap, cfg.seed, half)
+    if ns == nt:
+        _order_halves(p, ns)
+    na, nb = min(ns, nt), max(ns, nt)
     n = na + nb
 
     if cfg.bandwidth_policy == "fixed":
@@ -221,7 +306,7 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
         # Middle positions of the n^2 multiset (n zeros, then each
         # strict-upper value twice) as ranks among the strict-upper values.
         ranks = sorted({((n * n - 1) // 2 - n) // 2, (n * n // 2 - n) // 2})
-        middle = np.sqrt(_select(p, ranks))
+        middle = np.sqrt(_select_windowed(p, ranks))
         sigma = float(middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2)
         if sigma <= 0:
             sigma = 1.0

@@ -14,7 +14,7 @@ from adaptscore import (
     silhouette,
 )
 from adaptscore import baselines, scores
-from adaptscore.embed_core import unit_normalize
+from adaptscore.embed_core import _unit_rows, unit_normalize
 from adaptscore.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -124,10 +124,9 @@ class TestMmd:
             assert fast == pytest.approx(slow, abs=1e-12)
 
     @staticmethod
-    def reference(s, t, cfg):
-        """brute_force_mmd on the draw of the documented subsample formula,
-        in canonical order, at the fixed sigma or scipy's median."""
-        from scipy.spatial.distance import cdist
+    def canonical_draws(s, t, cfg):
+        """The unit rows of the documented subsample formula's draws, in
+        canonical (rows, unit-row bytes) order."""
 
         def draw(e):
             unit = unit_normalize(e).data
@@ -141,6 +140,14 @@ class TestMmd:
         a, b = draw(s), draw(t)
         if (b.shape[0], b.tobytes()) < (a.shape[0], a.tobytes()):
             a, b = b, a
+        return a, b
+
+    def reference(self, s, t, cfg):
+        """brute_force_mmd on the canonical draws at the fixed sigma or
+        scipy's median."""
+        from scipy.spatial.distance import cdist
+
+        a, b = self.canonical_draws(s, t, cfg)
         if cfg.bandwidth_policy == "fixed":
             sigma = cfg.sigma
         else:
@@ -192,7 +199,89 @@ class TestMmd:
             calls.clear()
             assert baselines._select(p, ranks) == list(values[ranks])
             assert len(calls) > 1
+            assert baselines._select_windowed(p, ranks) == list(values[ranks])
         assert baselines._select(p, [434]) == [values[-1]]
+
+    @staticmethod
+    def pooled_cases(rng, d, sizes):
+        """Unit rows of pooled sets of the given sizes: independent rows,
+        rows duplicated across the two halves, and tight clusters."""
+        for n in sizes:
+            x = rng.standard_normal((n, d))
+            yield _unit_rows(x)
+            y = x.copy()
+            y[n // 2 :: 3] = y[0]
+            y[1 : n // 2 : 5] = y[n - 1]
+            yield _unit_rows(y)
+            y = x.copy()
+            y[: n // 2] = x[0] + 1e-6 * x[: n // 2]
+            y[n // 2 :] = x[1] + 1e-3 * x[n // 2 :]
+            yield _unit_rows(y)
+
+    @pytest.mark.parametrize("block_rows, sizes", [
+        (128, (4, 5, 129, 600, 1_999, 2_000)),
+        (7, (4, 9, 50, 301)),
+        (1, (5, 6, 40)),
+    ])
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_windowed_median_matches_bucket_counts(self, rng, monkeypatch, block_rows, sizes, d):
+        # Bit for bit, hit or miss: d = 1 leaves only the squared distances
+        # 0 and 4, so its windows overflow or miss and fall back.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", block_rows)
+        sizes = [n for n in sizes if d > 1 or n <= 600]  # d = 1 refines its buckets slowly
+        for p in self.pooled_cases(rng, d, sizes):
+            n = p.shape[0]
+            middle = sorted({((n * n - 1) // 2 - n) // 2, (n * n // 2 - n) // 2})
+            for ranks in middle, [0], [n * (n - 1) // 2 - 1]:
+                want = baselines._select(p, ranks)
+                got = baselines._select_windowed(p, ranks)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (n, ranks)
+
+    @pytest.mark.parametrize("window", ["above", "below", "overflow"])
+    def test_windowed_median_falls_back_exactly(self, rng, monkeypatch, window):
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)  # a 7 n value buffer
+        p = _unit_rows(rng.standard_normal((200, 5)))
+        values = np.sort(np.concatenate([s[np.isfinite(s)] for _, s in baselines._upper_blocks(p)]))
+        ranks = [9_949, 9_950]
+        edges = {
+            "above": (values[9_960], values[9_990]),  # values below it pass rank 9,949
+            "below": (values[9_900], values[9_940]),  # it ends before rank 9,950
+            "overflow": (-np.inf, np.finfo(np.float64).max),  # all 19,900 values
+        }[window]
+        monkeypatch.setattr(baselines, "_window", lambda *_: edges)
+        calls = []
+        select = baselines._select
+        monkeypatch.setattr(baselines, "_select", lambda *a: calls.append(a) or select(*a))
+        assert baselines._select_windowed(p, ranks) == list(values[ranks])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ns, nt, cap", [(40, 40, 100), (40, 40, 30), (25, 40, 100), (40, 25, 30)])
+    def test_pooled_rows_in_canonical_order(self, rng, monkeypatch, ns, nt, cap):
+        # The pooled matrix is the canonical (rows, unit-row bytes) order of
+        # the reference draws, whichever argument comes first.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)  # compare and swap in 7-row blocks
+        pooled = []
+        upper = baselines._upper_blocks
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p: pooled.append(p.copy()) or upper(p))
+        x = rng.standard_normal((ns, 5))
+        y = rng.standard_normal((nt, 5))
+        y[:10] = x[:10]  # the halves agree in their first blocks
+        cfg = MmdConfig(max_samples_per_domain=cap, seed=2)
+        for s, t in ((x, y), (y, x)):
+            mmd_gaussian(EmbeddingSet(s), EmbeddingSet(t), cfg)
+        a, b = self.canonical_draws(EmbeddingSet(x), EmbeddingSet(y), cfg)
+        for p in pooled:
+            assert p.tobytes() == np.vstack([a, b]).tobytes()
+
+    def test_median_takes_one_walk(self, rng, monkeypatch):
+        # One walk selects the median and one sums the kernel.
+        walks = []
+        upper = baselines._upper_blocks
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p: walks.append(p.shape) or upper(p))
+        s = EmbeddingSet(rng.standard_normal((700, 32)))
+        t = EmbeddingSet(rng.standard_normal((500, 32)) + 0.1)
+        mmd_gaussian(s, t, MmdConfig())
+        assert walks == [(1_200, 32)] * 2
 
     @pytest.mark.parametrize("cap", [10_000, 40])
     def test_symmetry_and_workers_exact(self, rng, monkeypatch, cap):
@@ -210,9 +299,12 @@ class TestMmd:
         monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
         x = np.ones((40, 3))
         x[[17, 30]] = 0.0
-        with pytest.raises(ZeroVector) as err:
-            mmd_gaussian(EmbeddingSet(x), EmbeddingSet(np.ones((5, 3))), MmdConfig(max_samples_per_domain=8))
-        assert err.value.row_index == 17
+        y = np.ones((5, 3))
+        for _ in range(2):  # the source is normalized first, into the second half
+            with pytest.raises(ZeroVector) as err:
+                mmd_gaussian(EmbeddingSet(x), EmbeddingSet(y), MmdConfig(max_samples_per_domain=8))
+            assert err.value.row_index == 17
+            y[1] = 0.0
 
     def test_pooled_memory_is_blockwise(self, rng):
         # The dense n x n form of the pooled set would take 288 MB here.
@@ -228,6 +320,21 @@ class TestMmd:
         finally:
             tracemalloc.stop()
         assert peak < 3 * baselines._MMD_BLOCK_ROWS * pooled * 8 + 4 * pooled * 32 * 8
+
+    def test_pooled_rows_are_built_in_place(self, rng):
+        # Equal row counts order the domains by their unit-row bytes, block
+        # by block in the pooled matrix: no copy of a domain or of its bytes.
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3000, 1024), dtype=np.float32))
+        t = EmbeddingSet(rng.standard_normal((3000, 1024), dtype=np.float32) + 0.1)
+        tracemalloc.start()
+        try:
+            mmd_gaussian(s, t, MmdConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (s.n + t.n) * 1024 * 8
 
     def test_cap_draw_keeps_no_normalized_copy(self, rng):
         import tracemalloc
@@ -265,6 +372,8 @@ class TestMmd:
             MmdConfig("fixed", sigma=0.0)
         with pytest.raises(ConfigInvalid):
             MmdConfig(max_samples_per_domain=1)
+        with pytest.raises(ConfigInvalid):
+            MmdConfig(seed=-1)
 
 
 class TestProxyADistance:

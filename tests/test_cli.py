@@ -331,6 +331,22 @@ class TestMethodTable:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
 
+    @pytest.mark.parametrize("max_samples", [20, 10_000])  # the source is above, then below, the cap
+    @pytest.mark.parametrize("method", ["mmd", "adist"])
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_negative_seed_is_config_invalid(self, fixture_dir, capsys, command, method, max_samples):
+        if command == "score":
+            argv = ["score", "--method", method, *self.SCORE_ARGS,
+                    "--seed", "-1", "--max-samples", str(max_samples)]
+        else:
+            manifest = json.loads((fixture_dir / "m.json").read_text())
+            manifest.update(methods=[method], seed=-1, max_samples=max_samples)
+            (fixture_dir / "m.json").write_text(json.dumps(manifest))
+            argv = ["rank", "--manifest", "m.json", "--out", "r.json", "--json"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
+
     def test_rank_checks_methods_before_loading_candidates(self, fixture_dir, capsys):
         manifest = {
             "target": {"emb": "tgt.pemb"},
