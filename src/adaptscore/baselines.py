@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet, _class_sums, _unit_rows, unit_normalize
+from .embed_core import (
+    EmbeddingSet,
+    LabeledEmbeddingSet,
+    _block_ranges,
+    _class_sums,
+    _gram_to_distance,
+    _unit_rows,
+)
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -21,9 +28,6 @@ from .errors import (
     TooFewClasses,
     TooFewSamples,
 )
-from .scores import _block_ranges
-
-MEDIAN_HEURISTIC = "median_heuristic"
 
 # Entries of one silhouette distance block (block rows x n, float64): the
 # row block shrinks as n grows so the block stays near 128 MB.
@@ -34,20 +38,25 @@ _SILHOUETTE_BLOCK_ENTRIES = 2**24
 _MMD_BLOCK_ROWS = 128
 # First-level median buckets are floor(s * 2**_BUCKET_BITS) over s in [0, 4].
 _BUCKET_BITS = 14
+# x.x of a unit row rounds by at most about d 2**-52, which is <= 2**-40 for
+# d <= 4096, so a duplicate pair's squared distance 2 - 2 x.x can land a few
+# ulp above 0. A selected median squared distance at or below this is 0.
+_DUPLICATE_SQ = 2.0**-40
+
+# The proxy A-distance probe's training share of each domain and its L2 penalty.
+TRAIN_FRACTION = 0.5
+L2_PENALTY = 1e-4
 
 
 @dataclass(frozen=True)
 class MmdConfig:
-    bandwidth_policy: str = MEDIAN_HEURISTIC  # or "fixed"
-    sigma: float = 1.0  # used only when bandwidth_policy == "fixed"
+    sigma: float | None = None  # None: the median heuristic
     max_samples_per_domain: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.bandwidth_policy not in (MEDIAN_HEURISTIC, "fixed"):
-            raise ConfigInvalid(f"unknown bandwidth policy {self.bandwidth_policy!r}")
-        if self.bandwidth_policy == "fixed" and not self.sigma > 0:
-            raise ConfigInvalid("fixed bandwidth must be > 0")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ConfigInvalid("sigma must be > 0")
         if self.max_samples_per_domain < 2:
             raise ConfigInvalid("max_samples_per_domain must be >= 2")
         if self.seed < 0:
@@ -56,46 +65,29 @@ class MmdConfig:
 
 @dataclass(frozen=True)
 class ProxyClassifierConfig:
-    train_fraction: float = 0.5
     epochs: int = 200
     learning_rate: float = 0.01
-    l2_penalty: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigInvalid("train_fraction must be in (0, 1)")
-        if self.epochs < 1 or not self.learning_rate > 0 or self.l2_penalty < 0:
+        if self.epochs < 1 or not self.learning_rate > 0:
             raise ConfigInvalid("bad proxy classifier hyperparameters")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
 
 
-def _sq_from_gram(g: np.ndarray) -> np.ndarray:
-    """max(2 - 2 g, 0) in place: squared distances from the dot products
-    of unit rows."""
-    g *= -2.0
-    g += 2.0
-    return np.maximum(g, 0.0, out=g)
-
-
 def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise distances between the unit rows of XA and XB from one GEMM,
-    transformed in place: "cosine" is 1 - x.y clipped to [0, 2] (the PAS
-    block kernel's formula), "sqeuclidean" is max(2 - 2 x.y, 0) and
-    "euclidean" its square root.
+    transformed in place (_gram_to_distance): "cosine" is 1 - x.y clipped
+    to [0, 2] (the PAS block kernel's formula), "sqeuclidean" is
+    max(2 - 2 x.y, 0) and "euclidean" its square root.
 
     Limit of the GEMM form: x.y of two equal unit rows rounds to within a
     few ulp of 1, so the squared distance between duplicate rows at
     different positions comes out as a multiple of 2**-52 up to ~1e-15,
     and the Euclidean distance up to ~2e-8 instead of 0.
     """
-    dist = XA @ XB.T
-    if metric == "cosine":
-        np.subtract(1.0, dist, out=dist)
-        return np.clip(dist, 0.0, 2.0, out=dist)
-    _sq_from_gram(dist)
-    return np.sqrt(dist, out=dist) if metric == "euclidean" else dist
+    return _gram_to_distance(XA @ XB.T, metric)
 
 
 def _unit_key(e: EmbeddingSet) -> int:
@@ -142,6 +134,7 @@ def _upper_blocks(p: np.ndarray):
     """Row blocks (lo, s) of the squared distances between the rows of p:
     s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
     below the diagonal, so each pair of rows appears once over all blocks.
+    Callers drop each block before asking for the next.
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
     multiplies a block by its own transpose, so no product of the whole
@@ -150,7 +143,7 @@ def _upper_blocks(p: np.ndarray):
     ranges = _block_ranges(p.shape[0], _MMD_BLOCK_ROWS)
     lower = np.tri(ranges[0][1], dtype=bool)
     for lo, hi in ranges:
-        s = _sq_from_gram(p[lo:hi] @ p[lo:].T)
+        s = _gram_to_distance(p[lo:hi] @ p[lo:].T, "sqeuclidean")
         h = hi - lo
         s[:, :h][lower[:h, :h]] = np.inf
         yield lo, s
@@ -172,13 +165,17 @@ def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.n
         np.clip(s, -1.0, buckets, out=s)
         s += 1.0
         counts += np.bincount(s.astype(np.intp).ravel(), minlength=buckets + 2)[1:-1]
+        del s
     return counts
 
 
 def _gather(p: np.ndarray, lo: float, hi: float):
     """The distinct pairwise squared distances of p in [lo, hi), ascending,
     with their multiplicities."""
-    parts = [np.unique(s[(s >= lo) & (s < hi)], return_counts=True) for _, s in _upper_blocks(p)]
+    parts = []
+    for _, s in _upper_blocks(p):
+        parts.append(np.unique(s[(s >= lo) & (s < hi)], return_counts=True))
+        del s
     values, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     return values, np.bincount(where, weights=np.concatenate([c for _, c in parts]))
 
@@ -220,7 +217,7 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     """
     n = p.shape[0]
     rows = np.linspace(0, n - 1, min(_MMD_BLOCK_ROWS, n)).astype(np.intp)
-    sample = _sq_from_gram(p[rows] @ p.T)
+    sample = _gram_to_distance(p[rows] @ p.T, "sqeuclidean")
     sample[np.arange(rows.shape[0]), rows] = np.inf  # self-pairs sort last
     sample = sample.ravel()
     size = rows.shape[0] * (n - 1)
@@ -279,7 +276,9 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     Euclidean distances (np.median's rule), selected in one walk of the
     triangle when a sampled window holds it (_select_windowed) and by
     counting passes otherwise, never by a sort. Duplicate rows at different
-    positions keep the GEMM form's rounding (see cdist).
+    positions keep the GEMM form's rounding (see cdist), but a median that
+    is only such rounding counts as 0, so sigma falls back to 1 as it does
+    for an exact 0. cfg.sigma, when set, replaces the median heuristic.
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
@@ -300,13 +299,12 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     na, nb = min(ns, nt), max(ns, nt)
     n = na + nb
 
-    if cfg.bandwidth_policy == "fixed":
-        sigma = cfg.sigma
-    else:
+    sigma = cfg.sigma
+    if sigma is None:
         # Middle positions of the n^2 multiset (n zeros, then each
         # strict-upper value twice) as ranks among the strict-upper values.
         ranks = sorted({((n * n - 1) // 2 - n) // 2, (n * n // 2 - n) // 2})
-        middle = np.sqrt(_select_windowed(p, ranks))
+        middle = np.sqrt([0.0 if v <= _DUPLICATE_SQ else v for v in _select_windowed(p, ranks)])
         sigma = float(middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2)
         if sigma <= 0:
             sigma = 1.0
@@ -321,6 +319,7 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
         aa += float(s[:rows, :cols].sum())
         ab += float(s[:rows, cols:].sum())
         bb += float(s[rows:, cols:].sum())
+        del s  # before the next block's product allocates
     value = (2.0 * aa + na) / (na * na) + (2.0 * bb + nb) / (nb * nb) - 2.0 * ab / (na * nb)
     return max(value, 0.0)
 
@@ -348,7 +347,7 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
         key = _unit_key(e)  # the source first: its lowest zero row is raised first
         seed = cfg.seed ^ key
         perm = np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32]).permutation(e.n)
-        k = min(max(int(round(cfg.train_fraction * e.n)), 1), e.n - 1)
+        k = min(max(int(round(TRAIN_FRACTION * e.n)), 1), e.n - 1)
         domains.append(((e.n, key), label, e.data, perm[:k], perm[k:]))
     domains.sort(key=lambda dom: dom[0])  # stable: the source first on a tie
 
@@ -360,7 +359,7 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     row = 0
     for _, label, data, train, _ in domains:
         for lo, hi in _block_ranges(len(train)):
-            xb[row + lo : row + hi, :d] = _unit_rows(data[train[lo:hi]])
+            _unit_rows(data[train[lo:hi]], out=xb[row + lo : row + hi, :d])
         y_train[row : row + len(train)] = label
         row += len(train)
 
@@ -370,7 +369,7 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
         # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
         yz = y_train * z
         sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))
-        grad = -(xb.T @ (y_train * sig)) / n + cfg.l2_penalty * w
+        grad = -(xb.T @ (y_train * sig)) / n + L2_PENALTY * w
         w = w - cfg.learning_rate * grad
     del xb  # before the held-out blocks allocate
 
@@ -378,7 +377,7 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     for _, label, data, _, test in domains:
         for lo, hi in _block_ranges(len(test)):
             xt = np.ones((hi - lo, d + 1))
-            xt[:, :d] = _unit_rows(data[test[lo:hi]])
+            _unit_rows(data[test[lo:hi]], out=xt[:, :d])
             wrong += int(np.count_nonzero((xt @ w > 0.0) != (label > 0.0)))
     err = wrong / (source.n + target.n - n)
     err = min(err, 1.0 - err)
@@ -412,7 +411,7 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
         class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
     else:
         ranges = _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n)
-        x = unit_normalize(data.embeddings).data
+        x = _unit_rows(raw)
         onehot = np.zeros((data.n, data.num_classes))
         onehot[np.arange(data.n), labels] = 1.0
     scores = np.zeros(data.n)

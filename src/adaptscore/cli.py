@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import sys
+from pathlib import Path
 
 from .errors import AdaptScoreError, FormatError, MissingScore
 from .evaluation import pearson, spearman, subsample_study
@@ -165,8 +166,6 @@ def _cmd_synth(args) -> int:
     with open(args.config) as fh:
         cfg = SynthConfig.from_dict(json.load(fh))
     source, target = generate_pair(cfg)
-    from pathlib import Path
-
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(out / "source_emb.pemb", source.embeddings)

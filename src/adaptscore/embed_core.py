@@ -1,4 +1,5 @@
-"""Embedding containers, normalization, distances, and class centroids.
+"""Embedding containers, the shared row primitives (block and chunk grid,
+unit rows, Gram-to-distance), distances, and class centroids.
 
 An EmbeddingSet keeps float32 data as float32 (half the memory of a
 loaded PEMB file widened up front) and widens every other dtype to
@@ -27,6 +28,38 @@ from .errors import (
 # Norms at or below this are degenerate rather than normalizable.
 EPS_NORM = 1e-12
 
+# Rows of one block: one (block, d) @ (d, C) GEMM each in the scorers. The
+# GEMM shape is part of the bit-identity contract; BLAS picks its path by
+# row count.
+_BLOCK_ROWS = 8192
+# float64 entries (256 KB) of the row chunks that normalization and the
+# scorers' top-2 tail walk within a block, so their temporaries stay in cache.
+_CHUNK_ENTRIES = 2**15
+
+
+def _block_ranges(n: int, max_rows: int = _BLOCK_ROWS):
+    """Row ranges of min(_BLOCK_ROWS, max_rows) rows (at least one) each."""
+    step = max(1, min(_BLOCK_ROWS, max_rows))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _chunk_ranges(n: int, width: int):
+    """Row ranges of about _CHUNK_ENTRIES entries of `width` columns each."""
+    return _block_ranges(n, _CHUNK_ENTRIES // width)
+
+
+def _gram_to_distance(g: np.ndarray, metric: str) -> np.ndarray:
+    """The dot products g of unit rows turned into distances in place:
+    "cosine" is 1 - g clipped to [0, 2], "sqeuclidean" is max(2 - 2 g, 0)
+    and "euclidean" its square root."""
+    if metric == "cosine":
+        np.subtract(1.0, g, out=g)
+        return np.clip(g, 0.0, 2.0, out=g)
+    g *= -2.0
+    g += 2.0
+    np.maximum(g, 0.0, out=g)
+    return np.sqrt(g, out=g) if metric == "euclidean" else g
+
 
 def _as_matrix(data, dtypes=(np.float64,)) -> np.ndarray:
     """A C-contiguous 2-D array of one of `dtypes`, widened to float64 when
@@ -50,8 +83,6 @@ class EmbeddingSet:
     data: np.ndarray
 
     def __post_init__(self):
-        from .scores import _block_ranges  # scores imports this module
-
         arr = _as_matrix(self.data, (np.float32, np.float64))
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
@@ -152,12 +183,10 @@ def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = No
     EPS_NORM, so a caller that walks a matrix in row blocks reports the
     matrix row.
     """
-    from .scores import _CHUNK_ENTRIES, _block_ranges  # scores imports this module
-
     n, d = rows.shape
     if out is None:
         out = np.empty((n, d))
-    ranges = _block_ranges(n, _CHUNK_ENTRIES // d)
+    ranges = _chunk_ranges(n, d)
     sq = np.empty((ranges[0][1], d))
     for lo, hi in ranges:
         x = out[lo:hi]
@@ -214,8 +243,6 @@ def _class_sums(
     that reduce would be pairwise, so cumsum stands in. No n x d float64
     copy exists. Raises ZeroVector at the lowest zero row when `unit`.
     """
-    from .scores import _block_ranges  # scores imports this module
-
     d = data.shape[1]
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=num_classes))

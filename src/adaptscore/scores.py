@@ -26,18 +26,14 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    _block_ranges,
     _centroid_table,
+    _chunk_ranges,
     _class_sums,
+    _gram_to_distance,
     _unit_rows,
 )
 from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
-
-# Rows of one block: one (block, d) @ (d, C) GEMM each. The GEMM shape is
-# part of the bit-identity contract; BLAS picks its path by row count.
-_BLOCK_ROWS = 8192
-# float64 entries (256 KB) of the row chunks that normalization and the
-# top-2 tail walk within a block, so their temporaries stay in cache.
-_CHUNK_ENTRIES = 2**15
 
 
 def worker_count() -> int:
@@ -129,12 +125,6 @@ def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
         raise DimensionMismatch(source.dim, target.dim)
 
 
-def _block_ranges(n: int, max_rows: int = _BLOCK_ROWS):
-    """Row ranges of min(_BLOCK_ROWS, max_rows) rows (at least one) each."""
-    step = max(1, min(_BLOCK_ROWS, max_rows))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _run_blocks(fn, n: int):
     ranges = _block_ranges(n)
     workers = min(worker_count(), len(ranges))
@@ -154,11 +144,11 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     (_unit_rows, raising ZeroVector at the first zero row), so no
     normalized n x d copy exists, then takes one (block, d) @ (d, C) GEMM.
     The tail (distance transform, pick, d1/d2, contribution) walks the
-    block's distance matrix in row chunks of about _CHUNK_ENTRIES entries;
+    block's dot products in row chunks of about _CHUNK_ENTRIES entries;
     all of it is per row, so the chunking does not change a bit.
-    `dist_kind` is "cosine" (1 - cos, clipped to [0, 2]) or "euclidean"
-    (between unit rows and unit reference rows). The nearest class is the
-    lowest class id among minimizers (argmin returns the first).
+    `dist_kind` is "cosine" or "euclidean" (_gram_to_distance, between unit
+    rows and unit reference rows). The nearest class is the lowest class id
+    among minimizers (argmin returns the first).
 
     d1 is the distance to the picked class and d2 the smallest among the
     others. Without true_labels the picked class is the nearest one, so
@@ -176,14 +166,7 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
 
     def tail(lo, dist):
         hi = lo + dist.shape[0]
-        if dist_kind == "cosine":
-            np.subtract(1.0, dist, out=dist)
-            np.clip(dist, 0.0, 2.0, out=dist)
-        else:
-            dist *= -2.0
-            dist += 2.0
-            np.maximum(dist, 0.0, out=dist)
-            np.sqrt(dist, out=dist)
+        _gram_to_distance(dist, dist_kind)
         idx = np.arange(hi - lo)
         nearest[lo:hi] = pick = dist.argmin(axis=1)
         if true_labels is not None:
@@ -198,7 +181,7 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
 
     def block(lo, hi):
         dist = _unit_rows(data[lo:hi], lo) @ rows.T
-        for a, b in _block_ranges(hi - lo, _CHUNK_ENTRIES // dist.shape[1]):
+        for a, b in _chunk_ranges(hi - lo, dist.shape[1]):
             tail(lo + a, dist[a:b])
 
     _run_blocks(block, n)

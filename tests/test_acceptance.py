@@ -260,7 +260,7 @@ def test_criterion_08_baseline_sanity():
     closed = mmd_gaussian(
         EmbeddingSet([[1.0, 0.0], [1.0, 0.0]]),
         EmbeddingSet([[0.0, 1.0], [0.0, 1.0]]),
-        MmdConfig("fixed", sigma=1.0),
+        MmdConfig(sigma=1.0),
     )
 
     from adaptscore.embed_core import unit_normalize

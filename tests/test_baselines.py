@@ -13,7 +13,7 @@ from adaptscore import (
     proxy_a_distance,
     silhouette,
 )
-from adaptscore import baselines, scores
+from adaptscore import baselines, embed_core
 from adaptscore.embed_core import _unit_rows, unit_normalize
 from adaptscore.errors import (
     ConfigInvalid,
@@ -83,7 +83,7 @@ class TestMmd:
         # 2 (1 - exp(-1)) for orthogonal vectors at sigma = 1
         s = EmbeddingSet([[1.0, 0.0], [1.0, 0.0]])
         t = EmbeddingSet([[0.0, 1.0], [0.0, 1.0]])
-        v = mmd_gaussian(s, t, MmdConfig("fixed", sigma=1.0))
+        v = mmd_gaussian(s, t, MmdConfig(sigma=1.0))
         assert v == pytest.approx(2 - 2 * math.exp(-1), abs=1e-9)
 
     def test_symmetry_exact(self, rng):
@@ -148,9 +148,8 @@ class TestMmd:
         from scipy.spatial.distance import cdist
 
         a, b = self.canonical_draws(s, t, cfg)
-        if cfg.bandwidth_policy == "fixed":
-            sigma = cfg.sigma
-        else:
+        sigma = cfg.sigma
+        if sigma is None:
             pooled = np.vstack([a, b])
             sigma = float(np.median(cdist(pooled, pooled, "euclidean"))) or 1.0
         return brute_force_mmd(a, b, sigma)
@@ -161,14 +160,14 @@ class TestMmd:
             (12, 9, MmdConfig()),  # pooled n odd: one middle element
             (12, 10, MmdConfig()),  # even: the mean of two
             (3, 30, MmdConfig()),  # a ends inside the first 7-row block
-            (16, 23, MmdConfig("fixed", sigma=0.6)),
+            (16, 23, MmdConfig(sigma=0.6)),
             (23, 31, MmdConfig(max_samples_per_domain=10, seed=4)),  # above the cap
             (31, 8, MmdConfig(max_samples_per_domain=9, seed=1)),
         ],
     )
     def test_blocks_match_brute_force(self, rng, monkeypatch, ns, nt, cfg):
         # 7-row blocks straddle the boundary between the two domains.
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         for dup in (False, True):
             x = rng.standard_normal((ns, 5))
             y = rng.standard_normal((nt, 5)) + 0.3
@@ -285,7 +284,7 @@ class TestMmd:
 
     @pytest.mark.parametrize("cap", [10_000, 40])
     def test_symmetry_and_workers_exact(self, rng, monkeypatch, cap):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         s = EmbeddingSet(rng.standard_normal((60, 6)).astype(np.float32))
         t = EmbeddingSet(rng.standard_normal((45, 6)) + 0.1)
         cfg = MmdConfig(max_samples_per_domain=cap, seed=3)
@@ -296,7 +295,7 @@ class TestMmd:
         assert len(seen) == 1
 
     def test_zero_row_above_cap_reported_at_lowest_index(self, monkeypatch):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         x = np.ones((40, 3))
         x[[17, 30]] = 0.0
         y = np.ones((5, 3))
@@ -320,6 +319,34 @@ class TestMmd:
         finally:
             tracemalloc.stop()
         assert peak < 3 * baselines._MMD_BLOCK_ROWS * pooled * 8 + 4 * pooled * 32 * 8
+
+    def test_fixed_sigma_walk_holds_one_block(self, rng):
+        # Each kernel-sum block is dropped before the next product: two
+        # blocks alive at once took 13.7 MB here, one block is 6.1 MB.
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3000, 32)))
+        t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
+        pooled = s.n + t.n
+        tracemalloc.start()
+        try:
+            mmd_gaussian(s, t, MmdConfig(sigma=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = baselines._MMD_BLOCK_ROWS * pooled * 8
+        assert peak < 1.5 * block + pooled * 32 * 8
+
+    def test_duplicated_rows_median_falls_back_to_unit_sigma(self):
+        # Every middle pair is a duplicate; the GEMM rounds its x.x a few
+        # ulp below 1, which once set sigma near 2e-8 on 7 of these pairs.
+        rng = np.random.default_rng(1)
+        for d in (3, 64, 512):
+            for _ in range(6):
+                u, v = rng.standard_normal((2, d))
+                s, t = EmbeddingSet(np.tile(u, (300, 1))), EmbeddingSet(np.tile(v, (100, 1)))
+                want = mmd_gaussian(s, t, MmdConfig(sigma=1.0))
+                assert mmd_gaussian(s, t, MmdConfig()).hex() == want.hex(), d
 
     def test_pooled_rows_are_built_in_place(self, rng):
         # Equal row counts order the domains by their unit-row bytes, block
@@ -369,7 +396,7 @@ class TestMmd:
 
     def test_bad_config(self):
         with pytest.raises(ConfigInvalid):
-            MmdConfig("fixed", sigma=0.0)
+            MmdConfig(sigma=0.0)
         with pytest.raises(ConfigInvalid):
             MmdConfig(max_samples_per_domain=1)
         with pytest.raises(ConfigInvalid):
@@ -420,7 +447,7 @@ class TestProxyADistance:
     def test_lowest_source_zero_row_raised_before_target_rows(self, monkeypatch):
         # The target (fewer rows) comes first in canonical order, and its
         # row 0 is zero too.
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 4)
         s = np.ones((20, 3))
         s[[13, 17]] = 0.0
         t = np.ones((10, 3))
@@ -444,7 +471,7 @@ class TestProxyADistance:
             tracemalloc.stop()
         # One float64 copy of the training rows and their bias column, plus
         # three blocks of rows.
-        assert peak < (train_rows + 3 * scores._BLOCK_ROWS) * (s.dim + 1) * 8
+        assert peak < (train_rows + 3 * embed_core._BLOCK_ROWS) * (s.dim + 1) * 8
 
     def test_range(self, rng):
         for i in range(20):
@@ -466,6 +493,18 @@ class TestProxyADistance:
             lo.append(proxy_a_distance(s0.embeddings, t0.embeddings, pc))
             hi.append(proxy_a_distance(s1.embeddings, t1.embeddings, pc))
         assert np.mean(lo) < np.mean(hi)
+
+    def test_dimension_mismatch(self):
+        s, t = EmbeddingSet(np.ones((4, 2))), EmbeddingSet(np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            proxy_a_distance(s, t, ProxyClassifierConfig())
+
+    @pytest.mark.parametrize(
+        "bad", [{"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"seed": -1}]
+    )
+    def test_bad_config(self, bad):
+        with pytest.raises(ConfigInvalid):
+            ProxyClassifierConfig(**bad)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
@@ -510,7 +549,7 @@ class TestSilhouette:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_blocks_match_per_sample_loop(self, rng, monkeypatch, metric):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         for spread in (0.3, 1.5):
             data = random_labeled(rng, n_per_class=9, num_classes=4, dim=6, spread=spread)
             want = loop_silhouette(data, metric)
@@ -521,7 +560,7 @@ class TestSilhouette:
 
     @pytest.mark.parametrize("block_rows", [1, 2])
     def test_cosine_class_sums_match_loop(self, rng, monkeypatch, block_rows):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block_rows)
         x = rng.standard_normal((12, 5))
         tied = LabeledEmbeddingSet(EmbeddingSet(np.vstack([x, x])), [0] * 12 + [1] * 12, 2)
         for data in (random_labeled(rng, n_per_class=5, num_classes=4, dim=6, spread=0.8), tied):
@@ -555,4 +594,4 @@ class TestSilhouette:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * scores._BLOCK_ROWS * 256 * 8
+        assert peak < 3 * embed_core._BLOCK_ROWS * 256 * 8

@@ -9,7 +9,7 @@ from adaptscore import (
     euclidean_distance,
     unit_normalize,
 )
-from adaptscore import scores
+from adaptscore import embed_core
 from adaptscore.embed_core import _class_sums
 from adaptscore.errors import (
     DegenerateClass,
@@ -174,7 +174,7 @@ class TestClassSums:
             np.testing.assert_array_equal(got, _add_at_sums(x, labels, num_classes, unit), strict=True)
 
     def test_class_spanning_several_slices(self, rng, monkeypatch):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         labels = np.concatenate([np.zeros(30, dtype=np.int64), rng.integers(0, 3, 40), [2] * 11])
         for dtype in (np.float32, np.float64):
             x = rng.standard_normal((labels.shape[0], 5)).astype(dtype)
@@ -193,7 +193,7 @@ class TestClassSums:
 
     @pytest.mark.parametrize("block", [2, 8192])
     def test_lowest_zero_row_when_label_order_reverses_row_order(self, rng, monkeypatch, block):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
         x = rng.standard_normal((6, 3))
         labels = np.array([1, 0, 1, 1, 0, 0])
         x[[2, 4]] = 0.0  # row 2 is in class 1, row 4 in class 0, which is visited first

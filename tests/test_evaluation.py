@@ -35,6 +35,10 @@ class TestPearson:
         with pytest.raises(ConstantInput):
             pearson([1, 1, 1], [2, 2, 2])
 
+    def test_one_constant_side_is_zero(self):
+        assert pearson([1, 2, 3], [5, 5, 5]) == 0.0
+        assert pearson([5, 5, 5], [1, 2, 3]) == 0.0
+
     def test_symmetric(self, rng):
         x = rng.standard_normal(15)
         y = rng.standard_normal(15)

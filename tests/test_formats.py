@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from adaptscore import EmbeddingSet, scores
+from adaptscore import EmbeddingSet, embed_core
 from adaptscore.errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
     load_accuracy_csv,
@@ -54,6 +54,13 @@ class TestPemb:
         with pytest.raises(TruncatedFile):
             load_embeddings(p)
 
+    def test_shorter_than_header(self, tmp_path):
+        p = tmp_path / "h.pemb"
+        p.write_bytes(struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, 3, 2)[:20])
+        with pytest.raises(TruncatedFile) as info:
+            load_embeddings(p)
+        assert (info.value.expected, info.value.got) == (24, 20)
+
     def test_bad_magic_binary(self, tmp_path):
         p = tmp_path / "x.bin"
         p.write_bytes(b"\x00\x01\x02\x03\xff\xfe")
@@ -70,7 +77,7 @@ class TestPemb:
             load_embeddings(p)
 
     def test_chunked_read_matches_and_locates_nonfinite(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 4)  # the finiteness check's row blocks
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 4)  # the finiteness check's row blocks
         data = rng.standard_normal((11, 3))
         p = tmp_path / "e.pemb"
         save_embeddings(p, EmbeddingSet(data))
@@ -108,7 +115,7 @@ class TestPemb:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_float32_nonfinite_position(self, rng, monkeypatch, bad):
-        monkeypatch.setattr(scores, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         x32 = rng.standard_normal((30, 4)).astype(np.float32)
         x32[23, 1] = bad
         x32[17, 3] = bad
@@ -155,6 +162,13 @@ class TestCsv:
         with pytest.raises(RaggedCsv):
             load_embeddings(p)
 
+    def test_unparsable_value(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.0,2.0\n\n3.0,x\n")
+        with pytest.raises(RaggedCsv) as info:
+            load_embeddings(p)
+        assert info.value.line == 3
+
 
 class TestLabels:
     def test_binary_round_trip(self, tmp_path):
@@ -181,6 +195,23 @@ class TestLabels:
         p = tmp_path / "l.txt"
         p.write_text("0\n-1\n")
         with pytest.raises(RaggedCsv):
+            load_labels(p)
+
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            (struct.pack("<4sB3xQ", b"PLBL", 1, 0)[:12], TruncatedFile),
+            (struct.pack("<4sB3xQ", b"PLBL", 2, 0), BadMagic),
+            (b"0\n\xff\xfe\n", BadMagic),
+            (b"0\n1.5\n", RaggedCsv),
+            (b"\n  \n\n", TruncatedFile),
+        ],
+        ids=["plbl-short-header", "plbl-version", "not-utf8", "not-integer", "blank"],
+    )
+    def test_bad_label_file(self, tmp_path, blob, error):
+        p = tmp_path / "l.bin"
+        p.write_bytes(blob)
+        with pytest.raises(error):
             load_labels(p)
 
     def test_label_beyond_u32_rejected(self, tmp_path):
@@ -221,3 +252,10 @@ class TestManifestAndAccuracy:
         p = tmp_path / "acc.csv"
         p.write_text("D,71.8\nW,70.6\n")
         assert load_accuracy_csv(p) == {"D": 71.8, "W": 70.6}
+
+    def test_accuracy_line_without_two_fields(self, tmp_path):
+        p = tmp_path / "acc.csv"
+        p.write_text("D,71.8\nW\n")
+        with pytest.raises(RaggedCsv) as info:
+            load_accuracy_csv(p)
+        assert info.value.line == 2

@@ -15,7 +15,7 @@ from adaptscore import (
     pas_avg_pairwise,
     pas_euclidean,
 )
-from adaptscore import scores
+from adaptscore import embed_core
 from adaptscore.baselines import (
     MmdConfig,
     ProxyClassifierConfig,
@@ -108,7 +108,7 @@ def pair(rng):
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("method", ["pas", "pas_euclidean", "pas_avg_pairwise", "oracle"])
 def test_kernel_bit_identical_to_reference(pair, method, threads, monkeypatch):
-    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     _assert_matches_reference(pair, method)
 
@@ -119,14 +119,14 @@ def test_small_chunks_bit_identical_to_reference(pair, method, chunk_entries, mo
     """Chunks of 15 entries cut the 5-class distance matrix into 3-row
     chunks (and the 9-d rows into 1-row ones); 27 entries give 3-row
     normalization chunks. Neither may change a bit."""
-    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
-    monkeypatch.setattr(scores, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(embed_core, "_CHUNK_ENTRIES", chunk_entries)
     _assert_matches_reference(pair, method)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_zero_rows_in_two_blocks_raise_at_the_lower_index(pair, threads, monkeypatch):
-    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     source, target = pair
     data = target.embeddings.data.copy()
@@ -141,7 +141,7 @@ def test_float32_storage_bit_identical_to_float64(pair, threads, monkeypatch):
     """float32 data stays float32 in an EmbeddingSet; every scorer and
     baseline widens it before its arithmetic, so it gives the same bits as
     the same values stored as float64."""
-    monkeypatch.setattr(scores, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     source, target = pair
 

@@ -11,7 +11,7 @@ from adaptscore import (
     pas_avg_pairwise,
     pas_euclidean,
 )
-from adaptscore import scores
+from adaptscore import embed_core
 from adaptscore.errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
 from conftest import random_labeled, random_orthogonal
 
@@ -139,7 +139,7 @@ class TestPas:
         finally:
             tracemalloc.stop()
         # Two workers' unit-row blocks plus one gathered class-sum slice.
-        assert peak < 3 * scores._BLOCK_ROWS * 256 * 8
+        assert peak < 3 * embed_core._BLOCK_ROWS * 256 * 8
 
 
 class TestPasEuclidean:
@@ -206,6 +206,13 @@ class TestOracle:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0], [0.0, 1.0]]), [0, 5], 2)
+
+    def test_target_label_beyond_source_classes(self):
+        # The target set is valid over 3 classes; the source has 2.
+        tgt = LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0], [0.0, 1.0]]), [0, 2], 3, require_all_classes=False)
+        with pytest.raises(LabelOutOfRange) as err:
+            oracle_score(axes_source(), tgt)
+        assert (err.value.label, err.value.num_classes) == (2, 2)
 
     def test_oracle_bounded_by_pas(self, rng):
         src = random_labeled(rng, num_classes=5, dim=16)
