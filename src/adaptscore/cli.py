@@ -19,9 +19,9 @@ from .evaluation import pearson, spearman, subsample_study
 from .formats import (
     dump_report,
     load_accuracy_csv,
-    load_embeddings,
     load_labels,
     load_manifest,
+    open_embeddings,
     save_embeddings,
     save_labels,
 )
@@ -102,7 +102,7 @@ def _score_json(method: str, value: float, result) -> str:
 
 def _cmd_score(args) -> int:
     source = load_source(args.source_emb, args.source_labels)
-    target = load_embeddings(args.target_emb)
+    target = open_embeddings(args.target_emb)  # PEMB rows stream through the kernel
     method = resolve_method(args.method, bool(args.target_labels))
     target_labels = load_labels(args.target_labels) if method.needs_target_labels else None
     result = method.score(source, target, target_labels, args.seed, args.max_samples)

@@ -11,6 +11,7 @@ CentroidTable) is float64. Matrices are dense row-major.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateClass,
     DimensionMismatch,
+    LabelCountMismatch,
     LabelOutOfRange,
     MissingClass,
     NonFiniteValue,
@@ -72,6 +74,20 @@ def _as_matrix(data, dtypes=(np.float64,)) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def _check_shape(n: int, d: int) -> None:
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got shape {(n, d)}")
+
+
+def _check_finite(rows: np.ndarray, first_row: int = 0) -> None:
+    """NonFiniteValue(first_row + r, c) at the first non-finite entry (r, c)
+    of `rows` in row-major order."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise NonFiniteValue(first_row + int(r), int(c))
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """An n x d matrix of finite real-valued feature embeddings.
@@ -84,14 +100,10 @@ class EmbeddingSet:
 
     def __post_init__(self):
         arr = _as_matrix(self.data, (np.float32, np.float64))
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
+        _check_shape(*arr.shape)
         # Row blocks bound the boolean temporary at block x d.
         for lo, hi in _block_ranges(arr.shape[0]):
-            finite = np.isfinite(arr[lo:hi])
-            if not finite.all():
-                r, c = np.argwhere(~finite)[0]
-                raise NonFiniteValue(lo + int(r), int(c))
+            _check_finite(arr[lo:hi], lo)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -102,10 +114,19 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.data.shape[1]
 
+    def reader(self):
+        """The row-source protocol that the scorers' block kernel reads:
+        a context manager giving read(lo, hi), the rows lo:hi (a view of
+        the data, already checked finite)."""
+        return contextlib.nullcontext(lambda lo, hi: self.data[lo:hi])
+
 
 @dataclass(frozen=True)
 class LabeledEmbeddingSet:
     """An EmbeddingSet plus one integer class id per row over C classes.
+    The oracle scorer also takes a streamed row source (such as
+    formats.PembRows) as `embeddings`, since it reads only n, dim and
+    reader().
 
     By default every class id in [0, C) must appear at least once so
     every centroid is defined. Pass require_all_classes=False for label
@@ -120,10 +141,10 @@ class LabeledEmbeddingSet:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != self.embeddings.n:
-            raise ValueError(
-                f"labels must be 1-D of length {self.embeddings.n}, got shape {labels.shape}"
-            )
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+        if labels.shape[0] != self.embeddings.n:
+            raise LabelCountMismatch(labels.shape[0], self.embeddings.n)
         if self.num_classes < 2:
             raise TooFewClasses(self.num_classes)
         bad = (labels < 0) | (labels >= self.num_classes)

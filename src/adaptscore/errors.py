@@ -116,6 +116,13 @@ class NonFiniteValue(FormatError, ValueError):
         super().__init__(f"non-finite value at row {row}, col {col}")
 
 
+class LabelCountMismatch(FormatError, ValueError):
+    def __init__(self, labels: int, rows: int):
+        self.labels = labels
+        self.rows = rows
+        super().__init__(f"{labels} labels for {rows} embedding rows")
+
+
 class ManifestError(FormatError, ValueError):
     """A manifest or one of its entries is not a JSON object, lacks a
     required key or repeats a candidate id."""

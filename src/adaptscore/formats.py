@@ -7,19 +7,23 @@ reserved zero bytes, n and d as u64 LE, then n*d floats row-major
 zero bytes, n as u64 LE, then n u32 LE class ids (16-byte header).
 Values are stored at 32-bit precision. A loaded PEMB file stays float32
 in memory (CSV input is float64); all arithmetic on it is float64.
+open_embeddings gives a PEMB file as PembRows instead, whose rows the PAS
+block kernel reads one block at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from .embed_core import EmbeddingSet
+from .embed_core import EmbeddingSet, _check_finite, _check_shape
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 
 PEMB_MAGIC = b"PEMB"
@@ -49,32 +53,83 @@ def save_embeddings_csv(path, e) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _load_pemb(fh, path: Path, size: int) -> EmbeddingSet:
-    """Read a PEMB payload with one readinto into an (n, d) float32 array."""
+class PembRows:
+    """The rows of a PEMB file whose header and size open_embeddings has
+    checked: a row source for the scorers' block kernel (n, dim, reader())
+    that reads a block only when a pass asks for it. load() reads every row
+    into one EmbeddingSet."""
+
+    def __init__(self, path: Path, n: int, dim: int):
+        self.path = path
+        self.n = n
+        self.dim = dim
+
+    @property
+    def nbytes(self) -> int:
+        return PEMB_HEADER.size + 4 * self.n * self.dim
+
+    def _read_into(self, fh, lo: int, out: np.ndarray) -> None:
+        """Rows lo:lo + len(out) into `out`; TruncatedFile if the file has
+        shrunk since it was opened."""
+        fh.seek(PEMB_HEADER.size + 4 * self.dim * lo)
+        if fh.readinto(out) != out.nbytes:
+            raise TruncatedFile(str(self.path), self.nbytes, os.fstat(fh.fileno()).st_size)
+
+    def load(self) -> EmbeddingSet:
+        arr = np.empty((self.n, self.dim), dtype="<f4")
+        with open(self.path, "rb") as fh:
+            self._read_into(fh, 0, arr)
+        return EmbeddingSet(arr)
+
+    @contextlib.contextmanager
+    def reader(self):
+        """A context manager giving read(lo, hi): rows lo:hi read into a
+        float32 buffer the calling thread keeps for the pass, and checked
+        finite (NonFiniteValue at the file's row). The threads share one
+        open file under a lock for the seek and the read."""
+        lock = threading.Lock()
+        local = threading.local()
+        with open(self.path, "rb") as fh:
+
+            def read(lo, hi):
+                buf = getattr(local, "buf", None)
+                if buf is None or buf.shape[0] < hi - lo:
+                    buf = local.buf = np.empty((hi - lo, self.dim), dtype="<f4")
+                rows = buf[: hi - lo]
+                with lock:
+                    self._read_into(fh, lo, rows)
+                _check_finite(rows, lo)
+                return rows
+
+            yield read
+
+
+def _open_pemb(fh, path: Path) -> PembRows:
+    """The PembRows of an open PEMB file: its header checked, and its size
+    against the header's n and d."""
+    size = os.fstat(fh.fileno()).st_size
     header = fh.read(PEMB_HEADER.size)
     if len(header) < PEMB_HEADER.size:
         raise TruncatedFile(str(path), PEMB_HEADER.size, size)
     magic, version, dtype, n, d = PEMB_HEADER.unpack(header)
     if version != 1 or dtype != 0:
         raise BadMagic(str(path), header[:6])
-    expected = PEMB_HEADER.size + 4 * n * d
-    if size != expected:
-        raise TruncatedFile(str(path), expected, size)
-    arr = np.empty((n, d), dtype="<f4")
-    got = fh.readinto(arr)
-    if got != arr.nbytes:  # the file shrank while it was read
-        raise TruncatedFile(str(path), expected, PEMB_HEADER.size + got)
-    return EmbeddingSet(arr)  # rejects n == 0 or d == 0
+    rows = PembRows(path, n, d)
+    if size != rows.nbytes:
+        raise TruncatedFile(str(path), rows.nbytes, size)
+    _check_shape(n, d)
+    return rows
 
 
-def load_embeddings(path) -> EmbeddingSet:
-    """Load a PEMB or CSV embedding file (sniffed by magic bytes)."""
+def open_embeddings(path):
+    """A PEMB file as PembRows (no row read yet), or a CSV file loaded as
+    an EmbeddingSet (sniffed by magic bytes)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        is_pemb = fh.read(4) == PEMB_MAGIC
+        if fh.read(4) == PEMB_MAGIC:
+            fh.seek(0)
+            return _open_pemb(fh, path)
         fh.seek(0)
-        if is_pemb:
-            return _load_pemb(fh, path, os.fstat(fh.fileno()).st_size)
         blob = fh.read()
     try:
         text = blob.decode("utf-8")
@@ -97,6 +152,12 @@ def load_embeddings(path) -> EmbeddingSet:
     if not rows:
         raise TruncatedFile(str(path), 1, 0)
     return EmbeddingSet(np.asarray(rows, dtype=np.float64))
+
+
+def load_embeddings(path) -> EmbeddingSet:
+    """Load a PEMB or CSV embedding file (sniffed by magic bytes)."""
+    e = open_embeddings(path)
+    return e.load() if isinstance(e, PembRows) else e
 
 
 def save_labels(path, labels) -> None:

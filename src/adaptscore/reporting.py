@@ -28,6 +28,12 @@ class Method:
     negated: bool = False
 
 
+def _in_memory(target) -> EmbeddingSet:
+    """The target as an EmbeddingSet: the baselines draw random rows, so a
+    streamed PembRows target is loaded whole for them."""
+    return target if isinstance(target, EmbeddingSet) else target.load()
+
+
 # The entries call the scorers through their module-global names at call
 # time rather than holding the function objects, so a tracer that patches
 # those names also sees the calls made through the table.
@@ -43,13 +49,13 @@ METHODS = {
     ),
     "mmd": Method(
         lambda s, t, _labels, seed, cap: mmd_gaussian(
-            s.embeddings, t, MmdConfig(max_samples_per_domain=cap, seed=seed)
+            s.embeddings, _in_memory(t), MmdConfig(max_samples_per_domain=cap, seed=seed)
         ),
         negated=True,
     ),
     "adist": Method(
         lambda s, t, _labels, seed, _cap: proxy_a_distance(
-            s.embeddings, t, ProxyClassifierConfig(seed=seed)
+            s.embeddings, _in_memory(t), ProxyClassifierConfig(seed=seed)
         ),
         negated=True,
     ),
@@ -73,7 +79,8 @@ def load_source(emb_path, labels_path) -> LabeledEmbeddingSet:
     count is the largest label + 1, and every class needs a member."""
     emb = load_embeddings(emb_path)
     labels = load_labels(labels_path)
-    return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
+    # initial=-1: an empty label file reaches the LabelCountMismatch check
+    return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
 
 
 def load_target(spec) -> tuple:

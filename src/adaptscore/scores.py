@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import os
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .embed_core import (
     _gram_to_distance,
     _unit_rows,
 )
-from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
+from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses, ZeroVector
 
 
 def worker_count() -> int:
@@ -125,30 +126,37 @@ def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
         raise DimensionMismatch(source.dim, target.dim)
 
 
-def _run_blocks(fn, n: int):
+def _run_blocks(fn, n: int) -> list:
+    """fn(lo, hi) over the block grid of n rows; the results in block order.
+    The exception of the lowest block that raised one escapes."""
     ranges = _block_ranges(n)
     workers = min(worker_count(), len(ranges))
     if workers <= 1:
-        for lo, hi in ranges:
-            fn(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: fn(*r), ranges))
+        return [fn(lo, hi) for lo, hi in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_labels=None):
+def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
     """d1/d2/nearest/contribution columns of the raw target rows against C
     reference rows.
 
-    Each block unit-normalizes its own rows in cache-sized chunks
-    (_unit_rows, raising ZeroVector at the first zero row), so no
-    normalized n x d copy exists, then takes one (block, d) @ (d, C) GEMM.
-    The tail (distance transform, pick, d1/d2, contribution) walks the
-    block's dot products in row chunks of about _CHUNK_ENTRIES entries;
-    all of it is per row, so the chunking does not change a bit.
-    `dist_kind` is "cosine" or "euclidean" (_gram_to_distance, between unit
-    rows and unit reference rows). The nearest class is the lowest class id
-    among minimizers (argmin returns the first).
+    `target` is a row source: n, dim and reader(), a context manager giving
+    read(lo, hi), the finite raw rows lo:hi. An EmbeddingSet gives views of
+    its data; a formats.PembRows reads each block from its file and raises
+    NonFiniteValue as it goes. Each block unit-normalizes its rows in
+    cache-sized chunks (_unit_rows) into a float64 buffer that its worker
+    thread keeps for the whole pass, so no normalized n x d copy exists,
+    then takes one (block, d) @ (d, C) GEMM. The tail (distance transform,
+    pick, d1/d2, contribution) walks the block's dot products in row chunks
+    of about _CHUNK_ENTRIES entries; all of it is per row, so the chunking
+    does not change a bit. `dist_kind` is "cosine" or "euclidean"
+    (_gram_to_distance, between unit rows and unit reference rows). The
+    nearest class is the lowest class id among minimizers (argmin returns
+    the first).
+
+    A zero row is held until the pass ends, so a non-finite value anywhere
+    wins over it; then ZeroVector is raised at the lowest zero row.
 
     d1 is the distance to the picked class and d2 the smallest among the
     others. Without true_labels the picked class is the nearest one, so
@@ -157,12 +165,13 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
     (d2 - d1) / max(d1, d2), which is PAS's (d2 - d1) / d2 when d1 <= d2,
     and 0 when both are 0 (no preference).
     """
-    data = target.data
     n = target.n
     d1 = np.empty(n)
     d2 = np.empty(n)
     nearest = np.empty(n, dtype=np.int64)
     contrib = np.zeros(n)
+    block_rows = _block_ranges(n)[0][1]
+    local = threading.local()
 
     def tail(lo, dist):
         hi = lo + dist.shape[0]
@@ -180,11 +189,22 @@ def _block_kernel(target: EmbeddingSet, rows: np.ndarray, dist_kind: str, true_l
         np.divide(b2 - b1, denom, out=contrib[lo:hi], where=denom > 0.0)
 
     def block(lo, hi):
-        dist = _unit_rows(data[lo:hi], lo) @ rows.T
+        if not hasattr(local, "unit"):
+            local.unit = np.empty((block_rows, target.dim))
+        raw = read(lo, hi)
+        try:
+            unit = _unit_rows(raw, lo, out=local.unit[: hi - lo])
+        except ZeroVector as exc:
+            return exc
+        dist = unit @ rows.T
         for a, b in _chunk_ranges(hi - lo, dist.shape[1]):
             tail(lo + a, dist[a:b])
+        return None
 
-    _run_blocks(block, n)
+    with target.reader() as read:
+        zeros = [e for e in _run_blocks(block, n) if e is not None]
+    if zeros:
+        raise zeros[0]
     return d1, d2, nearest, contrib
 
 

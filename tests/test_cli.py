@@ -347,6 +347,19 @@ class TestMethodTable:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
 
+    @pytest.mark.parametrize("labels, count", [("src.plbl", 0), ("src.plbl", 23), ("tgt.plbl", 11)],
+                             ids=["empty-source", "short-source", "short-target"])
+    @pytest.mark.parametrize("command", ["score", "rank"])
+    def test_label_count_mismatch_is_a_format_error(self, fixture_dir, capsys, command, labels, count):
+        save_labels(fixture_dir / labels, np.arange(count) % 3)
+        if command == "score":
+            argv = ["score", "--method", "oracle", *self.SCORE_ARGS]
+        else:
+            argv = ["rank", "--manifest", "m.json", "--out", "r.json", "--json"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "LabelCountMismatch" and err["exit_code"] == 2
+
     def test_rank_checks_methods_before_loading_candidates(self, fixture_dir, capsys):
         manifest = {
             "target": {"emb": "tgt.pemb"},
