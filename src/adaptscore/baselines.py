@@ -21,13 +21,7 @@ from .embed_core import (
     _gram_to_distance,
     _unit_rows,
 )
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    SingletonClass,
-    TooFewClasses,
-    TooFewSamples,
-)
+from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples
 
 # Entries of one silhouette distance block (block rows x n, float64): the
 # row block shrinks as n grows so the block stays near 128 MB.
@@ -43,8 +37,7 @@ _BUCKET_BITS = 14
 # ulp above 0. A selected median squared distance at or below this is 0.
 _DUPLICATE_SQ = 2.0**-40
 
-# The proxy A-distance probe's training share of each domain and its L2 penalty.
-TRAIN_FRACTION = 0.5
+# The L2 penalty of the proxy A-distance probe.
 L2_PENALTY = 1e-4
 
 
@@ -128,6 +121,30 @@ def _order_halves(p: np.ndarray, h: int) -> None:
             block = p[lo:hi].copy()
             p[lo:hi] = p[h + lo : h + hi]
             p[h + lo : h + hi] = block
+
+
+def _pooled_sample(source: EmbeddingSet, target: EmbeddingSet, cap: int, seed: int, least: int):
+    """(p, na): the unit rows of both domains, each capped at `cap` rows by
+    _unit_sample, in the two halves of one float64 matrix p whose first na
+    rows are the smaller half. Equal halves are ordered by their bytes
+    (_order_halves), so p does not depend on which domain is the source.
+
+    Raises DimensionMismatch, TooFewSamples below `least` rows per domain,
+    and ZeroVector at the lowest zero row of the source before any of the
+    target's.
+    """
+    if source.dim != target.dim:
+        raise DimensionMismatch(source.dim, target.dim)
+    if source.n < least or target.n < least:
+        raise TooFewSamples(least, min(source.n, target.n))
+    ns, nt = min(source.n, cap), min(target.n, cap)
+    p = np.empty((ns + nt, source.dim))
+    halves = (p[:ns], p[ns:]) if ns <= nt else (p[nt:], p[:nt])
+    for e, half in zip((source, target), halves):
+        _unit_sample(e, cap, seed, half)
+    if ns == nt:
+        _order_halves(p, ns)
+    return p, min(ns, nt)
 
 
 def _upper_blocks(p: np.ndarray):
@@ -264,9 +281,9 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
     Domains above cfg.max_samples_per_domain are subsampled with a seed
-    keyed on each domain's unit-row digest. The two domains are normalized
-    into their halves of one pooled matrix in a canonical order, so the
-    estimate is exactly symmetric in its arguments.
+    keyed on each domain's unit-row digest, into one pooled matrix in a
+    canonical order (_pooled_sample), so the estimate is exactly symmetric
+    in its arguments.
 
     The pooled rows are walked in row blocks over the upper triangle of
     their pairwise squared distances s = max(2 - 2 x.y, 0), so memory is
@@ -280,24 +297,9 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     is only such rounding counts as 0, so sigma falls back to 1 as it does
     for an exact 0. cfg.sigma, when set, replaces the median heuristic.
     """
-    if source.dim != target.dim:
-        raise DimensionMismatch(source.dim, target.dim)
-    if source.n < 2 or target.n < 2:
-        raise TooFewSamples(2, min(source.n, target.n))
-
-    # Canonical order (rows, unit-row bytes): unequal row counts set it
-    # before anything is normalized, and the source is normalized first
-    # either way, so its lowest zero row is raised first.
-    cap = cfg.max_samples_per_domain
-    ns, nt = min(source.n, cap), min(target.n, cap)
-    p = np.empty((ns + nt, source.dim))
-    halves = (p[:ns], p[ns:]) if ns <= nt else (p[nt:], p[:nt])
-    for e, half in zip((source, target), halves):
-        _unit_sample(e, cap, cfg.seed, half)
-    if ns == nt:
-        _order_halves(p, ns)
-    na, nb = min(ns, nt), max(ns, nt)
-    n = na + nb
+    p, na = _pooled_sample(source, target, cfg.max_samples_per_domain, cfg.seed, 2)
+    n = p.shape[0]
+    nb = n - na
 
     sigma = cfg.sigma
     if sigma is None:
@@ -326,60 +328,35 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
 
 def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClassifierConfig) -> float:
     """2 (1 - 2 e) where e is the held-out error of a linear domain
-    classifier (logistic loss, full-batch gradient descent) separating
-    source (label -1) from target (label +1), folded so e <= 1/2.
+    classifier (logistic loss, full-batch gradient descent) separating two
+    equal-size samples, folded so e <= 1/2.
 
-    Each domain is split by a permutation seeded with cfg.seed and its
-    unit-row digest (_unit_key). The domains are stacked in canonical
-    order by (rows, digest) and labels are +-1 with zero weight init, so
-    swapping the arguments exactly negates the trajectory and returns the
-    identical score. Training rows are normalized block by block into one
-    (k, d + 1) design matrix whose last column is the bias; held-out rows
-    are normalized and counted block by block.
+    As in Ben-David et al., both samples have m = min(n_s, n_t) unit rows,
+    drawn by MMD's sampler (_pooled_sample); a probe that calls every row
+    one domain then has error 1/2 and scores 0. The first half of the
+    pooled matrix is labeled -1 and the second +1, so every step depends on
+    the pooled matrix alone and swapping the arguments returns the
+    identical score. One permutation seeded with cfg.seed picks the same
+    m // 2 training positions in both halves; the rest are held out.
+    Memory is the pooled matrix plus one copy of the training rows.
     """
-    if source.dim != target.dim:
-        raise DimensionMismatch(source.dim, target.dim)
-    if source.n < 4 or target.n < 4:
-        raise TooFewSamples(4, min(source.n, target.n))
-
-    domains = []
-    for label, e in ((-1.0, source), (1.0, target)):
-        key = _unit_key(e)  # the source first: its lowest zero row is raised first
-        seed = cfg.seed ^ key
-        perm = np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32]).permutation(e.n)
-        k = min(max(int(round(TRAIN_FRACTION * e.n)), 1), e.n - 1)
-        domains.append(((e.n, key), label, e.data, perm[:k], perm[k:]))
-    domains.sort(key=lambda dom: dom[0])  # stable: the source first on a tie
-
-    d = source.dim
-    n = sum(len(dom[3]) for dom in domains)
-    xb = np.empty((n, d + 1))
-    xb[:, d] = 1.0
-    y_train = np.empty(n)
-    row = 0
-    for _, label, data, train, _ in domains:
-        for lo, hi in _block_ranges(len(train)):
-            _unit_rows(data[train[lo:hi]], out=xb[row + lo : row + hi, :d])
-        y_train[row : row + len(train)] = label
-        row += len(train)
-
-    w = np.zeros(d + 1)
+    m = min(source.n, target.n)
+    p, _ = _pooled_sample(source, target, m, cfg.seed, 4)
+    perm = np.random.default_rng(cfg.seed).permutation(m)
+    train, held = perm[: m // 2], perm[m // 2 :]
+    x = p[np.concatenate([train, m + train])]
+    y = np.repeat([-1.0, 1.0], m // 2)
+    w, b = np.zeros(p.shape[1]), 0.0
     for _ in range(cfg.epochs):
-        z = xb @ w
         # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
-        yz = y_train * z
-        sig = 1.0 / (1.0 + np.exp(np.clip(yz, -500, 500)))
-        grad = -(xb.T @ (y_train * sig)) / n + L2_PENALTY * w
-        w = w - cfg.learning_rate * grad
-    del xb  # before the held-out blocks allocate
+        g = y / (1.0 + np.exp(np.clip(y * (x @ w + b), -500, 500)))
+        w = w - cfg.learning_rate * (L2_PENALTY * w - x.T @ g / y.shape[0])
+        b = b - cfg.learning_rate * (L2_PENALTY * b - g.sum() / y.shape[0])
+    del x
 
-    wrong = 0
-    for _, label, data, _, test in domains:
-        for lo, hi in _block_ranges(len(test)):
-            xt = np.ones((hi - lo, d + 1))
-            _unit_rows(data[test[lo:hi]], out=xt[:, :d])
-            wrong += int(np.count_nonzero((xt @ w > 0.0) != (label > 0.0)))
-    err = wrong / (source.n + target.n - n)
+    positive = p @ w + b > 0.0
+    wrong = np.count_nonzero(positive[held]) + np.count_nonzero(~positive[m + held])
+    err = wrong / (2 * held.shape[0])
     err = min(err, 1.0 - err)
     return 2.0 * (1.0 - 2.0 * err)
 
@@ -398,8 +375,6 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
-    if data.num_classes < 2:
-        raise TooFewClasses(data.num_classes)
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if (counts < 2).any():
         raise SingletonClass(int(np.argmax(counts < 2)))

@@ -9,7 +9,7 @@ from typing import Callable
 from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import CandidateScoreRow, rank_candidates
 from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, manifest_field
 from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
@@ -87,13 +87,19 @@ def load_target(spec) -> tuple:
     """Target descriptor -> (EmbeddingSet, labels-or-None).
 
     A {"synth": cfg} entry yields the target half of the generated pair.
+    A label file must hold one label per target row (LabelCountMismatch),
+    whether or not a method reads it.
     """
     if "synth" in spec:
         cfg = SynthConfig.from_dict(manifest_field(spec, "synth", "target", dict))
         _, target = generate_pair(cfg)
         return target.embeddings, target.labels
     emb = load_embeddings(manifest_field(spec, "emb", "target", str))
-    labels = load_labels(manifest_field(spec, "labels", "target", str)) if "labels" in spec else None
+    if "labels" not in spec:
+        return emb, None
+    labels = load_labels(manifest_field(spec, "labels", "target", str))
+    if labels.shape[0] != emb.n:
+        raise LabelCountMismatch(labels.shape[0], emb.n)
     return emb, labels
 
 

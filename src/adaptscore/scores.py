@@ -34,7 +34,7 @@ from .embed_core import (
     _gram_to_distance,
     _unit_rows,
 )
-from .errors import DimensionMismatch, LabelOutOfRange, TooFewClasses, ZeroVector
+from .errors import DimensionMismatch, LabelOutOfRange, ZeroVector
 
 
 def worker_count() -> int:
@@ -120,8 +120,6 @@ class ScoreResult:
 
 
 def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
-    if source.num_classes < 2:
-        raise TooFewClasses(source.num_classes)
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
 

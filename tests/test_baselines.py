@@ -433,16 +433,33 @@ class TestProxyADistance:
         assert proxy_a_distance(s, t, cfg) == proxy_a_distance(t, s, cfg)
 
     def test_swap_identical_at_equal_rows(self, rng):
-        # With equal row counts the unit-row digests decide the stacking
-        # order; both orders occur below.
+        # Both samples have min(n_s, n_t) rows, so the bytes of the two
+        # unit-row halves decide their order (_order_halves); the source
+        # half comes first, then second, below.
         firsts = set()
         for seed in range(8):
             s = EmbeddingSet(rng.standard_normal((40, 6)))
             t = EmbeddingSet(rng.standard_normal((40, 6)) + 0.3)
-            firsts.add(baselines._unit_key(s) < baselines._unit_key(t))
+            firsts.add(_unit_rows(s.data).tobytes() < _unit_rows(t.data).tobytes())
             cfg = ProxyClassifierConfig(seed=seed, learning_rate=0.5)
             assert proxy_a_distance(s, t, cfg) == proxy_a_distance(t, s, cfg)
         assert firsts == {True, False}
+
+    def test_unbalanced_domains(self):
+        # 2,800 against 800 rows: a probe that calls every held-out row
+        # "target" once scored 2 (1 - 2 * 400 / 1,800) = 1.111 here.
+        d = 16
+        iid, separable = [], []
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            x = np.eye(d)[0] + 0.3 * r.standard_normal((3_600, d))
+            cfg = ProxyClassifierConfig(seed=seed)
+            iid.append(proxy_a_distance(EmbeddingSet(x[:2_800]), EmbeddingSet(x[2_800:]), cfg))
+            far = EmbeddingSet(np.eye(d)[1] + 0.01 * r.standard_normal((800, d)))
+            near = EmbeddingSet(np.eye(d)[0] + 0.01 * r.standard_normal((2_800, d)))
+            separable.append(proxy_a_distance(near, far, cfg))
+        assert np.mean(iid) <= 0.2
+        assert separable == pytest.approx([2.0] * 5, abs=0.05)
 
     def test_lowest_source_zero_row_raised_before_target_rows(self, monkeypatch):
         # The target (fewer rows) comes first in canonical order, and its
@@ -462,16 +479,30 @@ class TestProxyADistance:
 
         s = EmbeddingSet(rng.standard_normal((3_000, 64), dtype=np.float32))
         t = EmbeddingSet(rng.standard_normal((30_000, 64), dtype=np.float32) + 0.1)
-        train_rows = 1_500 + 15_000
         tracemalloc.start()
         try:
             proxy_a_distance(s, t, ProxyClassifierConfig(epochs=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One float64 copy of the training rows and their bias column, plus
-        # three blocks of rows.
-        assert peak < (train_rows + 3 * embed_core._BLOCK_ROWS) * (s.dim + 1) * 8
+        # The pooled 2 x 3,000 unit rows, one copy of their training half,
+        # plus two blocks of rows.
+        assert peak < (3 * 3_000 + 2 * embed_core._BLOCK_ROWS) * s.dim * 8
+
+    def test_memory_does_not_grow_with_the_larger_domain(self, rng):
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3_000, 64), dtype=np.float32))
+        peaks = []
+        for n in (30_000, 60_000):
+            t = EmbeddingSet(rng.standard_normal((n, 64), dtype=np.float32) + 0.1)
+            tracemalloc.start()
+            try:
+                proxy_a_distance(s, t, ProxyClassifierConfig(epochs=5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0]
 
     def test_range(self, rng):
         for i in range(20):

@@ -360,6 +360,21 @@ class TestMethodTable:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "LabelCountMismatch" and err["exit_code"] == 2
 
+    @pytest.mark.parametrize("command", ["rank", "substudy"])
+    def test_target_label_count_checked_when_no_method_reads_them(self, fixture_dir, capsys, command):
+        # 5 labels for 12 target rows, and pas never reads them.
+        save_labels(fixture_dir / "tgt.plbl", np.arange(5) % 3)
+        manifest = json.loads((fixture_dir / "m.json").read_text())
+        manifest["methods"] = ["pas"]
+        (fixture_dir / "m.json").write_text(json.dumps(manifest))
+        argv = [command, "--manifest", "m.json", "--out", "out.json", "--json"]
+        if command == "substudy":
+            argv += ["--fractions", "1.0", "--repeats", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "LabelCountMismatch" and err["exit_code"] == 2
+        assert not (fixture_dir / "out.json").exists()
+
     def test_rank_checks_methods_before_loading_candidates(self, fixture_dir, capsys):
         manifest = {
             "target": {"emb": "tgt.pemb"},
