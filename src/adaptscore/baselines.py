@@ -19,6 +19,7 @@ from .embed_core import (
     _block_ranges,
     _class_sums,
     _gram_to_distance,
+    _run_blocks,
     _unit_rows,
 )
 from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples
@@ -147,11 +148,13 @@ def _pooled_sample(source: EmbeddingSet, target: EmbeddingSet, cap: int, seed: i
     return p, min(ns, nt)
 
 
-def _upper_blocks(p: np.ndarray):
-    """Row blocks (lo, s) of the squared distances between the rows of p:
+def _upper_blocks(p: np.ndarray, reduce):
+    """reduce(lo, s) over the row blocks of the squared distances between
+    the rows of p, yielded in block order by the block runner (_run_blocks):
     s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
     below the diagonal, so each pair of rows appears once over all blocks.
-    Callers drop each block before asking for the next.
+    reduce may overwrite s and should return something small; a block
+    lives only while its reduce runs, so at most one per worker exists.
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
     multiplies a block by its own transpose, so no product of the whole
@@ -159,12 +162,14 @@ def _upper_blocks(p: np.ndarray):
     """
     ranges = _block_ranges(p.shape[0], _MMD_BLOCK_ROWS)
     lower = np.tri(ranges[0][1], dtype=bool)
-    for lo, hi in ranges:
+
+    def block(lo, hi):
         s = _gram_to_distance(p[lo:hi] @ p[lo:].T, "sqeuclidean")
         h = hi - lo
         s[:, :h][lower[:h, :h]] = np.inf
-        yield lo, s
-        del s  # before the next product allocates
+        return reduce(lo, s)
+
+    return _run_blocks(block, ranges)
 
 
 def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.ndarray:
@@ -174,25 +179,26 @@ def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.n
     scale is a power of two and s - lo is exact for s in range (lo is 0
     or at least the bucket range), so the bucket edges are exact.
     """
-    counts = np.zeros(buckets, dtype=np.int64)
-    for _, s in _upper_blocks(p):
+
+    def count(_, s):
         s -= lo
         s *= scale
         np.floor(s, out=s)
         np.clip(s, -1.0, buckets, out=s)
         s += 1.0
-        counts += np.bincount(s.astype(np.intp).ravel(), minlength=buckets + 2)[1:-1]
-        del s
-    return counts
+        return np.bincount(s.astype(np.intp).ravel(), minlength=buckets + 2)[1:-1]
+
+    return sum(_upper_blocks(p, count), np.zeros(buckets, dtype=np.int64))
 
 
 def _gather(p: np.ndarray, lo: float, hi: float):
     """The distinct pairwise squared distances of p in [lo, hi), ascending,
     with their multiplicities."""
-    parts = []
-    for _, s in _upper_blocks(p):
-        parts.append(np.unique(s[(s >= lo) & (s < hi)], return_counts=True))
-        del s
+
+    def within(_, s):
+        return np.unique(s[(s >= lo) & (s < hi)], return_counts=True)
+
+    parts = list(_upper_blocks(p, within))
     values, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     return values, np.bincount(where, weights=np.concatenate([c for _, c in parts]))
 
@@ -255,17 +261,19 @@ def _select_windowed(p: np.ndarray, ranks):
     do not, or the buffer would overflow, _select finds them instead.
     """
     lo, hi = _window(p, ranks)
-    buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
-    below = kept = 0
-    for _, s in _upper_blocks(p):
+
+    def split(_, s):
         under = s < lo
         inside = s <= hi
         inside ^= under  # s < lo implies s <= hi
-        below += np.count_nonzero(under)
-        values = s[inside]
-        del s, under, inside  # before the next block allocates
+        return np.count_nonzero(under), s[inside]
+
+    buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
+    below = kept = 0
+    for count, values in _upper_blocks(p, split):
+        below += count
         if below > ranks[0] or kept + values.shape[0] > buf.shape[0]:
-            break
+            break  # closes the walk, cancelling the blocks not yet started
         buf[kept : kept + values.shape[0]] = values
         kept += values.shape[0]
     else:
@@ -285,10 +293,11 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     canonical order (_pooled_sample), so the estimate is exactly symmetric
     in its arguments.
 
-    The pooled rows are walked in row blocks over the upper triangle of
-    their pairwise squared distances s = max(2 - 2 x.y, 0), so memory is
-    O(block x n), never n x n. The diagonal of the pooled matrix is taken
-    as exactly 0 and every off-diagonal value appears twice, so the
+    The block runner walks the pooled rows in row blocks over the upper
+    triangle of their pairwise squared distances s = max(2 - 2 x.y, 0),
+    so memory is O(workers x block x n), never n x n; each block's kernel
+    sums are added in block order. The diagonal of the pooled matrix is
+    taken as exactly 0 and every off-diagonal value appears twice, so the
     median heuristic's sigma is the exact median of all n^2 pairwise
     Euclidean distances (np.median's rule), selected in one walk of the
     triangle when a sampled window holds it (_select_windowed) and by
@@ -312,16 +321,20 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
             sigma = 1.0
 
     gamma = 1.0 / (2.0 * sigma * sigma)
-    aa = bb = ab = 0.0
-    for lo, s in _upper_blocks(p):
+
+    def kernel_sums(lo, s):
         s *= -gamma
         np.exp(s, out=s)
         cols = max(na - lo, 0)  # the block's columns in a
         rows = min(cols, s.shape[0])  # and its rows in a
-        aa += float(s[:rows, :cols].sum())
-        ab += float(s[:rows, cols:].sum())
-        bb += float(s[rows:, cols:].sum())
-        del s  # before the next block's product allocates
+        a, b = s[:rows], s[rows:]
+        return float(a[:, :cols].sum()), float(a[:, cols:].sum()), float(b[:, cols:].sum())
+
+    aa = bb = ab = 0.0
+    for block_aa, block_ab, block_bb in _upper_blocks(p, kernel_sums):  # added in block order
+        aa += block_aa
+        ab += block_ab
+        bb += block_bb
     value = (2.0 * aa + na) / (na * na) + (2.0 * bb + nb) / (nb * nb) - 2.0 * ab / (na * nb)
     return max(value, 0.0)
 
@@ -365,13 +378,14 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion.
 
     metric is "cosine" or "euclidean", both between unit-normalized rows.
-    Each row block takes the sums of its distances to every class. For
-    cosine they come from one GEMM against the C class sums of the unit
-    rows, sum_{j in c} (1 - x.s_j) = n_c - x.S_c, so memory is O(block x
-    C) and no normalized n x d copy is kept. For euclidean they come from
-    the block's distances to all n rows; the block has at most
-    _SILHOUETTE_BLOCK_ENTRIES // n rows, so its memory stays bounded as n
-    grows instead of reaching n x n.
+    Each row block, run by the block runner, takes the sums of its
+    distances to every class. For cosine they come from one GEMM against
+    the C class sums of the unit rows, sum_{j in c} (1 - x.s_j) = n_c -
+    x.S_c, so memory is O(workers x block x C) and no normalized n x d copy
+    is kept. For euclidean they come from the block's distances to all n
+    rows; the block has at most _SILHOUETTE_BLOCK_ENTRIES // n rows, so its
+    memory stays bounded (one block per worker) as n grows instead of
+    reaching n x n.
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
@@ -389,8 +403,8 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
         x = _unit_rows(raw)
         onehot = np.zeros((data.n, data.num_classes))
         onehot[np.arange(data.n), labels] = 1.0
-    scores = np.zeros(data.n)
-    for lo, hi in ranges:
+
+    def block(lo, hi):
         rows = np.arange(hi - lo)
         own = labels[lo:hi]
         if metric == "cosine":
@@ -401,12 +415,13 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
             dist = cdist(x[lo:hi], x, metric)
             sums = dist @ onehot
             self_dist = dist[rows, lo + rows]
-            del dist  # before the next block's cdist allocates
+            del dist  # before the tail allocates
         # The own-class mean leaves out the row's distance to itself.
         a = (sums[rows, own] - self_dist) / (counts[own] - 1)
         sums /= counts
         sums[rows, own] = np.inf
         b = sums.min(axis=1)
         denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=scores[lo:hi], where=denom != 0.0)
-    return float(scores.mean())
+        return np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom != 0.0)
+
+    return float(np.concatenate(list(_run_blocks(block, ranges))).mean())

@@ -1,5 +1,6 @@
 """Embedding containers, the shared row primitives (block and chunk grid,
-unit rows, Gram-to-distance), distances, and class centroids.
+the block runner, unit rows, Gram-to-distance), distances, and class
+centroids.
 
 An EmbeddingSet keeps float32 data as float32 (half the memory of a
 loaded PEMB file widened up front) and widens every other dtype to
@@ -12,6 +13,9 @@ CentroidTable) is float64. Matrices are dense row-major.
 from __future__ import annotations
 
 import contextlib
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,52 @@ def _block_ranges(n: int, max_rows: int = _BLOCK_ROWS):
 def _chunk_ranges(n: int, width: int):
     """Row ranges of about _CHUNK_ENTRIES entries of `width` columns each."""
     return _block_ranges(n, _CHUNK_ENTRIES // width)
+
+
+def worker_count() -> int:
+    """Worker cap from ADAPTSCORE_THREADS; 0 or unset means one worker per
+    CPU this process may run on (its affinity mask where the platform has
+    one, so taskset or a container's CPU set does not oversubscribe)."""
+    raw = os.environ.get("ADAPTSCORE_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n > 0:
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(fn, ranges):
+    """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
+
+    This is the one parallel runner: up to worker_count() blocks run at
+    once on a thread pool (BLAS itself runs single-threaded, see the
+    package __init__), and no more than that are in flight, so memory is
+    O(workers) blocks. Results come back in block order whatever finishes
+    first, so a consumer that combines them in order gets the same bits
+    at any worker count. A consumer that stops early closes the generator:
+    blocks not yet started are cancelled and running ones are waited for.
+    The exception of the lowest block that raised one escapes at its turn.
+    """
+    workers = min(worker_count(), len(ranges))
+    if workers <= 1:
+        for lo, hi in ranges:
+            yield fn(lo, hi)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    flight = deque()
+    try:
+        for lo, hi in ranges:
+            flight.append(pool.submit(fn, lo, hi))
+            if len(flight) == workers:
+                yield flight.popleft().result()
+        while flight:
+            yield flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _gram_to_distance(g: np.ndarray, metric: str) -> np.ndarray:

@@ -141,10 +141,11 @@ def build_report(manifest: dict) -> dict:
     """Score every manifest candidate against the target and assemble the
     adaptscore-report-v1 document.
 
-    Candidates are scored one after another (the block kernel and BLAS are
-    the parallel parts), so identical manifest+seed yields an identical
-    report (the created_at timestamp aside). Raises ManifestError for a
-    manifest that load_manifest would reject.
+    Candidates are scored one after another (the block runner,
+    embed_core._run_blocks, is the only parallel part), so identical
+    manifest+seed yields an identical report (the created_at timestamp
+    aside). Raises ManifestError for a manifest that load_manifest would
+    reject.
     """
     _check_manifest(manifest)
     target_emb, target_labels = load_target(manifest["target"])

@@ -7,19 +7,17 @@ keeps the two that matter (d1, d2) and writes a per-sample contribution.
 The score is the mean contribution; the per-sample values are kept as
 columns.
 
-The kernel runs in fixed-size row blocks that may be dispatched to a
-thread pool; the block grid and the final summation order are independent
-of the worker count, so multi-threaded results are bit-identical to a
-sequential run.
+The kernel runs in fixed-size row blocks on the block runner
+(embed_core._run_blocks), the program's only parallelism; the block grid
+and the final summation order are independent of the worker count, so
+multi-threaded results are bit-identical to a sequential run.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +30,10 @@ from .embed_core import (
     _chunk_ranges,
     _class_sums,
     _gram_to_distance,
+    _run_blocks,
     _unit_rows,
 )
 from .errors import DimensionMismatch, LabelOutOfRange, ZeroVector
-
-
-def worker_count() -> int:
-    """Worker cap from ADAPTSCORE_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("ADAPTSCORE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -124,17 +111,6 @@ def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
         raise DimensionMismatch(source.dim, target.dim)
 
 
-def _run_blocks(fn, n: int) -> list:
-    """fn(lo, hi) over the block grid of n rows; the results in block order.
-    The exception of the lowest block that raised one escapes."""
-    ranges = _block_ranges(n)
-    workers = min(worker_count(), len(ranges))
-    if workers <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
-
-
 def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
     """d1/d2/nearest/contribution columns of the raw target rows against C
     reference rows.
@@ -200,7 +176,7 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
         return None
 
     with target.reader() as read:
-        zeros = [e for e in _run_blocks(block, n) if e is not None]
+        zeros = [e for e in _run_blocks(block, _block_ranges(n)) if e is not None]
     if zeros:
         raise zeros[0]
     return d1, d2, nearest, contrib

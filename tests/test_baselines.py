@@ -191,7 +191,7 @@ class TestMmd:
         x[5:] = x[0] + 1e-5 * rng.standard_normal((25, 4))
         x[20:24] = x[0]
         p = unit_normalize(EmbeddingSet(x)).data
-        values = np.sort(np.concatenate([s[np.isfinite(s)] for _, s in baselines._upper_blocks(p)]))
+        values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
         assert values.shape[0] == 30 * 29 // 2
         assert np.count_nonzero(values < 2.0**-14) == 325  # [324, 325] straddles its end
         for ranks in ([100], [217, 218], [0, 1], [324, 325]):
@@ -240,7 +240,7 @@ class TestMmd:
     def test_windowed_median_falls_back_exactly(self, rng, monkeypatch, window):
         monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)  # a 7 n value buffer
         p = _unit_rows(rng.standard_normal((200, 5)))
-        values = np.sort(np.concatenate([s[np.isfinite(s)] for _, s in baselines._upper_blocks(p)]))
+        values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
         ranks = [9_949, 9_950]
         edges = {
             "above": (values[9_960], values[9_990]),  # values below it pass rank 9,949
@@ -254,6 +254,29 @@ class TestMmd:
         assert baselines._select_windowed(p, ranks) == list(values[ranks])
         assert len(calls) == 1
 
+    def test_window_walk_early_exit_cancels_later_blocks(self, rng, monkeypatch):
+        # An empty window above every value: the values below it pass the
+        # rank in the first block, so the walk stops there. Besides that
+        # block only the ones in flight (one per worker) may have run.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 4)  # 50 blocks
+        monkeypatch.setattr(baselines, "_window", lambda *_: (np.inf, np.inf))
+        monkeypatch.setenv("ADAPTSCORE_THREADS", "2")
+        p = _unit_rows(rng.standard_normal((200, 5)))
+        walks = []
+        upper = baselines._upper_blocks
+
+        def spy(p, reduce):
+            seen = []
+            walks.append(seen)
+            return upper(p, lambda lo, s: seen.append(lo) or reduce(lo, s))
+
+        monkeypatch.setattr(baselines, "_upper_blocks", spy)
+        want = baselines._select(p, [10])
+        walks.clear()
+        assert baselines._select_windowed(p, [10]) == want
+        assert 0 in walks[0] and len(walks[0]) <= 3
+        assert len(walks) > 1 and all(len(w) == 50 for w in walks[1:])  # _select's passes
+
     @pytest.mark.parametrize("ns, nt, cap", [(40, 40, 100), (40, 40, 30), (25, 40, 100), (40, 25, 30)])
     def test_pooled_rows_in_canonical_order(self, rng, monkeypatch, ns, nt, cap):
         # The pooled matrix is the canonical (rows, unit-row bytes) order of
@@ -261,7 +284,7 @@ class TestMmd:
         monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)  # compare and swap in 7-row blocks
         pooled = []
         upper = baselines._upper_blocks
-        monkeypatch.setattr(baselines, "_upper_blocks", lambda p: pooled.append(p.copy()) or upper(p))
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: pooled.append(p.copy()) or upper(p, reduce))
         x = rng.standard_normal((ns, 5))
         y = rng.standard_normal((nt, 5))
         y[:10] = x[:10]  # the halves agree in their first blocks
@@ -276,7 +299,7 @@ class TestMmd:
         # One walk selects the median and one sums the kernel.
         walks = []
         upper = baselines._upper_blocks
-        monkeypatch.setattr(baselines, "_upper_blocks", lambda p: walks.append(p.shape) or upper(p))
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: walks.append(p.shape) or upper(p, reduce))
         s = EmbeddingSet(rng.standard_normal((700, 32)))
         t = EmbeddingSet(rng.standard_normal((500, 32)) + 0.1)
         mmd_gaussian(s, t, MmdConfig())
@@ -320,22 +343,25 @@ class TestMmd:
             tracemalloc.stop()
         assert peak < 3 * baselines._MMD_BLOCK_ROWS * pooled * 8 + 4 * pooled * 32 * 8
 
-    def test_fixed_sigma_walk_holds_one_block(self, rng):
-        # Each kernel-sum block is dropped before the next product: two
-        # blocks alive at once took 13.7 MB here, one block is 6.1 MB.
+    def test_fixed_sigma_walk_holds_one_block(self, rng, monkeypatch):
+        # Each kernel-sum block is reduced to its three sums and dropped in
+        # its worker, so one block per worker is alive: two blocks at once
+        # took 13.7 MB here, one block is 6.1 MB.
         import tracemalloc
 
         s = EmbeddingSet(rng.standard_normal((3000, 32)))
         t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
         pooled = s.n + t.n
-        tracemalloc.start()
-        try:
-            mmd_gaussian(s, t, MmdConfig(sigma=1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         block = baselines._MMD_BLOCK_ROWS * pooled * 8
-        assert peak < 1.5 * block + pooled * 32 * 8
+        for threads, blocks in (("1", 1.5), ("2", 2.5)):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            tracemalloc.start()
+            try:
+                mmd_gaussian(s, t, MmdConfig(sigma=1.0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < blocks * block + pooled * 32 * 8, threads
 
     def test_duplicated_rows_median_falls_back_to_unit_sigma(self):
         # Every middle pair is a duplicate; the GEMM rounds its x.x a few
