@@ -154,7 +154,8 @@ def _upper_blocks(p: np.ndarray, reduce):
     s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
     below the diagonal, so each pair of rows appears once over all blocks.
     reduce may overwrite s and should return something small; a block
-    lives only while its reduce runs, so at most one per worker exists.
+    lives only while its reduce runs, and the runner keeps no more blocks
+    in flight than one per worker and than fit in its byte budget.
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
     multiplies a block by its own transpose, so no product of the whole
@@ -169,7 +170,7 @@ def _upper_blocks(p: np.ndarray, reduce):
         s[:, :h][lower[:h, :h]] = np.inf
         return reduce(lo, s)
 
-    return _run_blocks(block, ranges)
+    return _run_blocks(block, ranges, 8 * ranges[0][1] * p.shape[0])
 
 
 def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.ndarray:
@@ -295,11 +296,12 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
 
     The block runner walks the pooled rows in row blocks over the upper
     triangle of their pairwise squared distances s = max(2 - 2 x.y, 0),
-    so memory is O(workers x block x n), never n x n; each block's kernel
-    sums are added in block order. The diagonal of the pooled matrix is
-    taken as exactly 0 and every off-diagonal value appears twice, so the
-    median heuristic's sigma is the exact median of all n^2 pairwise
-    Euclidean distances (np.median's rule), selected in one walk of the
+    so memory is O(workers x block x n) within the runner's byte budget,
+    never n x n; each block's kernel sums are added in block order. The
+    diagonal of the pooled matrix is taken as exactly 0 and every
+    off-diagonal value appears twice, so the median heuristic's sigma is
+    the exact median of all n^2 pairwise Euclidean distances (np.median's
+    rule), selected in one walk of the
     triangle when a sampled window holds it (_select_windowed) and by
     counting passes otherwise, never by a sort. Duplicate rows at different
     positions keep the GEMM form's rounding (see cdist), but a median that
@@ -378,14 +380,15 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion.
 
     metric is "cosine" or "euclidean", both between unit-normalized rows.
-    Each row block, run by the block runner, takes the sums of its
-    distances to every class. For cosine they come from one GEMM against
-    the C class sums of the unit rows, sum_{j in c} (1 - x.s_j) = n_c -
-    x.S_c, so memory is O(workers x block x C) and no normalized n x d copy
-    is kept. For euclidean they come from the block's distances to all n
-    rows; the block has at most _SILHOUETTE_BLOCK_ENTRIES // n rows, so its
-    memory stays bounded (one block per worker) as n grows instead of
-    reaching n x n.
+    Each row block, run by the block runner within its byte budget, takes
+    the sums of its distances to every class. For cosine they come from
+    one GEMM against the C class sums of the unit rows, sum_{j in c} (1 -
+    x.s_j) = n_c - x.S_c, so a block holds block x (d + C) floats and no
+    normalized n x d copy is kept. For euclidean they come from the
+    block's distances to all n rows; the block has at most
+    _SILHOUETTE_BLOCK_ENTRIES // n rows, so its memory stays bounded as n
+    grows instead of reaching n x n (such a block exceeds the budget, so
+    these blocks run one at a time).
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
@@ -397,9 +400,11 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     raw = data.embeddings.data
     if metric == "cosine":
         ranges = _block_ranges(data.n)
+        width = data.dim + data.num_classes
         class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
     else:
         ranges = _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n)
+        width = data.n
         x = _unit_rows(raw)
         onehot = np.zeros((data.n, data.num_classes))
         onehot[np.arange(data.n), labels] = 1.0
@@ -424,4 +429,5 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
         denom = np.maximum(a, b)
         return np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom != 0.0)
 
-    return float(np.concatenate(list(_run_blocks(block, ranges))).mean())
+    scores = _run_blocks(block, ranges, 8 * ranges[0][1] * width)
+    return float(np.concatenate(list(scores)).mean())

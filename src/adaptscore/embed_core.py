@@ -38,6 +38,11 @@ EPS_NORM = 1e-12
 # GEMM shape is part of the bit-identity contract; BLAS picks its path by
 # row count.
 _BLOCK_ROWS = 8192
+# Bytes that the blocks in flight of one walk may hold together when the
+# walk gives its block size to the block runner (MMD's triangle walks and
+# the silhouette), so their memory does not grow with the CPU count: two
+# blocks of MMD's walk at its default cap (20,000 pooled rows).
+_FLIGHT_BYTES = 48 << 20
 # float64 entries (256 KB) of the row chunks that normalization and the
 # scorers' top-2 tail walk within a block, so their temporaries stay in cache.
 _CHUNK_ENTRIES = 2**15
@@ -70,19 +75,24 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(fn, ranges):
+def _run_blocks(fn, ranges, block_bytes: int = 0):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
     This is the one parallel runner: up to worker_count() blocks run at
     once on a thread pool (BLAS itself runs single-threaded, see the
     package __init__), and no more than that are in flight, so memory is
-    O(workers) blocks. Results come back in block order whatever finishes
+    O(workers) blocks. A caller that gives `block_bytes`, the memory of
+    its largest block, gets no more blocks in flight than fit in
+    _FLIGHT_BYTES (one at least), so its memory stays bounded on any
+    number of CPUs. Results come back in block order whatever finishes
     first, so a consumer that combines them in order gets the same bits
     at any worker count. A consumer that stops early closes the generator:
     blocks not yet started are cancelled and running ones are waited for.
     The exception of the lowest block that raised one escapes at its turn.
     """
     workers = min(worker_count(), len(ranges))
+    if block_bytes:
+        workers = min(workers, max(1, _FLIGHT_BYTES // block_bytes))
     if workers <= 1:
         for lo, hi in ranges:
             yield fn(lo, hi)

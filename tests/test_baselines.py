@@ -328,33 +328,44 @@ class TestMmd:
             assert err.value.row_index == 17
             y[1] = 0.0
 
-    def test_pooled_memory_is_blockwise(self, rng):
+    def test_pooled_memory_is_blockwise(self, rng, monkeypatch):
         # The dense n x n form of the pooled set would take 288 MB here.
-        import tracemalloc
-
-        s = EmbeddingSet(rng.standard_normal((3000, 32)))
-        t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
-        pooled = s.n + t.n
-        tracemalloc.start()
-        try:
-            mmd_gaussian(s, t, MmdConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * baselines._MMD_BLOCK_ROWS * pooled * 8 + 4 * pooled * 32 * 8
-
-    def test_fixed_sigma_walk_holds_one_block(self, rng, monkeypatch):
-        # Each kernel-sum block is reduced to its three sums and dropped in
-        # its worker, so one block per worker is alive: two blocks at once
-        # took 13.7 MB here, one block is 6.1 MB.
+        # A block and its masks live in each worker (15.5 MB at one worker
+        # and 23.0 MB at two, against a 6.1 MB block), and eight workers
+        # under a two-block budget hold no more than two.
         import tracemalloc
 
         s = EmbeddingSet(rng.standard_normal((3000, 32)))
         t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
         pooled = s.n + t.n
         block = baselines._MMD_BLOCK_ROWS * pooled * 8
-        for threads, blocks in (("1", 1.5), ("2", 2.5)):
+        for threads, budget in (("1", None), ("2", None), ("8", 2 * block)):
             monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            if budget:
+                monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", budget)
+            tracemalloc.start()
+            try:
+                mmd_gaussian(s, t, MmdConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * block + 4 * pooled * 32 * 8, threads
+
+    def test_fixed_sigma_walk_holds_one_block(self, rng, monkeypatch):
+        # Each kernel-sum block is reduced to its three sums and dropped in
+        # its worker, so one block per worker is alive: two blocks at once
+        # took 13.7 MB here, one block is 6.1 MB. Eight workers under a
+        # two-block budget hold two.
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((3000, 32)))
+        t = EmbeddingSet(rng.standard_normal((3001, 32)) + 0.1)
+        pooled = s.n + t.n
+        block = baselines._MMD_BLOCK_ROWS * pooled * 8
+        for threads, budget, blocks in (("1", None, 1.5), ("2", None, 2.5), ("8", 2 * block, 2.5)):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            if budget:
+                monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", budget)
             tracemalloc.start()
             try:
                 mmd_gaussian(s, t, MmdConfig(sigma=1.0))
@@ -374,20 +385,24 @@ class TestMmd:
                 want = mmd_gaussian(s, t, MmdConfig(sigma=1.0))
                 assert mmd_gaussian(s, t, MmdConfig()).hex() == want.hex(), d
 
-    def test_pooled_rows_are_built_in_place(self, rng):
+    def test_pooled_rows_are_built_in_place(self, rng, monkeypatch):
         # Equal row counts order the domains by their unit-row bytes, block
         # by block in the pooled matrix: no copy of a domain or of its bytes.
+        # The walks' blocks in flight come on top, one 6.1 MB block per
+        # worker, so the worker count is pinned.
         import tracemalloc
 
         s = EmbeddingSet(rng.standard_normal((3000, 1024), dtype=np.float32))
         t = EmbeddingSet(rng.standard_normal((3000, 1024), dtype=np.float32) + 0.1)
-        tracemalloc.start()
-        try:
-            mmd_gaussian(s, t, MmdConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * (s.n + t.n) * 1024 * 8
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            tracemalloc.start()
+            try:
+                mmd_gaussian(s, t, MmdConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * (s.n + t.n) * 1024 * 8, threads
 
     def test_cap_draw_keeps_no_normalized_copy(self, rng):
         import tracemalloc
@@ -638,17 +653,22 @@ class TestSilhouette:
         with pytest.raises(ConfigInvalid):
             silhouette(random_labeled(rng), "manhattan")
 
-    def test_cosine_memory_is_blocks(self, rng):
-        # A gather of each class's unit rows took 89 MB here.
+    def test_cosine_memory_is_blocks(self, rng, monkeypatch):
+        # A gather of each class's unit rows took 89 MB here. The runner's
+        # byte budget admits two of the 16.8 MB unit-row blocks at once
+        # however many workers there are (26.0 MB at one worker, 34.8 MB
+        # at two and at eight).
         import tracemalloc
 
         x = rng.standard_normal((60_000, 256), dtype=np.float32)
         x[30_000:] += 0.5
         data = LabeledEmbeddingSet(EmbeddingSet(x), np.repeat([0, 1], 30_000), 2)
-        tracemalloc.start()
-        try:
-            silhouette(data, "cosine")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * embed_core._BLOCK_ROWS * 256 * 8
+        for threads in ("0", "8"):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            tracemalloc.start()
+            try:
+                silhouette(data, "cosine")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * embed_core._BLOCK_ROWS * 256 * 8, threads

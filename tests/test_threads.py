@@ -60,6 +60,10 @@ def test_runner_yields_in_block_order_with_at_most_workers_in_flight(monkeypatch
     ranges = [(lo, lo + 1) for lo in range(16)]
     assert list(_run_blocks(fn, ranges)) == ranges
     assert 1 < most[0] <= 4
+    for block_bytes, cap in ((embed_core._FLIGHT_BYTES // 2, 2), (embed_core._FLIGHT_BYTES + 1, 1)):
+        most[0] = 0
+        assert list(_run_blocks(fn, ranges, block_bytes)) == ranges
+        assert most[0] == cap  # the byte budget, not the worker count
 
 
 _BITS = r"""
@@ -93,14 +97,15 @@ print(" ".join(digests))
 """
 
 
-def test_bits_identical_across_blas_and_block_threads():
-    """Every output at 1 and 2 block workers, at 1 and 2 BLAS threads. The
-    cross-BLAS part holds for these shapes only: at the real PAS shape,
-    (8192, 512) @ (512, 345), OpenBLAS rounds 20 of the 8192 entries of the
-    last column differently at two threads (see the README)."""
-    digests = [_child(_BITS, OPENBLAS_NUM_THREADS=blas).split() for blas in ("1", "2")]
-    assert len(digests[0]) == 2
-    assert len(set(digests[0] + digests[1])) == 1, digests
+@pytest.mark.parametrize("blas", ["1", "2"])
+def test_bits_identical_across_block_threads_at_each_blas_setting(blas):
+    """Every output at 1 and 2 block workers, with BLAS at 1 or 2 threads.
+    Bits across BLAS thread counts are not compared: OpenBLAS does not
+    promise them, and at the real PAS shape, (8192, 512) @ (512, 345), it
+    rounds 20 of the 8192 entries of the last column differently at one
+    and two threads (see the README)."""
+    one, two = _child(_BITS, OPENBLAS_NUM_THREADS=blas).split()
+    assert one == two
 
 
 @pytest.mark.parametrize("first", ["", "import numpy; "], ids=["fresh", "numpy-first"])
