@@ -192,43 +192,57 @@ def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.n
     return sum(_upper_blocks(p, count), np.zeros(buckets, dtype=np.int64))
 
 
-def _gather(p: np.ndarray, lo: float, hi: float):
-    """The distinct pairwise squared distances of p in [lo, hi), ascending,
-    with their multiplicities."""
-
-    def within(_, s):
-        return np.unique(s[(s >= lo) & (s < hi)], return_counts=True)
-
-    parts = list(_upper_blocks(p, within))
-    values, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
-    return values, np.bincount(where, weights=np.concatenate([c for _, c in parts]))
-
-
-def _select(p: np.ndarray, ranks, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2**_BUCKET_BITS + 1):
+def _within(p: np.ndarray, ranks, lo: float, hi: float):
     """The values at `ranks` (ascending; one, or two adjacent) among the
-    pairwise squared distances of p in [lo, lo + buckets / scale).
+    pairwise squared distances of p, from one walk that counts those below
+    lo and copies those in [lo, hi) into a buffer of _MMD_BLOCK_ROWS * n
+    values. None, as soon as the walk shows it, if the ranks are not inside
+    or the buffer would overflow."""
 
-    One counting pass finds the bucket(s) holding the ranks and one pass
-    gathers them. When they hold more values than one block of
-    _MMD_BLOCK_ROWS rows, each rank's bucket is split into 2**_BUCKET_BITS
-    finer ones instead, down to width 2**-42: every s is a multiple of
-    2**-52, so such a bucket holds at most 1,024 distinct values.
-    """
+    def split(_, s):
+        under = s < lo
+        inside = s < hi
+        inside ^= under  # s < lo implies s < hi
+        return np.count_nonzero(under), s[inside]
+
+    buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
+    below = kept = 0
+    for count, values in _upper_blocks(p, split):
+        below += count
+        if below > ranks[0] or kept + values.shape[0] > buf.shape[0]:
+            return None  # closes the walk, cancelling the blocks not yet started
+        buf[kept : kept + values.shape[0]] = values
+        kept += values.shape[0]
+    at = np.subtract(ranks, below)
+    if at[-1] >= kept:
+        return None
+    buf[:kept].partition(at)
+    return list(buf[at])
+
+
+def _select(p: np.ndarray, ranks, below=0, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2**_BUCKET_BITS + 1):
+    """_within's values at `ranks` when `below` values lie under lo and the
+    ranks' in [lo, lo + buckets / scale). One counting pass finds their
+    bucket(s); _within reads them if they fit its buffer, else each rank's
+    bucket is split into 2**_BUCKET_BITS finer ones. Every s is a multiple
+    of 2**-52 and every lo one of 2**-42, so a bucket narrower than 2**-52
+    holds at most the one value lo + b / scale, read from the counts."""
     counts = _bucket_counts(p, lo, scale, buckets)
     ends = np.cumsum(counts)
     before = ends - counts
-    first, last = np.searchsorted(ends, [ranks[0], ranks[-1]], side="right")
-    if ends[last] - before[first] > _MMD_BLOCK_ROWS * p.shape[0] and scale < 2.0**42:
-        return [
-            _select(p, [r - before[b]], lo + b / scale, scale * 2.0**_BUCKET_BITS, 2**_BUCKET_BITS)[0]
-            for r, b in zip(ranks, (first, last))
-        ]
-    values, mult = _gather(p, lo + first / scale, lo + (last + 1) / scale)
-    return list(values[np.searchsorted(np.cumsum(mult), np.subtract(ranks, before[first]), side="right")])
+    first, last = np.searchsorted(ends, np.subtract([ranks[0], ranks[-1]], below), side="right")
+    if scale > 2.0**52:
+        return [lo + b / scale for _, b in zip(ranks, (first, last))]
+    if ends[last] - before[first] <= _MMD_BLOCK_ROWS * p.shape[0]:
+        return _within(p, ranks, lo + first / scale, lo + (last + 1) / scale)
+    return [
+        _select(p, [r], below + before[b], lo + b / scale, scale * 2.0**_BUCKET_BITS, 2**_BUCKET_BITS)[0]
+        for r, b in zip(ranks, (first, last))
+    ]
 
 
 def _window(p: np.ndarray, ranks) -> tuple[float, float]:
-    """Edges [lo, hi] of a window of pairwise squared distances of p that
+    """Edges [lo, hi) of a window of pairwise squared distances of p that
     likely holds the values at `ranks` and about half of _MMD_BLOCK_ROWS * n
     values.
 
@@ -236,8 +250,8 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     evenly spaced rows to all other rows (one extra block product), at the
     ranks' fractions of the n (n - 1) / 2 values, widened by a quarter of
     _MMD_BLOCK_ROWS * n values on each side. The sample only places the
-    window; a window that misses the ranks costs a fallback, never a wrong
-    value.
+    window; a window that misses the ranks costs a fallback to the bucket
+    counts (_select), never a wrong value.
     """
     n = p.shape[0]
     rows = np.linspace(0, n - 1, min(_MMD_BLOCK_ROWS, n)).astype(np.intp)
@@ -249,41 +263,14 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     edges = np.array([ranks[0] - half, ranks[-1] + 1 + half]) / (n * (n - 1) / 2)
     at = np.clip((edges * size).astype(np.intp), 0, size - 1)
     sample.partition(at)
-    return sample[at[0]], sample[at[1]]
+    return sample[at[0]], np.nextafter(sample[at[1]], np.inf)
 
 
 def _select_windowed(p: np.ndarray, ranks):
-    """The values at `ranks` among the pairwise squared distances of p, as
-    _select returns them, in one walk of the triangle in the usual case.
-
-    The walk counts the values below a sampled window (_window) and copies
-    those inside it into one buffer of _MMD_BLOCK_ROWS * n values. When
-    the ranks fall inside, a partition of the buffer reads them; when they
-    do not, or the buffer would overflow, _select finds them instead.
-    """
-    lo, hi = _window(p, ranks)
-
-    def split(_, s):
-        under = s < lo
-        inside = s <= hi
-        inside ^= under  # s < lo implies s <= hi
-        return np.count_nonzero(under), s[inside]
-
-    buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
-    below = kept = 0
-    for count, values in _upper_blocks(p, split):
-        below += count
-        if below > ranks[0] or kept + values.shape[0] > buf.shape[0]:
-            break  # closes the walk, cancelling the blocks not yet started
-        buf[kept : kept + values.shape[0]] = values
-        kept += values.shape[0]
-    else:
-        if ranks[-1] < below + kept:
-            window, at = buf[:kept], np.subtract(ranks, below)
-            window.partition(at)
-            return list(window[at])
-    del buf  # before the counting passes allocate
-    return _select(p, ranks)
+    """_within's values at `ranks`, in one walk of the triangle over a
+    sampled window (_window) in the usual case, and by _select's counting
+    passes when the window misses the ranks or overflows."""
+    return _within(p, ranks, *_window(p, ranks)) or _select(p, ranks)
 
 
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
@@ -301,12 +288,12 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     diagonal of the pooled matrix is taken as exactly 0 and every
     off-diagonal value appears twice, so the median heuristic's sigma is
     the exact median of all n^2 pairwise Euclidean distances (np.median's
-    rule), selected in one walk of the
-    triangle when a sampled window holds it (_select_windowed) and by
-    counting passes otherwise, never by a sort. Duplicate rows at different
-    positions keep the GEMM form's rounding (see cdist), but a median that
-    is only such rounding counts as 0, so sigma falls back to 1 as it does
-    for an exact 0. cfg.sigma, when set, replaces the median heuristic.
+    rule), never sorted: one walk (_within) reads it from a sampled window
+    (_select_windowed), or, when that misses, from the range that bucket
+    counts place (_select). Duplicate rows at different positions keep the
+    GEMM form's rounding (see cdist), but a median that is only such
+    rounding counts as 0, so sigma falls back to 1 as it does for an exact
+    0. cfg.sigma, when set, replaces the median heuristic.
     """
     p, na = _pooled_sample(source, target, cfg.max_samples_per_domain, cfg.seed, 2)
     n = p.shape[0]
@@ -392,6 +379,7 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")
+    data._check_classes()
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if (counts < 2).any():
         raise SingletonClass(int(np.argmax(counts < 2)))

@@ -19,13 +19,12 @@ from .evaluation import pearson, spearman, subsample_study
 from .formats import (
     dump_report,
     load_accuracy_csv,
-    load_labels,
     load_manifest,
     open_embeddings,
     save_embeddings,
     save_labels,
 )
-from .reporting import build_report, load_candidate, load_source, load_target, resolve_method
+from .reporting import build_report, load_candidate, load_labels_for, load_source, load_target, resolve_method
 from .scores import ScoreResult
 from .synth import SynthConfig, generate_pair
 
@@ -104,7 +103,7 @@ def _cmd_score(args) -> int:
     source = load_source(args.source_emb, args.source_labels)
     target = open_embeddings(args.target_emb)  # PEMB rows stream through the kernel
     method = resolve_method(args.method, bool(args.target_labels))
-    target_labels = load_labels(args.target_labels) if method.needs_target_labels else None
+    target_labels = load_labels_for(args.target_labels, target.n) if args.target_labels else None
     result = method.score(source, target, target_labels, args.seed, args.max_samples)
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:

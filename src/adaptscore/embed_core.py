@@ -210,13 +210,17 @@ class LabeledEmbeddingSet:
         bad = (labels < 0) | (labels >= self.num_classes)
         if bad.any():
             raise LabelOutOfRange(int(labels[bad][0]), self.num_classes)
-        if self.require_all_classes:
-            # unique, not bincount: a corrupt label file can claim ~2**32 classes
-            present = np.unique(labels)
-            if present.shape[0] < self.num_classes:
-                gaps = np.flatnonzero(present != np.arange(present.shape[0]))
-                raise MissingClass(int(gaps[0]) if gaps.size else present.shape[0])
         object.__setattr__(self, "labels", labels)
+        if self.require_all_classes:
+            self._check_classes()
+
+    def _check_classes(self) -> None:
+        """MissingClass at the lowest class id without a row. np.unique, not
+        bincount: a corrupt label file can claim ~2**32 classes."""
+        present = np.unique(self.labels)
+        if present.shape[0] < self.num_classes:
+            gaps = np.flatnonzero(present != np.arange(present.shape[0]))
+            raise MissingClass(int(gaps[0]) if gaps.size else present.shape[0])
 
     @property
     def n(self) -> int:

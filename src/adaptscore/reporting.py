@@ -97,10 +97,15 @@ def load_target(spec) -> tuple:
     emb = load_embeddings(manifest_field(spec, "emb", "target", str))
     if "labels" not in spec:
         return emb, None
-    labels = load_labels(manifest_field(spec, "labels", "target", str))
-    if labels.shape[0] != emb.n:
-        raise LabelCountMismatch(labels.shape[0], emb.n)
-    return emb, labels
+    return emb, load_labels_for(manifest_field(spec, "labels", "target", str), emb.n)
+
+
+def load_labels_for(path, rows: int):
+    """The label file at `path`; LabelCountMismatch unless it has `rows` labels."""
+    labels = load_labels(path)
+    if labels.shape[0] != rows:
+        raise LabelCountMismatch(labels.shape[0], rows)
+    return labels
 
 
 def load_candidate(entry) -> LabeledEmbeddingSet:

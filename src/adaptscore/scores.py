@@ -107,8 +107,10 @@ class ScoreResult:
 
 
 def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
+    """DimensionMismatch, or MissingClass for a source that lacks a class."""
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
+    source._check_classes()
 
 
 def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):

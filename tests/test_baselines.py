@@ -201,6 +201,30 @@ class TestMmd:
             assert baselines._select_windowed(p, ranks) == list(values[ranks])
         assert baselines._select(p, [434]) == [values[-1]]
 
+    def test_finest_buckets_read_values_from_counts(self, rng, monkeypatch):
+        # 40 identical rows give 780 pairs within a few ulp of 0, more than
+        # the 45-value buffer holds even in one 2**-42 bucket. Their ranks
+        # come from the 2**-56 bucket counts alone: every walk counts, none
+        # copies values.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 1)
+        x = rng.standard_normal((45, 6))
+        x[:40] = x[0]
+        p = _unit_rows(x)
+        values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
+        assert values[779] < 2.0**-42 <= values[780]
+        scales, walks = [], []
+        counts = baselines._bucket_counts
+        monkeypatch.setattr(baselines, "_bucket_counts", lambda *a: scales.append(a[2]) or counts(*a))
+        upper = baselines._upper_blocks
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: walks.append(reduce) or upper(p, reduce))
+        for ranks in ([0], [100], [389, 390], [779]):
+            scales.clear()
+            walks.clear()
+            got = baselines._select(p, ranks)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in values[ranks]], ranks
+            assert scales[-1] == 2.0**56
+            assert len(walks) == len(scales), ranks  # no _within walk
+
     @staticmethod
     def pooled_cases(rng, d, sizes):
         """Unit rows of pooled sets of the given sizes: independent rows,
@@ -235,6 +259,10 @@ class TestMmd:
                 want = baselines._select(p, ranks)
                 got = baselines._select_windowed(p, ranks)
                 assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (n, ranks)
+                if n <= 50:  # and both against the sorted values
+                    walked = baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)])
+                    values = np.sort(np.concatenate(list(walked)))
+                    assert [v.tobytes() for v in want] == [v.tobytes() for v in values[ranks]], (n, ranks)
 
     @pytest.mark.parametrize("window", ["above", "below", "overflow"])
     def test_windowed_median_falls_back_exactly(self, rng, monkeypatch, window):

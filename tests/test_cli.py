@@ -360,7 +360,7 @@ class TestMethodTable:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "LabelCountMismatch" and err["exit_code"] == 2
 
-    @pytest.mark.parametrize("command", ["rank", "substudy"])
+    @pytest.mark.parametrize("command", ["score", "rank", "substudy"])
     def test_target_label_count_checked_when_no_method_reads_them(self, fixture_dir, capsys, command):
         # 5 labels for 12 target rows, and pas never reads them.
         save_labels(fixture_dir / "tgt.plbl", np.arange(5) % 3)
@@ -368,12 +368,20 @@ class TestMethodTable:
         manifest["methods"] = ["pas"]
         (fixture_dir / "m.json").write_text(json.dumps(manifest))
         argv = [command, "--manifest", "m.json", "--out", "out.json", "--json"]
+        if command == "score":
+            argv = ["score", "--method", "pas", *self.SCORE_ARGS]
         if command == "substudy":
             argv += ["--fractions", "1.0", "--repeats", "1"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "LabelCountMismatch" and err["exit_code"] == 2
         assert not (fixture_dir / "out.json").exists()
+
+    def test_score_reads_a_given_target_label_file(self, fixture_dir, capsys):
+        # pas never reads the labels, but a missing file is still an error.
+        argv = ["score", "--method", "pas", *self.SCORE_ARGS, "--target-labels", "missing.plbl"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["exit_code"] == 2
 
     def test_rank_checks_methods_before_loading_candidates(self, fixture_dir, capsys):
         manifest = {

@@ -10,9 +10,10 @@ from adaptscore import (
     pas,
     pas_avg_pairwise,
     pas_euclidean,
+    silhouette,
 )
 from adaptscore import embed_core
-from adaptscore.errors import DimensionMismatch, LabelOutOfRange, TooFewClasses
+from adaptscore.errors import DimensionMismatch, LabelOutOfRange, MissingClass, TooFewClasses
 from conftest import random_labeled, random_orthogonal
 
 COS30 = math.cos(math.radians(30))
@@ -224,3 +225,21 @@ class TestOracle:
             if pb.nearest_class == tgt.labels[pb.sample_index]:
                 assert ob.contribution == pb.contribution
             assert -1.0 <= ob.contribution <= 1.0
+
+
+@pytest.mark.parametrize("score", [
+    lambda s, t: pas(s, t.embeddings),
+    lambda s, t: pas_euclidean(s, t.embeddings),
+    lambda s, t: pas_avg_pairwise(s, t.embeddings),
+    oracle_score,
+    lambda s, t: silhouette(s),
+], ids=["pas", "pas_euclidean", "pas_avg_pairwise", "oracle", "silhouette"])
+def test_source_without_a_class_raises_missing_class(score):
+    # Classes 1 and 3 of 4 have no source row. Unchecked, their empty sums
+    # read as a zero centroid, a 0/0 mean or a singleton class.
+    x = EmbeddingSet([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+    src = LabeledEmbeddingSet(x, [0, 0, 2, 2], 4, require_all_classes=False)
+    tgt = LabeledEmbeddingSet(x, [0, 2, 2, 0], 4, require_all_classes=False)
+    with pytest.raises(MissingClass) as err:
+        score(src, tgt)
+    assert err.value.class_id == 1
