@@ -224,9 +224,10 @@ def _select(p: np.ndarray, ranks, below=0, lo=0.0, scale=2.0**_BUCKET_BITS, buck
     """_within's values at `ranks` when `below` values lie under lo and the
     ranks' in [lo, lo + buckets / scale). One counting pass finds their
     bucket(s); _within reads them if they fit its buffer, else each rank's
-    bucket is split into 2**_BUCKET_BITS finer ones. Every s is a multiple
-    of 2**-52 and every lo one of 2**-42, so a bucket narrower than 2**-52
-    holds at most the one value lo + b / scale, read from the counts."""
+    bucket is split into 2**_BUCKET_BITS finer ones (once for both ranks
+    when they share a bucket). Every s is a multiple of 2**-52 and every lo
+    one of 2**-42, so a bucket narrower than 2**-52 holds at most the one
+    value lo + b / scale, read from the counts."""
     counts = _bucket_counts(p, lo, scale, buckets)
     ends = np.cumsum(counts)
     before = ends - counts
@@ -235,8 +236,11 @@ def _select(p: np.ndarray, ranks, below=0, lo=0.0, scale=2.0**_BUCKET_BITS, buck
         return [lo + b / scale for _, b in zip(ranks, (first, last))]
     if ends[last] - before[first] <= _MMD_BLOCK_ROWS * p.shape[0]:
         return _within(p, ranks, lo + first / scale, lo + (last + 1) / scale)
+    finer = scale * 2.0**_BUCKET_BITS, 2**_BUCKET_BITS
+    if first == last:
+        return _select(p, ranks, below + before[first], lo + first / scale, *finer)
     return [
-        _select(p, [r], below + before[b], lo + b / scale, scale * 2.0**_BUCKET_BITS, 2**_BUCKET_BITS)[0]
+        _select(p, [r], below + before[b], lo + b / scale, *finer)[0]
         for r, b in zip(ranks, (first, last))
     ]
 

@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .embed_core import _block_ranges
 from .errors import AdaptScoreError, FormatError, MissingScore
 from .evaluation import pearson, spearman, subsample_study
 from .formats import (
@@ -87,16 +88,20 @@ _ROW_JSON = (
 )
 
 
-def _score_json(method: str, value: float, result) -> str:
-    """json.dumps({"method", "value", "breakdown": [rows]}) with the rows
-    formatted straight from a ScoreResult's columns; no breakdown for a
-    baseline's plain float."""
+def _write_score_json(out, method: str, value: float, result) -> None:
+    """json.dumps({"method", "value", "breakdown": [rows]}) and a newline,
+    written to `out` with the rows formatted straight from a ScoreResult's
+    columns one block at a time; no breakdown for a baseline's plain float."""
     head = json.dumps({"method": method, "value": value})
     if not isinstance(result, ScoreResult):
-        return head
-    columns = (c.tolist() for c in result.breakdown_arrays())
-    rows = ", ".join(map(_ROW_JSON.format, itertools.count(), *columns))
-    return f'{head[:-1]}, "breakdown": [{rows}]}}'
+        out.write(head + "\n")
+        return
+    out.write(f'{head[:-1]}, "breakdown": [')
+    columns = result.breakdown_arrays()
+    for lo, hi in _block_ranges(columns[0].shape[0]):
+        rows = map(_ROW_JSON.format, itertools.count(lo), *(c[lo:hi].tolist() for c in columns))
+        out.write((", " if lo else "") + ", ".join(rows))
+    out.write("]}\n")
 
 
 def _cmd_score(args) -> int:
@@ -107,7 +112,7 @@ def _cmd_score(args) -> int:
     result = method.score(source, target, target_labels, args.seed, args.max_samples)
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
-        print(_score_json(args.method, value, result))
+        _write_score_json(sys.stdout, args.method, value, result)
     else:
         print(f"{value:.5f}")
     return EXIT_OK

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, _check_finite, _check_shape
+from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 
 PEMB_MAGIC = b"PEMB"
@@ -35,22 +35,26 @@ REPORT_SCHEMA = "adaptscore-report-v1"
 
 
 def save_embeddings(path, e) -> None:
-    """Write an EmbeddingSet, or an array-like validated as one, as PEMB."""
+    """Write an EmbeddingSet, or an array-like validated as one, as PEMB.
+    The rows go out one block at a time, each converted to float32 and
+    written through the buffer protocol, so the writer holds one float32
+    block, never a copy of the whole matrix."""
     e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
-    payload = e.data.astype("<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(PEMB_HEADER.pack(PEMB_MAGIC, 1, 0, e.n, e.dim))
-        fh.write(payload)
+        for lo, hi in _block_ranges(e.n):
+            fh.write(e.data[lo:hi].astype("<f4", copy=False))
 
 
 def save_embeddings_csv(path, e) -> None:
-    """Write an EmbeddingSet, or an array-like validated as one, as CSV."""
+    """Write an EmbeddingSet, or an array-like validated as one, as CSV,
+    converting one block of rows to float32 at a time."""
     e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
-    # repr of the float32 value round-trips within 1 ulp of 32-bit
-    data32 = e.data.astype(np.float32)
     with open(path, "w") as fh:
-        for row in data32:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for lo, hi in _block_ranges(e.n):
+            # repr of the float32 value round-trips within 1 ulp of 32-bit
+            for row in e.data[lo:hi].astype(np.float32):
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 class PembRows:
@@ -160,16 +164,33 @@ def load_embeddings(path) -> EmbeddingSet:
     return e.load() if isinstance(e, PembRows) else e
 
 
+def _plbl_labels(labels) -> np.ndarray:
+    """`labels` as a 1-D int64 array, or ValueError for another shape or a
+    label outside the PLBL range [0, 2**32)."""
+    try:
+        labels = np.asarray(labels, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64
+        raise ValueError("a label is outside the PLBL range [0, 2**32)") from None
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    bad = (labels < 0) | (labels >= 2**32)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"label {int(labels[i])} at index {i} is outside the PLBL range [0, 2**32)")
+    return labels
+
+
 def save_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _plbl_labels(labels)
     with open(path, "wb") as fh:
         fh.write(PLBL_HEADER.pack(PLBL_MAGIC, 1, labels.shape[0]))
         fh.write(labels.astype("<u4").tobytes())
 
 
 def save_labels_text(path, labels) -> None:
+    labels = _plbl_labels(labels)
     with open(path, "w") as fh:
-        for v in np.asarray(labels, dtype=np.int64):
+        for v in labels:
             fh.write(f"{int(v)}\n")
 
 

@@ -225,6 +225,25 @@ class TestMmd:
             assert scales[-1] == 2.0**56
             assert len(walks) == len(scales), ranks  # no _within walk
 
+    def test_adjacent_ranks_in_one_bucket_share_its_walks(self, rng, monkeypatch):
+        # Ranks 389 and 390 of the 40-identical-row case fall in the same
+        # over-full bucket at every level, so each finer counting pass runs
+        # once for both: 4 walks, as for one rank alone.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 1)
+        x = rng.standard_normal((45, 6))
+        x[:40] = x[0]
+        p = _unit_rows(x)
+        values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
+        walks = []
+        counts = baselines._bucket_counts
+        monkeypatch.setattr(baselines, "_bucket_counts", lambda *a: walks.append(a[1:]) or counts(*a))
+        got = baselines._select(p, [389, 390])
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in values[[389, 390]]]
+        assert len(walks) == 4, walks
+        walks.clear()
+        baselines._select(p, [389])
+        assert len(walks) == 4, walks
+
     @staticmethod
     def pooled_cases(rng, d, sizes):
         """Unit rows of pooled sets of the given sizes: independent rows,

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,12 +16,13 @@ import adaptscore
 from adaptscore import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    embed_core,
     oracle_score,
     pas,
     pas_avg_pairwise,
     pas_euclidean,
 )
-from adaptscore.cli import main
+from adaptscore.cli import _write_score_json, main
 from adaptscore.formats import (
     REPORT_SCHEMA,
     load_embeddings,
@@ -127,6 +129,20 @@ class TestScoreCommand:
             rows = [dataclasses.asdict(b) for b in result.breakdown]
             want = json.dumps({"method": method, "value": result.value, "breakdown": rows})
             assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 14, 15])
+    def test_json_written_block_by_block(self, rng, monkeypatch, n):
+        # 7-row blocks: rows cross block edges, and n = 7 and 14 end on one.
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
+        source = LabeledEmbeddingSet(EmbeddingSet(rng.standard_normal((9, 4))), np.arange(9) % 3, 3)
+        result = pas(source, EmbeddingSet(rng.standard_normal((n, 4))))
+        out = io.StringIO()
+        _write_score_json(out, "pas", result.value, result)
+        rows = [dataclasses.asdict(b) for b in result.breakdown]
+        assert out.getvalue() == json.dumps({"method": "pas", "value": result.value, "breakdown": rows}) + "\n"
+        out = io.StringIO()
+        _write_score_json(out, "mmd", 0.25, 0.25)
+        assert out.getvalue() == json.dumps({"method": "mmd", "value": 0.25}) + "\n"
 
     def test_oracle_needs_labels(self, axes_fixture, capsys):
         code = main([

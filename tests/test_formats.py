@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,49 @@ class TestSaveArrayLike:
         assert not (tmp_path / "bad").exists()
 
 
+class TestBlockwiseWriters:
+    """The writers convert and write one _BLOCK_ROWS block of rows at a
+    time, with the bytes of a whole-matrix conversion."""
+
+    @staticmethod
+    def inputs(rng, n):
+        x = rng.standard_normal((n, 5))
+        return x, x.astype(np.float32), rng.integers(-1_000, 1_000, (n, 5))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])  # below, at and one past the 7-row block
+    def test_pemb_bytes_are_the_whole_matrix_conversion(self, tmp_path, rng, monkeypatch, n):
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
+        for x in self.inputs(rng, n):
+            save_embeddings(tmp_path / "e.pemb", EmbeddingSet(x))
+            header = struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, n, 5)
+            assert (tmp_path / "e.pemb").read_bytes() == header + x.astype("<f4").tobytes(), x.dtype
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_csv_bytes_are_the_whole_matrix_conversion(self, tmp_path, rng, monkeypatch, n):
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
+        for x in self.inputs(rng, n):
+            save_embeddings_csv(tmp_path / "e.csv", EmbeddingSet(x))
+            want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x.astype(np.float32))
+            assert (tmp_path / "e.csv").read_text() == want, x.dtype
+
+    def test_pemb_memory_is_one_block(self, tmp_path, rng, monkeypatch):
+        # A float64 set of n and of 2n rows: the writer's traced peak is
+        # bounded by two float32 blocks plus slack, whatever n.
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 1_024)
+        block = 1_024 * 64 * 4
+        peaks = []
+        for n in (10_000, 20_000):
+            e = EmbeddingSet(rng.standard_normal((n, 64)))
+            tracemalloc.start()
+            try:
+                save_embeddings(tmp_path / "e.pemb", e)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * block + (64 << 10), peaks
+        assert peaks[1] < peaks[0] + (64 << 10), peaks
+
+
 class TestCsv:
     def test_equivalent_to_pemb(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -213,6 +257,23 @@ class TestLabels:
         p.write_bytes(blob)
         with pytest.raises(error):
             load_labels(p)
+
+    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, -1, 2], [0, 1, 2**32 + 3], [0, 2**64], [[0, 1], [1, 0]]],
+        ids=["negative", "beyond-u32", "beyond-i64", "2-d"],
+    )
+    def test_writers_reject_labels_they_cannot_store(self, tmp_path, save, labels):
+        with pytest.raises(ValueError):
+            save(tmp_path / "l", labels)
+        assert not (tmp_path / "l").exists()
+
+    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
+    def test_writers_store_the_whole_plbl_range(self, tmp_path, save):
+        labels = [0, 2**32 - 1, 7]
+        save(tmp_path / "l", labels)
+        np.testing.assert_array_equal(load_labels(tmp_path / "l"), labels)
 
     def test_label_beyond_u32_rejected(self, tmp_path):
         p = tmp_path / "l.txt"
