@@ -19,6 +19,7 @@ from .embed_core import (
     _block_ranges,
     _class_sums,
     _gram_to_distance,
+    _row_pass,
     _run_blocks,
     _unit_rows,
 )
@@ -84,28 +85,40 @@ def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
     return _gram_to_distance(XA @ XB.T, metric)
 
 
-def _unit_key(e: EmbeddingSet) -> int:
-    """blake2b-64 of the bytes of the unit rows of `e`, hashed one
-    normalized row block at a time, so no n x d float64 copy exists.
-    Raises ZeroVector at the lowest zero row."""
+def _unit_key(e) -> int:
+    """blake2b-64 of the bytes of the unit rows of the row source `e`,
+    hashed in row order by one serial pass (_row_pass) that normalizes a
+    block at a time, so one float64 block exists at once. Raises
+    ZeroVector at the lowest zero row."""
     key = hashlib.blake2b(digest_size=8)
-    for lo, hi in _block_ranges(e.n):
-        key.update(_unit_rows(e.data[lo:hi], lo))
+    _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)), serial=True)
     return int.from_bytes(key.digest(), "little")
 
 
-def _unit_sample(e: EmbeddingSet, cap: int, seed: int, out: np.ndarray) -> None:
-    """Write the unit rows of `e` to `out`; above `cap` rows, `cap` of them
-    in their original order, drawn with a seed keyed on the unit rows'
-    digest (_unit_key) so argument order cannot change the draw. Only the
-    drawn rows are normalized again; the lowest zero row raises ZeroVector
-    either way.
+def _unit_sample(e, cap: int, seed: int, out: np.ndarray) -> None:
+    """Write the unit rows of the row source `e` (n, dim, reader()) to
+    `out`; above `cap` rows, `cap` of them in their original order, drawn
+    with a seed keyed on the unit rows' digest (_unit_key) so argument
+    order cannot change the draw. A pass (_row_pass) then normalizes each
+    block's drawn rows straight into their rows of `out`; _unit_rows is
+    per row, so they are the bits of the whole matrix's unit rows. The
+    lowest zero row raises ZeroVector either way.
     """
     if e.n <= cap:
-        _unit_rows(e.data, out=out)
+
+        def copy(lo, raw):
+            _unit_rows(raw, lo, out=out[lo : lo + raw.shape[0]])
+
     else:
         rng = np.random.default_rng([seed, _unit_key(e)])
-        _unit_rows(e.data[np.sort(rng.choice(e.n, size=cap, replace=False))], out=out)
+        take = np.sort(rng.choice(e.n, size=cap, replace=False))
+
+        def copy(lo, raw):
+            a, b = np.searchsorted(take, [lo, lo + raw.shape[0]])
+            if b > a:
+                _unit_rows(raw[take[a:b] - lo], out=out[a:b])
+
+    _row_pass(e, copy)
 
 
 def _order_halves(p: np.ndarray, h: int) -> None:
@@ -124,15 +137,17 @@ def _order_halves(p: np.ndarray, h: int) -> None:
             p[h + lo : h + hi] = block
 
 
-def _pooled_sample(source: EmbeddingSet, target: EmbeddingSet, cap: int, seed: int, least: int):
-    """(p, na): the unit rows of both domains, each capped at `cap` rows by
-    _unit_sample, in the two halves of one float64 matrix p whose first na
-    rows are the smaller half. Equal halves are ordered by their bytes
-    (_order_halves), so p does not depend on which domain is the source.
+def _pooled_sample(source, target, cap: int, seed: int, least: int):
+    """(p, na): the unit rows of both domains, each a row source capped at
+    `cap` rows by _unit_sample, in the two halves of one float64 matrix p
+    whose first na rows are the smaller half. Equal halves are ordered by
+    their bytes (_order_halves), so p does not depend on which domain is
+    the source. A domain costs its drawn rows in p plus the blocks of its
+    passes, however many rows it has.
 
     Raises DimensionMismatch, TooFewSamples below `least` rows per domain,
     and ZeroVector at the lowest zero row of the source before any of the
-    target's.
+    target's; within a domain a non-finite value wins (_row_pass).
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
@@ -280,10 +295,11 @@ def _select_windowed(p: np.ndarray, ranks):
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
-    Domains above cfg.max_samples_per_domain are subsampled with a seed
-    keyed on each domain's unit-row digest, into one pooled matrix in a
-    canonical order (_pooled_sample), so the estimate is exactly symmetric
-    in its arguments.
+    Either domain may be any row source, such as a streamed
+    formats.PembRows. Domains above cfg.max_samples_per_domain are
+    subsampled with a seed keyed on each domain's unit-row digest, into one
+    pooled matrix in a canonical order (_pooled_sample), so the estimate is
+    exactly symmetric in its arguments.
 
     The block runner walks the pooled rows in row blocks over the upper
     triangle of their pairwise squared distances s = max(2 - 2 x.y, 0),
@@ -338,13 +354,14 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     equal-size samples, folded so e <= 1/2.
 
     As in Ben-David et al., both samples have m = min(n_s, n_t) unit rows,
-    drawn by MMD's sampler (_pooled_sample); a probe that calls every row
-    one domain then has error 1/2 and scores 0. The first half of the
-    pooled matrix is labeled -1 and the second +1, so every step depends on
-    the pooled matrix alone and swapping the arguments returns the
-    identical score. One permutation seeded with cfg.seed picks the same
-    m // 2 training positions in both halves; the rest are held out.
-    Memory is the pooled matrix plus one copy of the training rows.
+    drawn from the two row sources by MMD's sampler (_pooled_sample); a
+    probe that calls every row one domain then has error 1/2 and scores 0.
+    The first half of the pooled matrix is labeled -1 and the second +1, so
+    every step depends on the pooled matrix alone and swapping the
+    arguments returns the identical score. One permutation seeded with
+    cfg.seed picks the same m // 2 training positions in both halves; the
+    rest are held out. Memory is the pooled matrix plus one copy of the
+    training rows.
     """
     m = min(source.n, target.n)
     p, _ = _pooled_sample(source, target, m, cfg.seed, 4)

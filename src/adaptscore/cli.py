@@ -20,6 +20,7 @@ from .evaluation import pearson, spearman, subsample_study
 from .formats import (
     dump_report,
     load_accuracy_csv,
+    load_embeddings,
     load_manifest,
     open_embeddings,
     save_embeddings,
@@ -182,7 +183,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_substudy(args) -> int:
     manifest = load_manifest(args.manifest)
-    target_emb, _ = load_target(manifest["target"])
+    # Loaded whole: the study draws fractions x repeats x candidates subsamples.
+    target_emb, _ = load_target(manifest["target"], load_embeddings)
     sources = [load_candidate(c) for c in manifest["candidates"]]
     ids = [c["id"] for c in manifest["candidates"]]
     fractions = [float(f) for f in args.fractions.split(",")]

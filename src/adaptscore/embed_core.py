@@ -110,6 +110,52 @@ def _run_blocks(fn, ranges, block_bytes: int = 0):
         pool.shutdown(cancel_futures=True)
 
 
+def _row_pass(source, fn, serial: bool = False) -> None:
+    """Call fn(lo, raw) on each row block lo:hi of `source`, a row source:
+    n, dim and reader(), a context manager giving read(lo, hi), the finite
+    raw rows lo:hi (EmbeddingSet gives views of its data; formats.PembRows
+    reads each block from its file and raises NonFiniteValue as it goes).
+    The blocks run on the block runner, or in block order on the calling
+    thread when `serial` (for a fn that must see them in order).
+
+    A ZeroVector that fn raises is held until the pass ends, so a
+    non-finite value anywhere wins over it; then the one of the lowest
+    block is raised. Every pass over a target's rows, the scorers' and the
+    baselines' sampler's, keeps this order here.
+    """
+
+    def block(lo, hi):
+        raw = read(lo, hi)
+        try:
+            fn(lo, raw)
+        except ZeroVector as exc:
+            return exc
+        return None
+
+    ranges = _block_ranges(source.n)
+    with source.reader() as read:
+        blocks = (block(lo, hi) for lo, hi in ranges) if serial else _run_blocks(block, ranges)
+        zeros = [z for z in blocks if z is not None]
+    if zeros:
+        raise zeros[0]
+
+
+def _integer_labels(labels) -> np.ndarray:
+    """`labels` as an int64 array, or ValueError for a value that is not an
+    int64 integer: a fractional or non-finite float, which the cast would
+    truncate (integral floats such as 2.0 pass), a string, or a Python int
+    beyond int64 (an object array)."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind == "f":
+        ok = (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)  # False for NaN and inf
+        if not ok.all():
+            i = int(np.argmin(ok.ravel()))
+            raise ValueError(f"label {arr.ravel()[i].item()!r} at index {i} is not an int64 integer")
+    elif arr.dtype.kind not in "biu":
+        raise ValueError(f"labels of dtype {arr.dtype} are not int64 integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _gram_to_distance(g: np.ndarray, metric: str) -> np.ndarray:
     """The dot products g of unit rows turned into distances in place:
     "cosine" is 1 - g clipped to [0, 2], "sqeuclidean" is max(2 - 2 g, 0)
@@ -200,7 +246,7 @@ class LabeledEmbeddingSet:
     require_all_classes: bool = True
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _integer_labels(self.labels)
         if labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
         if labels.shape[0] != self.embeddings.n:

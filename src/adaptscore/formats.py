@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape
+from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape, _integer_labels
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 
 PEMB_MAGIC = b"PEMB"
@@ -165,12 +165,10 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def _plbl_labels(labels) -> np.ndarray:
-    """`labels` as a 1-D int64 array, or ValueError for another shape or a
-    label outside the PLBL range [0, 2**32)."""
-    try:
-        labels = np.asarray(labels, dtype=np.int64)
-    except OverflowError:  # a Python int beyond int64
-        raise ValueError("a label is outside the PLBL range [0, 2**32)") from None
+    """`labels` as a 1-D int64 array, or ValueError for a value that is not
+    an integer (_integer_labels), another shape or a label outside the
+    PLBL range [0, 2**32)."""
+    labels = _integer_labels(labels)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
     bad = (labels < 0) | (labels >= 2**32)
@@ -252,8 +250,8 @@ def load_manifest(path) -> dict:
 def _check_manifest(manifest) -> dict:
     """`manifest`, or ManifestError unless it has a "target" object, a
     non-empty list of "candidates" (each with a unique string "id" and
-    "emb"/"labels" files or a "synth" config), and optional "methods",
-    "seed" and "max_samples"."""
+    "emb"/"labels" files or a "synth" config), and optional "methods" (a
+    non-empty list of unique names), "seed" and "max_samples"."""
     manifest_field(manifest, "target", "manifest", dict)
     candidates = manifest_field(manifest, "candidates", "manifest", list)
     if not candidates:
@@ -261,9 +259,11 @@ def _check_manifest(manifest) -> dict:
     ids = [manifest_field(c, "id", f"candidate {i}", str) for i, c in enumerate(candidates)]
     if len(ids) != len(set(ids)):
         raise ManifestError("candidate ids must be unique")
-    methods = manifest.get("methods", [])
+    methods = manifest.get("methods", ["pas"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ManifestError("manifest 'methods' is not a JSON list of strings")
+    if not methods or len(methods) != len(set(methods)):
+        raise ManifestError("manifest 'methods' must be a non-empty list of unique names")
     for key in ("seed", "max_samples"):
         if type(manifest.get(key, 0)) is not int:  # not a float, bool or string
             raise ManifestError(f"manifest {key!r} is not an integer")

@@ -8,10 +8,17 @@ from typing import Callable
 
 from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet
+from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import CandidateScoreRow, rank_candidates
-from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, manifest_field
+from .formats import (
+    REPORT_SCHEMA,
+    _check_manifest,
+    load_embeddings,
+    load_labels,
+    manifest_field,
+    open_embeddings,
+)
 from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
@@ -26,12 +33,6 @@ class Method:
     score: Callable
     needs_target_labels: bool = False
     negated: bool = False
-
-
-def _in_memory(target) -> EmbeddingSet:
-    """The target as an EmbeddingSet: the baselines draw random rows, so a
-    streamed PembRows target is loaded whole for them."""
-    return target if isinstance(target, EmbeddingSet) else target.load()
 
 
 # The entries call the scorers through their module-global names at call
@@ -49,13 +50,13 @@ METHODS = {
     ),
     "mmd": Method(
         lambda s, t, _labels, seed, cap: mmd_gaussian(
-            s.embeddings, _in_memory(t), MmdConfig(max_samples_per_domain=cap, seed=seed)
+            s.embeddings, t, MmdConfig(max_samples_per_domain=cap, seed=seed)
         ),
         negated=True,
     ),
     "adist": Method(
         lambda s, t, _labels, seed, _cap: proxy_a_distance(
-            s.embeddings, _in_memory(t), ProxyClassifierConfig(seed=seed)
+            s.embeddings, t, ProxyClassifierConfig(seed=seed)
         ),
         negated=True,
     ),
@@ -83,10 +84,14 @@ def load_source(emb_path, labels_path) -> LabeledEmbeddingSet:
     return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
 
 
-def load_target(spec) -> tuple:
-    """Target descriptor -> (EmbeddingSet, labels-or-None).
+def load_target(spec, opener=None) -> tuple:
+    """Target descriptor -> (row source, labels-or-None).
 
     A {"synth": cfg} entry yields the target half of the generated pair.
+    A file entry is read by `opener`, open_embeddings when None: a PEMB
+    target is then only opened here, and each method's passes read its
+    rows. load_embeddings loads it whole, for a caller that reads it many
+    times.
     A label file must hold one label per target row (LabelCountMismatch),
     whether or not a method reads it.
     """
@@ -94,7 +99,7 @@ def load_target(spec) -> tuple:
         cfg = SynthConfig.from_dict(manifest_field(spec, "synth", "target", dict))
         _, target = generate_pair(cfg)
         return target.embeddings, target.labels
-    emb = load_embeddings(manifest_field(spec, "emb", "target", str))
+    emb = (opener or open_embeddings)(manifest_field(spec, "emb", "target", str))
     if "labels" not in spec:
         return emb, None
     return emb, load_labels_for(manifest_field(spec, "labels", "target", str), emb.n)
@@ -123,13 +128,14 @@ def load_candidate(entry) -> LabeledEmbeddingSet:
 
 def score_candidate(
     source: LabeledEmbeddingSet,
-    target: EmbeddingSet,
+    target,
     methods,
     target_labels=None,
     seed: int = 0,
     max_samples: int = 10_000,
 ) -> dict:
-    """{method: raw score} of one source against the target."""
+    """{method: raw score} of one source against the target, a row source
+    that each method reads in its own passes."""
     out = {}
     for name in methods:
         method = resolve_method(name, target_labels is not None)

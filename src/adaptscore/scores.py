@@ -30,10 +30,10 @@ from .embed_core import (
     _chunk_ranges,
     _class_sums,
     _gram_to_distance,
-    _run_blocks,
+    _row_pass,
     _unit_rows,
 )
-from .errors import DimensionMismatch, LabelOutOfRange, ZeroVector
+from .errors import DimensionMismatch, LabelOutOfRange
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,8 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
     """d1/d2/nearest/contribution columns of the raw target rows against C
     reference rows.
 
-    `target` is a row source: n, dim and reader(), a context manager giving
-    read(lo, hi), the finite raw rows lo:hi. An EmbeddingSet gives views of
-    its data; a formats.PembRows reads each block from its file and raises
-    NonFiniteValue as it goes. Each block unit-normalizes its rows in
+    `target` is a row source (n, dim and reader()), read in one pass of
+    embed_core._row_pass. Each block unit-normalizes its rows in
     cache-sized chunks (_unit_rows) into a float64 buffer that its worker
     thread keeps for the whole pass, so no normalized n x d copy exists,
     then takes one (block, d) @ (d, C) GEMM. The tail (distance transform,
@@ -131,8 +129,9 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
     nearest class is the lowest class id among minimizers (argmin returns
     the first).
 
-    A zero row is held until the pass ends, so a non-finite value anywhere
-    wins over it; then ZeroVector is raised at the lowest zero row.
+    A zero row is held until the pass ends (_row_pass), so a non-finite
+    value anywhere wins over it; then ZeroVector is raised at the lowest
+    zero row.
 
     d1 is the distance to the picked class and d2 the smallest among the
     others. Without true_labels the picked class is the nearest one, so
@@ -164,23 +163,15 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
         denom = np.maximum(b1, b2)
         np.divide(b2 - b1, denom, out=contrib[lo:hi], where=denom > 0.0)
 
-    def block(lo, hi):
+    def block(lo, raw):
         if not hasattr(local, "unit"):
             local.unit = np.empty((block_rows, target.dim))
-        raw = read(lo, hi)
-        try:
-            unit = _unit_rows(raw, lo, out=local.unit[: hi - lo])
-        except ZeroVector as exc:
-            return exc
+        unit = _unit_rows(raw, lo, out=local.unit[: raw.shape[0]])
         dist = unit @ rows.T
-        for a, b in _chunk_ranges(hi - lo, dist.shape[1]):
+        for a, b in _chunk_ranges(raw.shape[0], dist.shape[1]):
             tail(lo + a, dist[a:b])
-        return None
 
-    with target.reader() as read:
-        zeros = [e for e in _run_blocks(block, _block_ranges(n)) if e is not None]
-    if zeros:
-        raise zeros[0]
+    _row_pass(target, block)
     return d1, d2, nearest, contrib
 
 

@@ -3,6 +3,7 @@ oracle for desk-scale validation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -33,6 +34,9 @@ class SynthConfig:
         spreads = (self.intra_spread, self.shift, 0.0 if self.target_spread is None else self.target_spread)
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in spreads):
             raise ConfigInvalid("intra_spread, shift and target_spread must be numbers")
+        # JSON's NaN and Infinity literals load as floats.
+        if not all(isinstance(v, Integral) or math.isfinite(v) for v in spreads):
+            raise ConfigInvalid("intra_spread, shift and target_spread must be finite")
         if self.num_classes < 2 or self.dim < 2:
             raise ConfigInvalid("need num_classes >= 2 and dim >= 2")
         if self.n_source_per_class < 1 or self.n_target_per_class < 1:

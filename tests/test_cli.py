@@ -286,6 +286,10 @@ class TestManifestSchema:
          "seed": [5]},
         {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"},
                                                        {"id": "a", "synth": {}}]},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
+         "methods": []},
+        {"target": {"emb": "tgt.pemb"}, "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}],
+         "methods": ["pas", "pas"]},
     ])
     def test_malformed_manifest_is_a_format_error(self, readme_dir, capsys, manifest):
         (readme_dir / "m.json").write_text(json.dumps(manifest))
@@ -488,6 +492,8 @@ class TestSynthCommand:
         dict(synth_entry(3), colour="red"),
         dict(synth_entry(3), dim="8"),
         dict(synth_entry(3), n_source_per_class=True),
+        dict(synth_entry(3), intra_spread=float("nan")),
+        dict(synth_entry(3), shift=float("inf")),
     ])
     def test_bad_config_is_config_invalid(self, tmp_path, capsys, config):
         cpath = tmp_path / "cfg.json"

@@ -227,6 +227,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             EmbeddingSet(np.empty((0, 3)))
 
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 2.9], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], ["0", "1", "2"]]
+    )
+    def test_non_integral_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="not .*int64 integer"):
+            LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), labels, 3)
+
+    def test_integral_float_labels_accepted(self):
+        s = LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), [0.0, 1.0, 2.0], 3)
+        assert s.labels.dtype == np.int64 and s.labels.tolist() == [0, 1, 2]
+
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0]]), [0, 1], 2)

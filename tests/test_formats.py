@@ -261,13 +261,18 @@ class TestLabels:
     @pytest.mark.parametrize("save", [save_labels, save_labels_text])
     @pytest.mark.parametrize(
         "labels",
-        [[0, 1, -1, 2], [0, 1, 2**32 + 3], [0, 2**64], [[0, 1], [1, 0]]],
-        ids=["negative", "beyond-u32", "beyond-i64", "2-d"],
+        [[0, 1, -1, 2], [0, 1, 2**32 + 3], [0, 2**64], [[0, 1], [1, 0]], [0.5, 1.7, 2.0], [0.0, np.nan]],
+        ids=["negative", "beyond-u32", "beyond-i64", "2-d", "fractional", "nan"],
     )
     def test_writers_reject_labels_they_cannot_store(self, tmp_path, save, labels):
         with pytest.raises(ValueError):
             save(tmp_path / "l", labels)
         assert not (tmp_path / "l").exists()
+
+    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
+    def test_writers_take_integral_floats(self, tmp_path, save):
+        save(tmp_path / "l", [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(load_labels(tmp_path / "l"), [0, 1, 2])
 
     @pytest.mark.parametrize("save", [save_labels, save_labels_text])
     def test_writers_store_the_whole_plbl_range(self, tmp_path, save):

@@ -1,6 +1,7 @@
-"""PEMB targets streamed through the PAS block kernel (formats.PembRows):
-the same bits as the in-memory path, the error contract of a pass that
-checks its rows block by block, and memory that stays flat in n."""
+"""PEMB targets streamed as a row source (formats.PembRows) through the
+PAS block kernel and the baselines' sampler, by `score` and `rank`: the
+same bits as the in-memory path, the error contract of a pass that checks
+its rows block by block, and memory that stays flat in n."""
 
 import json
 import sys
@@ -9,21 +10,39 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptscore import EmbeddingSet, LabeledEmbeddingSet, embed_core, formats, scores
+from adaptscore import (
+    EmbeddingSet,
+    LabeledEmbeddingSet,
+    MmdConfig,
+    ProxyClassifierConfig,
+    embed_core,
+    formats,
+    mmd_gaussian,
+    proxy_a_distance,
+    scores,
+)
 from adaptscore.cli import main
 from adaptscore.errors import NonFiniteValue, TruncatedFile, ZeroVector
 from adaptscore.formats import (
     PembRows,
+    load_embeddings,
     open_embeddings,
     save_embeddings,
     save_embeddings_csv,
     save_labels,
 )
+from adaptscore.reporting import METHODS
 from adaptscore.scores import oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled
 
 BLOCK = 7
 SCORERS = {"pas": pas, "pas_euclidean": pas_euclidean, "pas_avg_pairwise": pas_avg_pairwise}
+# The baselines at a cap: MMD draws `cap` rows of a larger domain, and the
+# proxy draws min(n_s, n_t) rows of each.
+BASELINES = {
+    "mmd": lambda s, t, cap: mmd_gaussian(s, t, MmdConfig(max_samples_per_domain=cap, seed=3)),
+    "adist": lambda s, t, _cap: proxy_a_distance(s, t, ProxyClassifierConfig(epochs=20, seed=3)),
+}
 
 
 @pytest.fixture
@@ -56,6 +75,13 @@ def _score_argv(tmp_path, method, target="tgt.pemb", *extra):
 
 def _write_target(path, data):
     save_embeddings(path, EmbeddingSet(data))
+    return open_embeddings(path)
+
+
+def _bad_target(path, data):
+    """A PEMB file of `data` written raw, so it may hold non-finite values."""
+    data = np.asarray(data, dtype="<f4")
+    path.write_bytes(formats.PEMB_HEADER.pack(b"PEMB", 1, 0, *data.shape) + data.tobytes())
     return open_embeddings(path)
 
 
@@ -92,10 +118,12 @@ def test_streamed_bit_identical_to_in_memory(files, method, threads, monkeypatch
 def test_shared_file_under_many_workers(files, monkeypatch):
     """Eight workers on two-row blocks with a short switch interval share
     one file; a read that lost its seek to another thread would put a
-    wrong row in the columns."""
+    wrong row in the columns, or a wrong drawn row in MMD's pooled rows."""
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 2)
     tmp_path, source, target = files
-    want = _columns(pas(source, EmbeddingSet(target.embeddings.data.astype(np.float32))))
+    in_memory = EmbeddingSet(target.embeddings.data.astype(np.float32))
+    want = _columns(pas(source, in_memory))
+    want_mmd = BASELINES["mmd"](source.embeddings, in_memory, 12)
     monkeypatch.setenv("ADAPTSCORE_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -104,6 +132,8 @@ def test_shared_file_under_many_workers(files, monkeypatch):
             got = _columns(pas(source, open_embeddings(tmp_path / "tgt.pemb")))
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w, strict=True)
+            streamed = open_embeddings(tmp_path / "tgt.pemb")
+            assert BASELINES["mmd"](source.embeddings, streamed, 12) == want_mmd
     finally:
         sys.setswitchinterval(interval)
 
@@ -129,15 +159,12 @@ def test_non_finite_in_a_later_block_beats_a_zero_row(files, threads, monkeypatc
     data = target.embeddings.data.copy()
     data[3] = 0.0
     data[2 * BLOCK + 4, 6] = np.nan
-    path = tmp_path / "bad.pemb"
-    path.write_bytes(formats.PEMB_HEADER.pack(b"PEMB", 1, 0, *data.shape) + data.astype("<f4").tobytes())
     with pytest.raises(NonFiniteValue) as info:
-        pas(source, open_embeddings(path))
+        pas(source, _bad_target(tmp_path / "bad.pemb", data))
     assert (info.value.row, info.value.col) == (2 * BLOCK + 4, 6)
     data[2 * BLOCK + 4, 6] = 1.0
-    _write_target(path, data)
     with pytest.raises(ZeroVector) as zero:
-        pas(source, open_embeddings(path))
+        pas(source, _bad_target(tmp_path / "bad.pemb", data))
     assert zero.value.row_index == 3
 
 
@@ -148,10 +175,8 @@ def test_lowest_non_finite_wins_across_workers(files, monkeypatch):
     data = target.embeddings.data.astype("<f4")
     data[4 * BLOCK + 1, 0] = np.inf
     data[BLOCK + 5, 8] = np.nan
-    path = tmp_path / "bad.pemb"
-    path.write_bytes(formats.PEMB_HEADER.pack(b"PEMB", 1, 0, *data.shape) + data.tobytes())
     with pytest.raises(NonFiniteValue) as info:
-        pas(source, open_embeddings(path))
+        pas(source, _bad_target(tmp_path / "bad.pemb", data))
     assert (info.value.row, info.value.col) == (BLOCK + 5, 8)
 
 
@@ -218,3 +243,130 @@ def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
             tracemalloc.stop()
     assert peaks[14] - peaks[7] <= 32 * 7 * block + 8192, peaks
     assert peaks[7] < 4 * block * dim * 8, peaks  # a few block buffers
+
+
+def _rank_manifest(tmp_path, methods, candidate_labels="src.plbl"):
+    manifest = {
+        "target": {"emb": str(tmp_path / "tgt.pemb"), "labels": str(tmp_path / "tgt.plbl")},
+        "candidates": [
+            {"id": "a", "emb": str(tmp_path / "src.pemb"), "labels": str(tmp_path / candidate_labels)}
+        ],
+        "methods": methods,
+        "max_samples": 12,
+    }
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return str(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("method", ["mmd", "adist"])
+def test_baselines_streamed_bit_identical_to_in_memory(files, method, threads, monkeypatch):
+    """The 40-row target is above both caps (12 rows for MMD, the other
+    domain's 25 for the proxy), so its hash pass and its draw pass run
+    over six blocks; the streamed side may be either argument."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    tmp_path, source, target = files
+    other = EmbeddingSet(source.embeddings.data[:25])
+    streamed = open_embeddings(tmp_path / "tgt.pemb")
+    in_memory = EmbeddingSet(target.embeddings.data.astype(np.float32))
+    score = BASELINES[method]
+    want = score(other, in_memory, 12).hex()
+    assert score(other, streamed, 12).hex() == want
+    assert score(streamed, other, 12).hex() == want
+
+
+@pytest.mark.parametrize("drawn", [True, False], ids=["draw", "copy"])
+@pytest.mark.parametrize("method", ["mmd", "adist"])
+def test_baselines_non_finite_in_a_later_block_beats_a_zero_row(files, method, drawn, monkeypatch):
+    """As in the PAS kernel: a zero row in block 0 is held until the pass
+    ends, so the NaN in block 2 is reported, whether the target is drawn
+    from (its hash pass) or copied whole (its one copy pass)."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    tmp_path, source, target = files
+    other = EmbeddingSet(source.embeddings.data[: 25 if drawn else 60])
+    cap = 12 if drawn else 100
+    data = target.embeddings.data.copy()
+    data[3] = 0.0
+    data[2 * BLOCK + 4, 6] = np.nan
+    with pytest.raises(NonFiniteValue) as info:
+        BASELINES[method](other, _bad_target(tmp_path / "bad.pemb", data), cap)
+    assert (info.value.row, info.value.col) == (2 * BLOCK + 4, 6)
+    data[2 * BLOCK + 4, 6] = 1.0
+    with pytest.raises(ZeroVector) as zero:
+        BASELINES[method](_bad_target(tmp_path / "bad.pemb", data), other, cap)
+    assert zero.value.row_index == 3
+
+
+@pytest.mark.parametrize("method", ["pas", "mmd", "adist"])
+def test_cli_reports_the_non_finite_value_of_a_streamed_target(files, method, monkeypatch, capsys):
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    tmp_path, _, target = files
+    data = target.embeddings.data.copy()
+    data[3] = 0.0
+    data[2 * BLOCK + 4, 6] = np.nan
+    _bad_target(tmp_path / "tgt.pemb", data)
+    assert main(_score_argv(tmp_path, method)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteValue"
+    argv = ["rank", "--manifest", _rank_manifest(tmp_path, [method]), "--out", str(tmp_path / "r.json")]
+    assert main([*argv, "--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteValue"
+
+
+def test_rank_loads_the_candidate_before_it_reads_the_target(files, capsys):
+    """A rank target is only opened up front; its NaN is found in the first
+    candidate's pass, so a missing candidate file is reported first."""
+    tmp_path, _, target = files
+    data = target.embeddings.data.copy()
+    data[5, 1] = np.nan
+    _bad_target(tmp_path / "tgt.pemb", data)
+    for labels, error in (("missing.plbl", "FileNotFoundError"), ("src.plbl", "NonFiniteValue")):
+        manifest = _rank_manifest(tmp_path, ["pas"], candidate_labels=labels)
+        assert main(["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json"), "--json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_only_substudy_loads_a_streamed_target(files, monkeypatch, capsys):
+    """score --method mmd/adist and a rank of every method read the PEMB
+    target as a row source; substudy, which draws many subsamples of it,
+    asks for it whole. Candidates are always loaded."""
+    tmp_path, _, _ = files
+    load = PembRows.load
+    loads = []
+    monkeypatch.setattr(PembRows, "load", lambda self: loads.append(self.path.name) or load(self))
+    for method in ("mmd", "adist"):
+        assert main(_score_argv(tmp_path, method)) == 0
+    manifest = _rank_manifest(tmp_path, list(METHODS))
+    assert main(["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
+    assert loads == ["src.pemb"] * 3
+    loads.clear()
+    argv = ["substudy", "--manifest", manifest, "--fractions", "0.5,1.0", "--repeats", "2"]
+    assert main([*argv, "--out", str(tmp_path / "s.json")]) == 0
+    assert loads == ["tgt.pemb", "src.pemb"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("method", ["mmd", "adist"])
+def test_baseline_peak_is_flat_in_n(tmp_path, rng, monkeypatch, method, threads):
+    """Traced peak of a baseline on a 7-block and a 14-block streamed
+    target, both above its cap of 150 rows: the pooled matrix holds 300
+    rows either way, so the larger target may cost one float64 block
+    (512 KiB) more at most, where a float32 copy of its extra 1,792 rows
+    would take 1.75 MiB."""
+    block, dim = 256, 256
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    other = EmbeddingSet(rng.standard_normal((150, dim)))
+    peaks = {}
+    for blocks in (7, 14):
+        target = _write_target(tmp_path / f"t{blocks}.pemb", rng.standard_normal((blocks * block, dim)))
+        BASELINES[method](other, target, 150)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            BASELINES[method](other, target, 150)
+            peaks[blocks] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[14] - peaks[7]) <= block * dim * 8, peaks

@@ -45,6 +45,10 @@ class TestGeneratePair:
             cfg(intra_spread=-0.1)
         with pytest.raises(ConfigInvalid):
             cfg(n_target_per_class=0)
+        for key in ("intra_spread", "shift", "target_spread"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigInvalid):
+                    cfg(**{key: value})
 
     def test_config_round_trips_through_dict(self):
         c = cfg(target_spread=0.5)
