@@ -26,8 +26,9 @@ from .embed_core import (
 from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples
 
 # Entries of one silhouette distance block (block rows x n, float64): the
-# row block shrinks as n grows so the block stays near 128 MB.
-_SILHOUETTE_BLOCK_ENTRIES = 2**24
+# row block shrinks as n grows so the block stays near 64 MB, and the two
+# blocks in flight near 128 MB.
+_SILHOUETTE_BLOCK_ENTRIES = 2**23
 
 # Rows of one MMD pairwise block (rows x pooled n, float64): 20 MB at the
 # default cap's 20,000 pooled rows.
@@ -91,7 +92,8 @@ def _unit_key(e) -> int:
     block at a time, so one float64 block exists at once. Raises
     ZeroVector at the lowest zero row."""
     key = hashlib.blake2b(digest_size=8)
-    _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)), serial=True)
+    unit_bytes = 8 * _block_ranges(e.n)[0][1] * e.dim
+    _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)), unit_bytes, serial=True)
     return int.from_bytes(key.digest(), "little")
 
 
@@ -118,7 +120,7 @@ def _unit_sample(e, cap: int, seed: int, out: np.ndarray) -> None:
             if b > a:
                 _unit_rows(raw[take[a:b] - lo], out=out[a:b])
 
-    _row_pass(e, copy)
+    _row_pass(e, copy, 8 * _block_ranges(e.n)[0][1] * e.dim)
 
 
 def _order_halves(p: np.ndarray, h: int) -> None:
@@ -170,7 +172,8 @@ def _upper_blocks(p: np.ndarray, reduce):
     below the diagonal, so each pair of rows appears once over all blocks.
     reduce may overwrite s and should return something small; a block
     lives only while its reduce runs, and the runner keeps no more blocks
-    in flight than one per worker and than fit in its byte budget.
+    in flight than one per worker and than fit in its byte budget (two at
+    least).
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
     multiplies a block by its own transpose, so no product of the whole
@@ -396,7 +399,7 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
     block's distances to all n rows; the block has at most
     _SILHOUETTE_BLOCK_ENTRIES // n rows, so its memory stays bounded as n
     grows instead of reaching n x n (such a block exceeds the budget, so
-    these blocks run one at a time).
+    two of these blocks run at a time, the runner's floor).
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigInvalid(f"unknown metric {metric!r}")

@@ -38,10 +38,10 @@ EPS_NORM = 1e-12
 # GEMM shape is part of the bit-identity contract; BLAS picks its path by
 # row count.
 _BLOCK_ROWS = 8192
-# Bytes that the blocks in flight of one walk may hold together when the
-# walk gives its block size to the block runner (MMD's triangle walks and
-# the silhouette), so their memory does not grow with the CPU count: two
-# blocks of MMD's walk at its default cap (20,000 pooled rows).
+# Bytes that the blocks in flight of one pass may hold together, or two
+# blocks when one is larger (so that a 56 MB PAS block at 512-d and 345
+# classes does not make PAS serial): no pass's memory grows with the CPU
+# count. Two blocks of MMD's walk fit at its default cap (20,000 rows).
 _FLIGHT_BYTES = 48 << 20
 # float64 entries (256 KB) of the row chunks that normalization and the
 # scorers' top-2 tail walk within a block, so their temporaries stay in cache.
@@ -75,24 +75,20 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(fn, ranges, block_bytes: int = 0):
+def _run_blocks(fn, ranges, block_bytes: int):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
-    This is the one parallel runner: up to worker_count() blocks run at
-    once on a thread pool (BLAS itself runs single-threaded, see the
-    package __init__), and no more than that are in flight, so memory is
-    O(workers) blocks. A caller that gives `block_bytes`, the memory of
-    its largest block, gets no more blocks in flight than fit in
-    _FLIGHT_BYTES (one at least), so its memory stays bounded on any
-    number of CPUs. Results come back in block order whatever finishes
-    first, so a consumer that combines them in order gets the same bits
-    at any worker count. A consumer that stops early closes the generator:
-    blocks not yet started are cancelled and running ones are waited for.
-    The exception of the lowest block that raised one escapes at its turn.
+    This is the one parallel runner: blocks run on a thread pool (BLAS
+    itself runs single-threaded, see the package __init__), at most
+    worker_count() at once and no more than fit in _FLIGHT_BYTES at
+    `block_bytes`, the memory of the caller's largest block, but two at
+    least. Results come back in block order whatever finishes first, so a
+    consumer that combines them in order gets the same bits at any worker
+    count. A consumer that stops early closes the generator: blocks not yet
+    started are cancelled and running ones are waited for. The exception
+    of the lowest block that raised one escapes at its turn.
     """
-    workers = min(worker_count(), len(ranges))
-    if block_bytes:
-        workers = min(workers, max(1, _FLIGHT_BYTES // block_bytes))
+    workers = min(worker_count(), len(ranges), max(2, _FLIGHT_BYTES // block_bytes))
     if workers <= 1:
         for lo, hi in ranges:
             yield fn(lo, hi)
@@ -110,13 +106,14 @@ def _run_blocks(fn, ranges, block_bytes: int = 0):
         pool.shutdown(cancel_futures=True)
 
 
-def _row_pass(source, fn, serial: bool = False) -> None:
+def _row_pass(source, fn, block_bytes: int, serial: bool = False) -> None:
     """Call fn(lo, raw) on each row block lo:hi of `source`, a row source:
     n, dim and reader(), a context manager giving read(lo, hi), the finite
     raw rows lo:hi (EmbeddingSet gives views of its data; formats.PembRows
     reads each block from its file and raises NonFiniteValue as it goes).
     The blocks run on the block runner, or in block order on the calling
     thread when `serial` (for a fn that must see them in order).
+    `block_bytes` is what fn holds per block; the read buffer is added.
 
     A ZeroVector that fn raises is held until the pass ends, so a
     non-finite value anywhere wins over it; then the one of the lowest
@@ -133,8 +130,9 @@ def _row_pass(source, fn, serial: bool = False) -> None:
         return None
 
     ranges = _block_ranges(source.n)
+    block_bytes += 4 * ranges[0][1] * source.dim
     with source.reader() as read:
-        blocks = (block(lo, hi) for lo, hi in ranges) if serial else _run_blocks(block, ranges)
+        blocks = (block(lo, hi) for lo, hi in ranges) if serial else _run_blocks(block, ranges, block_bytes)
         zeros = [z for z in blocks if z is not None]
     if zeros:
         raise zeros[0]
@@ -143,16 +141,19 @@ def _row_pass(source, fn, serial: bool = False) -> None:
 def _integer_labels(labels) -> np.ndarray:
     """`labels` as an int64 array, or ValueError for a value that is not an
     int64 integer: a fractional or non-finite float, which the cast would
-    truncate (integral floats such as 2.0 pass), a string, or a Python int
+    truncate (integral floats such as 2.0 pass), a string, a uint64 value
+    above the int64 maximum, which the cast would wrap, or a Python int
     beyond int64 (an object array)."""
     arr = np.asarray(labels)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"labels of dtype {arr.dtype} are not int64 integers")
     if arr.dtype.kind == "f":
         ok = (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)  # False for NaN and inf
-        if not ok.all():
-            i = int(np.argmin(ok.ravel()))
-            raise ValueError(f"label {arr.ravel()[i].item()!r} at index {i} is not an int64 integer")
-    elif arr.dtype.kind not in "biu":
-        raise ValueError(f"labels of dtype {arr.dtype} are not int64 integers")
+    else:
+        ok = arr <= np.iinfo(np.int64).max  # only a uint64 label can exceed it
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        raise ValueError(f"label {arr.ravel()[i].item()!r} at index {i} is not an int64 integer")
     return arr.astype(np.int64, copy=False)
 
 
@@ -221,9 +222,9 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def reader(self):
-        """The row-source protocol that the scorers' block kernel reads:
-        a context manager giving read(lo, hi), the rows lo:hi (a view of
-        the data, already checked finite)."""
+        """The row-source protocol that every pass over a target reads
+        (_row_pass): a context manager giving read(lo, hi), the rows lo:hi
+        (a view of the data, already checked finite)."""
         return contextlib.nullcontext(lambda lo, hi: self.data[lo:hi])
 
 

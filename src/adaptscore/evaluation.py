@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
-from .errors import ConstantInput, LengthMismatch, MissingScore
+from .errors import ConstantInput, LengthMismatch, MissingScore, TooFewSamples
 from .scores import pas
 
 
@@ -40,7 +40,7 @@ def _validated_xy(x, y):
     if x.shape != y.shape or x.ndim != 1:
         raise LengthMismatch(x.shape[0], y.shape[0])
     if x.shape[0] < 2:
-        raise LengthMismatch(x.shape[0], y.shape[0])
+        raise TooFewSamples(2, x.shape[0])
     if np.ptp(x) == 0.0 and np.ptp(y) == 0.0:
         raise ConstantInput()
     return x, y

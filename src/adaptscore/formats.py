@@ -7,8 +7,9 @@ reserved zero bytes, n and d as u64 LE, then n*d floats row-major
 zero bytes, n as u64 LE, then n u32 LE class ids (16-byte header).
 Values are stored at 32-bit precision. A loaded PEMB file stays float32
 in memory (CSV input is float64); all arithmetic on it is float64.
-open_embeddings gives a PEMB file as PembRows instead, whose rows the PAS
-block kernel reads one block at a time.
+open_embeddings gives a PEMB file as PembRows instead, a row source whose
+rows every method's pass over a target (embed_core._row_pass) reads one
+block at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def save_embeddings_csv(path, e) -> None:
 
 class PembRows:
     """The rows of a PEMB file whose header and size open_embeddings has
-    checked: a row source for the scorers' block kernel (n, dim, reader())
+    checked: a row source (n, dim, reader()) for embed_core._row_pass
     that reads a block only when a pass asks for it. load() reads every row
     into one EmbeddingSet."""
 

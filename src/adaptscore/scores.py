@@ -171,7 +171,7 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
         for a, b in _chunk_ranges(raw.shape[0], dist.shape[1]):
             tail(lo + a, dist[a:b])
 
-    _row_pass(target, block)
+    _row_pass(target, block, 8 * block_rows * (target.dim + rows.shape[0]))
     return d1, d2, nearest, contrib
 
 

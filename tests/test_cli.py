@@ -470,6 +470,12 @@ class TestCorrErrors:
         assert captured.out == ""
         return code, json.loads(captured.err)
 
+    @pytest.mark.parametrize("accuracy", ["a,70.0\n", "c,70.0\n"], ids=["one-pair", "no-pair"])
+    def test_fewer_than_two_pairs_is_too_few_samples(self, tmp_path, capsys, accuracy):
+        code, err = self._run(tmp_path, capsys, {"rows": self.ROWS}, accuracy)
+        assert (code, err["error"]) == (3, "TooFewSamples")
+        assert "need at least 2 samples" in err["message"]
+
     @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,"])
     def test_bad_accuracy_is_ragged_csv(self, tmp_path, capsys, line):
         code, err = self._run(tmp_path, capsys, {"rows": self.ROWS}, f"a,70.0\n{line}\n")

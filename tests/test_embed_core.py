@@ -228,7 +228,14 @@ class TestContainers:
             EmbeddingSet(np.empty((0, 3)))
 
     @pytest.mark.parametrize(
-        "labels", [[0.5, 1.7, 2.9], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], ["0", "1", "2"]]
+        "labels",
+        [
+            [0.5, 1.7, 2.9],
+            [0.0, np.nan, 1.0],
+            [0.0, np.inf, 1.0],
+            ["0", "1", "2"],
+            np.array([0, 2**63 + 5, 1], dtype=np.uint64),  # not wrapped to a negative label
+        ],
     )
     def test_non_integral_labels_rejected(self, labels):
         with pytest.raises(ValueError, match="not .*int64 integer"):

@@ -10,7 +10,7 @@ from adaptscore import (
     spearman,
     subsample_study,
 )
-from adaptscore.errors import ConstantInput, LengthMismatch, MissingScore
+from adaptscore.errors import ConstantInput, LengthMismatch, MissingScore, TooFewSamples
 from adaptscore.evaluation import _average_ranks, derive_seed
 from conftest import random_labeled
 from reference_tables import OFFICE_31_RESNET50, OFFICE_HOME_RESNET50, flat
@@ -30,6 +30,13 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson([1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_pairs(self, n):
+        for corr in (pearson, spearman):
+            with pytest.raises(TooFewSamples) as err:
+                corr([1.0] * n, [2.0] * n)
+            assert (err.value.needed, err.value.got) == (2, n)
 
     def test_constant_input(self):
         with pytest.raises(ConstantInput):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -260,12 +261,20 @@ class TestLabels:
 
     @pytest.mark.parametrize("save", [save_labels, save_labels_text])
     @pytest.mark.parametrize(
-        "labels",
-        [[0, 1, -1, 2], [0, 1, 2**32 + 3], [0, 2**64], [[0, 1], [1, 0]], [0.5, 1.7, 2.0], [0.0, np.nan]],
-        ids=["negative", "beyond-u32", "beyond-i64", "2-d", "fractional", "nan"],
+        "labels, message",
+        [
+            ([0, 1, -1, 2], "label -1 "),
+            ([0, 1, 2**32 + 3], "label 4294967299 "),
+            ([0, 2**64], "dtype object"),
+            ([[0, 1], [1, 0]], "1-D"),
+            ([0.5, 1.7, 2.0], "label 0.5 "),
+            ([0.0, np.nan], "label nan "),
+            (np.array([0, 2**63 + 5], dtype=np.uint64), "label 9223372036854775813 "),
+        ],
+        ids=["negative", "beyond-u32", "beyond-i64", "2-d", "fractional", "nan", "uint64-beyond-i64"],
     )
-    def test_writers_reject_labels_they_cannot_store(self, tmp_path, save, labels):
-        with pytest.raises(ValueError):
+    def test_writers_reject_labels_they_cannot_store(self, tmp_path, save, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             save(tmp_path / "l", labels)
         assert not (tmp_path / "l").exists()
 

@@ -5,6 +5,7 @@ its rows block by block, and memory that stays flat in n."""
 
 import json
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from adaptscore import (
     LabeledEmbeddingSet,
     MmdConfig,
     ProxyClassifierConfig,
+    baselines,
     embed_core,
     formats,
     mmd_gaussian,
@@ -243,6 +245,67 @@ def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
             tracemalloc.stop()
     assert peaks[14] - peaks[7] <= 32 * 7 * block + 8192, peaks
     assert peaks[7] < 4 * block * dim * 8, peaks  # a few block buffers
+
+
+def _peaks_by_workers(monkeypatch, module, run):
+    """Traced peak of run() at 2 and 8 block workers: the least of three
+    calls after a warm-up call, so that first-call allocations and the odd
+    allocation of another thread stay out. module._unit_rows sleeps 5 ms
+    first, so each block stays in flight long enough for as many blocks
+    to run at once as the runner allows."""
+    unit_rows = module._unit_rows
+
+    def slow(*args, **kwargs):
+        time.sleep(0.005)
+        return unit_rows(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_unit_rows", slow)
+    peaks = {}
+    for threads in ("2", "8"):
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        run()
+        peaks[threads] = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                run()
+                peaks[threads].append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return {threads: min(runs) for threads, runs in peaks.items()}
+
+
+def test_kernel_peak_does_not_grow_with_workers(tmp_path, rng, monkeypatch):
+    """Traced peak of pas on an 8-block streamed target at 2 and 8
+    workers, with one kernel block (unit buffer, distance block and read
+    buffer) more than half the runner's byte budget: two blocks are in
+    flight either way, where one block per worker took 3.7 times the
+    2-worker peak at 8. The blocks are large enough that the chunk
+    temporaries of normalization, which may or may not overlap, move the
+    peak by a few per cent only."""
+    block, dim, classes = 1024, 256, 4
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
+    kernel_block = 8 * block * (dim + classes) + 4 * block * dim
+    monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", 3 * kernel_block // 2)
+    source = random_labeled(rng, num_classes=classes, dim=dim)
+    target = _write_target(tmp_path / "t.pemb", rng.standard_normal((8 * block, dim)))
+    peaks = _peaks_by_workers(monkeypatch, scores, lambda: pas(source, target))
+    assert peaks["8"] <= 1.1 * peaks["2"], peaks
+
+
+def test_sampler_peak_does_not_grow_with_workers(tmp_path, rng, monkeypatch):
+    """Traced peak of mmd with a 16-block streamed target above its cap of
+    50 rows at 2 and 8 workers, with one sampler block (a float64 block
+    and the read buffer) more than half the runner's byte budget. The
+    read buffers of the sampler's pass dominate at this width; one block
+    per worker took 1.6 times the 2-worker peak at 8."""
+    block, dim = 64, 1024
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", 3 * (12 * block * dim) // 2)
+    other = EmbeddingSet(rng.standard_normal((50, dim)))
+    target = _write_target(tmp_path / "t.pemb", rng.standard_normal((16 * block, dim)))
+    peaks = _peaks_by_workers(monkeypatch, baselines, lambda: BASELINES["mmd"](other, target, 50))
+    assert peaks["8"] <= 1.1 * peaks["2"], peaks
 
 
 def _rank_manifest(tmp_path, methods, candidate_labels="src.plbl"):

@@ -58,12 +58,13 @@ def test_runner_yields_in_block_order_with_at_most_workers_in_flight(monkeypatch
         return lo, hi
 
     ranges = [(lo, lo + 1) for lo in range(16)]
-    assert list(_run_blocks(fn, ranges)) == ranges
+    assert list(_run_blocks(fn, ranges, 1)) == ranges
     assert 1 < most[0] <= 4
-    for block_bytes, cap in ((embed_core._FLIGHT_BYTES // 2, 2), (embed_core._FLIGHT_BYTES + 1, 1)):
+    # The byte budget, not the worker count, and two blocks at least.
+    for block_bytes, cap in ((embed_core._FLIGHT_BYTES // 3, 3), (embed_core._FLIGHT_BYTES + 1, 2)):
         most[0] = 0
         assert list(_run_blocks(fn, ranges, block_bytes)) == ranges
-        assert most[0] == cap  # the byte budget, not the worker count
+        assert most[0] == cap
 
 
 _BITS = r"""
