@@ -23,7 +23,7 @@ from .embed_core import (
     _run_blocks,
     _unit_rows,
 )
-from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples
+from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples, check_fields
 
 # Entries of one silhouette distance block (block rows x n, float64): the
 # row block shrinks as n grows so the block stays near 64 MB, and the two
@@ -51,6 +51,7 @@ class MmdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, ("max_samples_per_domain", "seed"), () if self.sigma is None else ("sigma",))
         if self.sigma is not None and not self.sigma > 0:
             raise ConfigInvalid("sigma must be > 0")
         if self.max_samples_per_domain < 2:
@@ -66,6 +67,7 @@ class ProxyClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, ("epochs", "seed"), ("learning_rate",))
         if self.epochs < 1 or not self.learning_rate > 0:
             raise ConfigInvalid("bad proxy classifier hyperparameters")
         if self.seed < 0:

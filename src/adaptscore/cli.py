@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -119,7 +120,16 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _check_out(path) -> None:
+    """OSError (exit 2) unless the directory of `path` exists and is
+    writable, so that rank and substudy fail before they score."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def _cmd_rank(args) -> int:
+    _check_out(args.out)
     manifest = load_manifest(args.manifest)
     report = build_report(manifest)
     dump_report(report, args.out)
@@ -182,6 +192,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_substudy(args) -> int:
+    _check_out(args.out)
     manifest = load_manifest(args.manifest)
     # Loaded whole: the study draws fractions x repeats x candidates subsamples.
     target_emb, _ = load_target(manifest["target"], load_embeddings)

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the toolkit."""
 
+import math
+from numbers import Integral, Real
+
 
 class AdaptScoreError(Exception):
     """Base class for all toolkit errors."""
@@ -81,6 +84,18 @@ class MissingScore(DataError):
 
 class ConfigInvalid(AdaptScoreError):
     pass
+
+
+def check_fields(config, integers=(), reals=()) -> None:
+    """ConfigInvalid unless each field of `config` named in `integers` is
+    an integer and each named in `reals` a finite real number. A bool is
+    neither, and JSON's NaN and Infinity load as floats."""
+    for name in integers + reals:
+        v = getattr(config, name)
+        integer = name in integers
+        ok = not isinstance(v, bool) and isinstance(v, Integral if integer else Real)
+        if not (ok and (isinstance(v, Integral) or math.isfinite(v))):  # a huge int overflows isfinite
+            raise ConfigInvalid(f"{name} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
 
 
 class FormatError(AdaptScoreError):

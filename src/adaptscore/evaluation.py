@@ -37,7 +37,9 @@ class SubsampleStudyResult:
 def _validated_xy(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"expected two 1-D inputs, got shapes {x.shape} and {y.shape}")
+    if x.shape != y.shape:
         raise LengthMismatch(x.shape[0], y.shape[0])
     if x.shape[0] < 2:
         raise TooFewSamples(2, x.shape[0])
@@ -91,6 +93,10 @@ def rank_candidates(rows, method: str) -> list:
         r.candidate_id
         for r in sorted(rows, key=lambda r: (-r.method_scores[method], r.candidate_id))
     ]
+
+
+def _pas_ranking(candidate_ids, values) -> list:
+    return rank_candidates([CandidateScoreRow(c, {"pas": v}) for c, v in zip(candidate_ids, values)], "pas")
 
 
 def derive_seed(base_seed: int, fraction: float, repeat: int, candidate_index: int) -> int:
@@ -147,42 +153,25 @@ def subsample_study(
         candidate_ids = [f"candidate_{i}" for i in range(len(sources))]
 
     full_scores = [pas(src, target).value for src in sources]
-    full_ranking = rank_candidates(
-        [CandidateScoreRow(cid, {"pas": v}) for cid, v in zip(candidate_ids, full_scores)],
-        "pas",
-    )
+    full_ranking = _pas_ranking(candidate_ids, full_scores)
 
-    scores = []
-    rankings = []
-    match_fraction = []
-    stable = []
+    def repeat_scores(f, r):
+        """The candidates' scores of repeat r at fraction f."""
+        if f == 1.0:
+            return full_scores
+        out = []
+        for ci, src in enumerate(sources):
+            rng = np.random.default_rng(derive_seed(base_seed, f, r, ci))
+            sub_src = _stratified_subsample(src, f, rng)
+            out.append(pas(sub_src, _uniform_subsample(target, f, rng)).value)
+        return out
+
+    scores, rankings = [], []
     for f in fractions:
-        f_scores = [[] for _ in sources]
-        f_rankings = []
-        matches = 0
-        for r in range(repeats):
-            rep_scores = []
-            for ci, src in enumerate(sources):
-                if f == 1.0:
-                    rep_scores.append(full_scores[ci])
-                    continue
-                rng = np.random.default_rng(derive_seed(base_seed, f, r, ci))
-                sub_src = _stratified_subsample(src, f, rng)
-                sub_tgt = _uniform_subsample(target, f, rng)
-                rep_scores.append(pas(sub_src, sub_tgt).value)
-            for ci, v in enumerate(rep_scores):
-                f_scores[ci].append(v)
-            ranking = rank_candidates(
-                [CandidateScoreRow(cid, {"pas": v}) for cid, v in zip(candidate_ids, rep_scores)],
-                "pas",
-            )
-            f_rankings.append(ranking)
-            if ranking == full_ranking:
-                matches += 1
-        scores.append(f_scores)
-        rankings.append(f_rankings)
-        match_fraction.append(matches / repeats)
-        stable.append(matches == repeats)
+        repeat_rows = [repeat_scores(f, r) for r in range(repeats)]
+        scores.append([list(column) for column in zip(*repeat_rows)])
+        rankings.append([_pas_ranking(candidate_ids, row) for row in repeat_rows])
+    match_fraction = [sum(r == full_ranking for r in f_rankings) / repeats for f_rankings in rankings]
 
     return SubsampleStudyResult(
         fractions=fractions,
@@ -191,5 +180,5 @@ def subsample_study(
         rankings=rankings,
         full_ranking=full_ranking,
         rank_match_fraction=match_fraction,
-        rank_stable=stable,
+        rank_stable=[m == 1.0 for m in match_fraction],
     )

@@ -19,7 +19,7 @@ from .formats import (
     manifest_field,
     open_embeddings,
 )
-from .scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
+from .scores import _FAMILY, _pas_family, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
 
@@ -134,14 +134,19 @@ def score_candidate(
     seed: int = 0,
     max_samples: int = 10_000,
 ) -> dict:
-    """{method: raw score} of one source against the target, a row source
-    that each method reads in its own passes."""
+    """{method: raw score} of one source against the target, a row source;
+    ConfigInvalid before any scoring for a method resolve_method rejects.
+    The PAS-family methods share one pass over the target, made at the
+    first of them (scores._pas_family); every other method makes its own."""
+    methods = {name: resolve_method(name, target_labels is not None) for name in methods}
+    family = [name for name in methods if name in _FAMILY]
     out = {}
-    for name in methods:
-        method = resolve_method(name, target_labels is not None)
-        result = method.score(source, target, target_labels, seed, max_samples)
-        out[name] = result.value if isinstance(result, ScoreResult) else result
-    return out
+    for name, method in methods.items():
+        if name not in family:
+            out[name] = method.score(source, target, target_labels, seed, max_samples)
+        elif name == family[0]:
+            out.update((m, r.value) for m, r in _pas_family(source, target, family, target_labels).items())
+    return {name: out[name] for name in methods}
 
 
 def display_value(method: str, raw: float) -> float:
@@ -180,24 +185,14 @@ def build_report(manifest: dict) -> dict:
             }
         )
 
-    ranking = {}
-    selection = {}
-    for method in methods:
-        score_rows = [
-            CandidateScoreRow(r["candidate_id"], {method: r["display_scores"][method]})
-            for r in rows
-        ]
-        ordered = rank_candidates(score_rows, method)
-        ranking[method] = ordered
-        selection[method] = ordered[0]
-
-    target_desc = dict(manifest["target"])
+    score_rows = [CandidateScoreRow(r["candidate_id"], r["display_scores"]) for r in rows]
+    ranking = {m: rank_candidates(score_rows, m) for m in methods}
     return {
         "schema": REPORT_SCHEMA,
-        "target": target_desc,
+        "target": dict(manifest["target"]),
         "rows": rows,
         "ranking": ranking,
-        "selection": selection,
+        "selection": {m: ordered[0] for m, ordered in ranking.items()},
         "breakdown_path": manifest.get("breakdown_path"),
         "seed": seed,
         "toolkit_version": __version__,

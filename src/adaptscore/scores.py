@@ -1,13 +1,14 @@
 """Potential-adaptability scoring: PAS, its oracle, and design variants.
 
-Every scorer follows the same pipeline: unit-normalize the source, build C
-class representatives, then run one block kernel over the raw target rows
-that normalizes each row, computes its distances to the C representatives,
-keeps the two that matter (d1, d2) and writes a per-sample contribution.
-The score is the mean contribution; the per-sample values are kept as
-columns.
+The four scorers are one kernel (_pas_family), which scores any of them
+together: sum the source's unit rows per class, build C class
+representatives per table, then make one pass over the raw target rows
+that normalizes each row, computes its distances to the representatives,
+keeps the two that matter (d1, d2) and writes a per-sample contribution
+for each method. The score is the mean contribution; the per-sample
+values are kept as columns.
 
-The kernel runs in fixed-size row blocks on the block runner
+The pass runs in fixed-size row blocks on the block runner
 (embed_core._run_blocks), the program's only parallelism; the block grid
 and the final summation order are independent of the worker count, so
 multi-threaded results are bit-identical to a sequential run.
@@ -106,54 +107,70 @@ class ScoreResult:
         return self.d1, self.d2, self.nearest_class, self.contribution
 
 
-def _check_pair(source: LabeledEmbeddingSet, target: EmbeddingSet):
-    """DimensionMismatch, or MissingClass for a source that lacks a class."""
+# The PAS-family methods: each one's reference table, built from the class
+# sums of the source's unit rows, and its distance (_gram_to_distance).
+_FAMILY = {
+    "pas": ("centroids", "cosine"),
+    "pas_euclidean": ("centroids", "euclidean"),
+    "pas_avg_pairwise": ("means", "cosine"),
+    "oracle": ("centroids", "cosine"),
+}
+
+
+def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) -> dict:
+    """{method: ScoreResult} of the PAS-family `methods` (in any order) of
+    `source` against `target`, a row source, from one pass over its rows;
+    "oracle" also reads the target's `true_labels`.
+
+    The source side comes first: DimensionMismatch, MissingClass, one
+    per-class sum of the source's unit rows (_class_sums, no normalized
+    copy; ZeroVector), then each table at the first method that needs it,
+    so DegenerateClass of the unit centroids precedes the oracle's
+    LabelOutOfRange.
+
+    In the pass (embed_core._row_pass) each block unit-normalizes its rows
+    into a buffer its worker thread keeps (_unit_rows), then takes one
+    (block, d) @ (d, C) GEMM per table, one table at a time. Each method's
+    tail walks the product in row chunks of about _CHUNK_ENTRIES entries,
+    in place for the last method on the table and on a chunk copy for the
+    others; it is all per row, so no method or chunk changes another's
+    bits. A zero target row is held until the pass ends, so a non-finite
+    value anywhere wins; then ZeroVector is raised at the lowest one.
+
+    d1 is the distance to the picked class: the nearest (the lowest id
+    among minimizers) or, for the oracle, the true one. d2 is the smallest
+    among the others, and the contribution is (d2 - d1) / max(d1, d2):
+    PAS's (d2 - d1) / d2 when d1 <= d2, and 0 when both are 0. The score
+    is the mean contribution.
+    """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     source._check_classes()
+    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
+    counts = np.bincount(source.labels)[:, None]  # C of them: every class has a row
+    tables = {}
+    for name in methods:
+        kind = _FAMILY[name][0]
+        if kind not in tables:
+            tables[kind] = _centroid_table(sums).centroids if kind == "centroids" else sums / counts
+        if name == "oracle":
+            bad = (true_labels < 0) | (true_labels >= source.num_classes)
+            if bad.any():
+                raise LabelOutOfRange(int(true_labels[bad][0]), source.num_classes)
 
-
-def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
-    """d1/d2/nearest/contribution columns of the raw target rows against C
-    reference rows.
-
-    `target` is a row source (n, dim and reader()), read in one pass of
-    embed_core._row_pass. Each block unit-normalizes its rows in
-    cache-sized chunks (_unit_rows) into a float64 buffer that its worker
-    thread keeps for the whole pass, so no normalized n x d copy exists,
-    then takes one (block, d) @ (d, C) GEMM. The tail (distance transform,
-    pick, d1/d2, contribution) walks the block's dot products in row chunks
-    of about _CHUNK_ENTRIES entries; all of it is per row, so the chunking
-    does not change a bit. `dist_kind` is "cosine" or "euclidean"
-    (_gram_to_distance, between unit rows and unit reference rows). The
-    nearest class is the lowest class id among minimizers (argmin returns
-    the first).
-
-    A zero row is held until the pass ends (_row_pass), so a non-finite
-    value anywhere wins over it; then ZeroVector is raised at the lowest
-    zero row.
-
-    d1 is the distance to the picked class and d2 the smallest among the
-    others. Without true_labels the picked class is the nearest one, so
-    d1 <= d2 are the two smallest distances; with them (the oracle rule)
-    it is the true class. Either way the contribution is
-    (d2 - d1) / max(d1, d2), which is PAS's (d2 - d1) / d2 when d1 <= d2,
-    and 0 when both are 0 (no preference).
-    """
     n = target.n
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    nearest = np.empty(n, dtype=np.int64)
-    contrib = np.zeros(n)
+    columns = {m: (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.zeros(n)) for m in methods}
+    groups = [(rows, [m for m in methods if _FAMILY[m][0] == kind]) for kind, rows in tables.items()]
     block_rows = _block_ranges(n)[0][1]
     local = threading.local()
 
-    def tail(lo, dist):
+    def tail(name, lo, dist):
+        d1, d2, nearest, contrib = columns[name]
         hi = lo + dist.shape[0]
-        _gram_to_distance(dist, dist_kind)
+        _gram_to_distance(dist, _FAMILY[name][1])
         idx = np.arange(hi - lo)
         nearest[lo:hi] = pick = dist.argmin(axis=1)
-        if true_labels is not None:
+        if name == "oracle":
             pick = true_labels[lo:hi]
         b1 = dist[idx, pick]
         dist[idx, pick] = np.inf
@@ -167,42 +184,31 @@ def _block_kernel(target, rows: np.ndarray, dist_kind: str, true_labels=None):
         if not hasattr(local, "unit"):
             local.unit = np.empty((block_rows, target.dim))
         unit = _unit_rows(raw, lo, out=local.unit[: raw.shape[0]])
-        dist = unit @ rows.T
-        for a, b in _chunk_ranges(raw.shape[0], dist.shape[1]):
-            tail(lo + a, dist[a:b])
+        for rows, names in groups:
+            dist = unit @ rows.T
+            for a, b in _chunk_ranges(raw.shape[0], dist.shape[1]):
+                for name in names:  # the last method on the table overwrites the product
+                    tail(name, lo + a, dist[a:b] if name == names[-1] else dist[a:b].copy())
+            del dist  # before the next table's product
 
-    _row_pass(target, block, 8 * block_rows * (target.dim + rows.shape[0]))
-    return d1, d2, nearest, contrib
-
-
-def _assemble(method, columns, source: LabeledEmbeddingSet) -> ScoreResult:
-    contrib = columns[3]
-    n = contrib.shape[0]
-    value = float(np.sum(contrib) / n)
-    return ScoreResult(method, value, n, source.n, source.num_classes, *columns)
-
-
-def _source_centroids(source: LabeledEmbeddingSet, target: EmbeddingSet) -> np.ndarray:
-    """class_centroids of the source's unit rows, summed from the raw rows
-    slice by slice (_class_sums), so no normalized copy of the source
-    exists."""
-    _check_pair(source, target)
-    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
-    return _centroid_table(sums).centroids
+    # The chunk copies are not counted, like normalization's chunk temporaries.
+    _row_pass(target, block, 8 * block_rows * (target.dim + source.num_classes))
+    return {
+        m: ScoreResult(m, float(np.sum(cols[3]) / n), n, source.n, source.num_classes, *cols)
+        for m, cols in columns.items()
+    }
 
 
 def pas(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """Mean over target samples of (d2 - d1) / d2, where d1, d2 are the two
     smallest cosine distances to the source class centroids."""
-    columns = _block_kernel(target, _source_centroids(source, target), "cosine")
-    return _assemble("pas", columns, source)
+    return _pas_family(source, target, ["pas"])["pas"]
 
 
 def pas_euclidean(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
     """PAS with the Euclidean distance between unit-normalized rows and
     centroids in place of the cosine distance."""
-    columns = _block_kernel(target, _source_centroids(source, target), "euclidean")
-    return _assemble("pas_euclidean", columns, source)
+    return _pas_family(source, target, ["pas_euclidean"])["pas_euclidean"]
 
 
 def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:
@@ -212,22 +218,11 @@ def pas_avg_pairwise(source: LabeledEmbeddingSet, target: EmbeddingSet) -> Score
     mean_j (1 - t.s_j) = 1 - t.mean_j(s_j), so the per-class raw means of
     the unit rows stand in for the centroid table.
     """
-    _check_pair(source, target)
-    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
-    counts = np.bincount(source.labels, minlength=source.num_classes).astype(np.float64)
-    means = sums / counts[:, None]
-    columns = _block_kernel(target, means, "cosine")
-    return _assemble("pas_avg_pairwise", columns, source)
+    return _pas_family(source, target, ["pas_avg_pairwise"])["pas_avg_pairwise"]
 
 
 def oracle_score(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> ScoreResult:
     """Label-aware PAS variant: d1 is the cosine distance to the true-class
     centroid, d2 the smallest distance among the other centroids, and the
     contribution is (d2 - d1) / max(d1, d2) in [-1, 1]."""
-    centroids = _source_centroids(source, target.embeddings)
-    labels = target.labels
-    if labels.max() >= source.num_classes or labels.min() < 0:
-        bad = labels[(labels < 0) | (labels >= source.num_classes)][0]
-        raise LabelOutOfRange(int(bad), source.num_classes)
-    columns = _block_kernel(target.embeddings, centroids, "cosine", labels)
-    return _assemble("oracle", columns, source)
+    return _pas_family(source, target.embeddings, ["oracle"], target.labels)["oracle"]

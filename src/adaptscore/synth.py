@@ -3,14 +3,12 @@ oracle for desk-scale validation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet, unit_normalize
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_fields
 from .scores import pas
 
 
@@ -28,15 +26,8 @@ class SynthConfig:
     target_spread: float | None = None
 
     def __post_init__(self):
-        counts = (self.num_classes, self.dim, self.n_source_per_class, self.n_target_per_class, self.seed)
-        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in counts):
-            raise ConfigInvalid("num_classes, dim, the per-class counts and seed must be integers")
-        spreads = (self.intra_spread, self.shift, 0.0 if self.target_spread is None else self.target_spread)
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in spreads):
-            raise ConfigInvalid("intra_spread, shift and target_spread must be numbers")
-        # JSON's NaN and Infinity literals load as floats.
-        if not all(isinstance(v, Integral) or math.isfinite(v) for v in spreads):
-            raise ConfigInvalid("intra_spread, shift and target_spread must be finite")
+        spreads = ("intra_spread", "shift") + (() if self.target_spread is None else ("target_spread",))
+        check_fields(self, ("num_classes", "dim", "n_source_per_class", "n_target_per_class", "seed"), spreads)
         if self.num_classes < 2 or self.dim < 2:
             raise ConfigInvalid("need num_classes >= 2 and dim >= 2")
         if self.n_source_per_class < 1 or self.n_target_per_class < 1:

@@ -490,6 +490,19 @@ class TestMmd:
         with pytest.raises(ConfigInvalid):
             MmdConfig(seed=-1)
 
+    @pytest.mark.parametrize("bad", [
+        {"sigma": float("inf")}, {"sigma": float("nan")}, {"sigma": True}, {"sigma": "1"},
+        {"max_samples_per_domain": 2.5}, {"max_samples_per_domain": 100.0},
+        {"max_samples_per_domain": True}, {"seed": 1.5}, {"seed": False}, {"seed": None},
+    ])
+    def test_non_finite_or_non_integer_config(self, bad):
+        with pytest.raises(ConfigInvalid):
+            MmdConfig(**bad)
+
+    def test_integer_like_config_accepted(self):
+        cfg = MmdConfig(sigma=2, max_samples_per_domain=np.int64(50), seed=np.uint8(3))
+        assert (cfg.sigma, cfg.max_samples_per_domain, cfg.seed) == (2, 50, 3)
+
 
 class TestProxyADistance:
     def test_separable_near_two(self, rng):
@@ -622,6 +635,14 @@ class TestProxyADistance:
         "bad", [{"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"seed": -1}]
     )
     def test_bad_config(self, bad):
+        with pytest.raises(ConfigInvalid):
+            ProxyClassifierConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"learning_rate": float("inf")}, {"learning_rate": True}, {"learning_rate": None},
+        {"epochs": 2.5}, {"epochs": 200.0}, {"epochs": True}, {"seed": 0.5}, {"seed": True},
+    ])
+    def test_non_finite_or_non_integer_config(self, bad):
         with pytest.raises(ConfigInvalid):
             ProxyClassifierConfig(**bad)
 

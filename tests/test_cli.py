@@ -331,6 +331,31 @@ class TestMethodTable:
             assert value == row["method_scores"][name], name
             assert row["display_scores"][name] == (-value if method.negated else value), name
 
+    @pytest.mark.parametrize("command", ["rank", "substudy"])
+    @pytest.mark.parametrize("out", ["missing/r.json", "m.json/r.json", "locked/r.json"])
+    def test_unwritable_out_fails_before_scoring(self, fixture_dir, capsys, monkeypatch, command, out):
+        """An --out directory that is missing, a file, or not writable exits
+        2 before any candidate is scored. os.access is patched to call
+        "locked" read-only, since a chmod does not stop the root user."""
+        from adaptscore import cli, reporting
+
+        (fixture_dir / "locked").mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("locked") and access(p, mode))
+        scored = []
+        for module, name in ((reporting, "score_candidate"), (cli, "subsample_study")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, **k: scored.append(a) or real(*a, **k))
+        argv = [command, "--manifest", "m.json", "--json"]
+        if command == "substudy":
+            argv += ["--fractions", "1.0", "--repeats", "1"]
+        assert main([*argv, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("OSError", 2)
+        assert scored == []
+        assert main([*argv, "--out", "r.json"]) == 0
+        assert scored
+
     def test_readme_table_matches(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = re.findall(r"^\| `(\w+)` \| (yes|no) \| (yes|no) \|$", readme, re.M)

@@ -31,6 +31,24 @@ class TestPearson:
         with pytest.raises(LengthMismatch):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("x, y", [
+        (1.0, 2.0),
+        (np.eye(2), np.eye(2)),
+        ([1, 2, 3], [[1, 2, 3]]),
+        ([[1, 2, 3]], [1, 2, 3]),
+    ], ids=["scalars", "matrices", "row_matrix_y", "row_matrix_x"])
+    def test_input_that_is_not_1d(self, x, y):
+        for corr in (pearson, spearman):
+            with pytest.raises(ValueError, match="1-D") as err:
+                corr(x, y)
+            assert not isinstance(err.value, LengthMismatch)
+
+    def test_length_mismatch_names_both_lengths(self):
+        for corr in (pearson, spearman):
+            with pytest.raises(LengthMismatch) as err:
+                corr([1, 2, 3], [1, 2])
+            assert (err.value.len_x, err.value.len_y) == (3, 2)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_pairs(self, n):
         for corr in (pearson, spearman):
@@ -138,6 +156,21 @@ class TestSubsampleStudy:
         res = subsample_study(sources, target, [0.5, 1.0], repeats=4, base_seed=3)
         assert len(res.rankings[0]) == 4
         assert all(sorted(r) == sorted(res.candidate_ids) for r in res.rankings[0])
+
+    def test_tables_are_indexed_by_fraction_candidate_and_repeat(self, rng):
+        sources = [random_labeled(rng, n_per_class=20, num_classes=3, dim=5, spread=sp)
+                   for sp in (0.2, 0.5, 0.8)]
+        target = EmbeddingSet(rng.standard_normal((60, 5)))
+        res = subsample_study(sources, target, [0.3, 0.6, 1.0], repeats=3, base_seed=5,
+                              candidate_ids=["a", "b", "c"])
+        for fi in range(3):
+            assert [len(row) for row in res.scores[fi]] == [3, 3, 3]
+            for r in range(3):
+                rows = [CandidateScoreRow(c, {"pas": res.scores[fi][ci][r]}) for ci, c in enumerate("abc")]
+                assert res.rankings[fi][r] == rank_candidates(rows, "pas")
+            matches = sum(ranking == res.full_ranking for ranking in res.rankings[fi])
+            assert res.rank_match_fraction[fi] == matches / 3
+            assert res.rank_stable[fi] == (matches == 3)
 
     def test_bad_fractions(self, rng):
         sources = [random_labeled(rng)]

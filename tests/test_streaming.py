@@ -3,6 +3,7 @@ PAS block kernel and the baselines' sampler, by `score` and `rank`: the
 same bits as the in-memory path, the error contract of a pass that checks
 its rows block by block, and memory that stays flat in n."""
 
+import itertools
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from adaptscore import (
     scores,
 )
 from adaptscore.cli import main
-from adaptscore.errors import NonFiniteValue, TruncatedFile, ZeroVector
+from adaptscore.errors import ConfigInvalid, NonFiniteValue, TruncatedFile, ZeroVector
 from adaptscore.formats import (
     PembRows,
     load_embeddings,
@@ -33,12 +34,13 @@ from adaptscore.formats import (
     save_embeddings_csv,
     save_labels,
 )
-from adaptscore.reporting import METHODS
-from adaptscore.scores import oracle_score, pas, pas_avg_pairwise, pas_euclidean
+from adaptscore.reporting import METHODS, score_candidate
+from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled
 
 BLOCK = 7
 SCORERS = {"pas": pas, "pas_euclidean": pas_euclidean, "pas_avg_pairwise": pas_avg_pairwise}
+FAMILY = ("pas", "pas_euclidean", "pas_avg_pairwise", "oracle")
 # The baselines at a cap: MMD draws `cap` rows of a larger domain, and the
 # proxy draws min(n_s, n_t) rows of each.
 BASELINES = {
@@ -223,10 +225,10 @@ def test_silhouette_reads_no_target_block(files, monkeypatch, capsys):
 
 
 def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
-    """Traced peak of the block kernel on a 7-block and a 14-block streamed
-    target: the larger target may add its output columns (32 bytes a row)
-    and nothing else, where a whole float32 copy of its extra rows would
-    take 7 * 64 * 256 * 4 bytes."""
+    """Traced peak of pas on a 7-block and a 14-block streamed target: the
+    larger target may add its output columns (32 bytes a row) and nothing
+    else, where a whole float32 copy of its extra rows would take
+    7 * 64 * 256 * 4 bytes."""
     block, dim = 64, 256
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
     monkeypatch.setenv("ADAPTSCORE_THREADS", "1")
@@ -234,12 +236,11 @@ def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
     peaks = {}
     for blocks in (7, 14):
         target = _write_target(tmp_path / f"t{blocks}.pemb", rng.standard_normal((blocks * block, dim)))
-        centroids = scores._source_centroids(source, target)
-        scores._block_kernel(target, centroids, "cosine")  # first-call allocations stay out
+        pas(source, target)  # first-call allocations stay out
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            scores._block_kernel(target, centroids, "cosine")
+            pas(source, target)
             peaks[blocks] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -433,3 +434,84 @@ def test_baseline_peak_is_flat_in_n(tmp_path, rng, monkeypatch, method, threads)
         finally:
             tracemalloc.stop()
     assert abs(peaks[14] - peaks[7]) <= block * dim * 8, peaks
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("streamed", [False, True], ids=["in_memory", "streamed"])
+@pytest.mark.parametrize(
+    "subset", [c for k in range(1, 5) for c in itertools.combinations(FAMILY, k)], ids="+".join
+)
+def test_pas_family_equals_the_single_calls(files, subset, streamed, threads, monkeypatch):
+    """One fused pass gives each method the value and the four columns of
+    its own scorer, bit for bit, for every subset of the family in either
+    order, over six blocks of a streamed or an in-memory target."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    tmp_path, source, target = files
+    rows = open_embeddings(tmp_path / "tgt.pemb") if streamed else target.embeddings
+    single = dict(SCORERS, oracle=lambda s, t: oracle_score(s, LabeledEmbeddingSet(t, target.labels, 5, False)))
+    want = {m: single[m](source, rows) for m in subset}
+    for methods in (list(subset), list(reversed(subset))):
+        got = scores._pas_family(source, rows, methods, target.labels)
+        assert list(got) == methods
+        for m in methods:
+            assert got[m].method == m
+            for g, w in zip(_columns(got[m]), _columns(want[m])):
+                np.testing.assert_array_equal(g, w, strict=True)
+
+
+def test_rank_reads_the_target_once_per_candidate_for_the_pas_family(files, monkeypatch, capsys):
+    tmp_path, _, _ = files
+    reader = PembRows.reader
+    reads = []
+    monkeypatch.setattr(PembRows, "reader", lambda self: reads.append(self.path.name) or reader(self))
+    path = _rank_manifest(tmp_path, list(FAMILY))
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["candidates"].append(dict(manifest["candidates"][0], id="b"))
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json")]) == 0
+    assert reads == ["tgt.pemb", "tgt.pemb"]
+    capsys.readouterr()
+
+
+def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, monkeypatch):
+    """The family methods, scored together at the first of them, and the
+    others between them give what each method gives alone."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    tmp_path, source, target = files
+    rows = open_embeddings(tmp_path / "tgt.pemb")
+    methods = ["mmd", "oracle", "silhouette", "pas_avg_pairwise", "adist", "pas"]
+    got = score_candidate(source, rows, methods, target.labels, 3, 12)
+    assert list(got) == methods
+    for m in methods:
+        alone = METHODS[m].score(source, rows, target.labels, 3, 12)
+        assert got[m] == (alone.value if isinstance(alone, ScoreResult) else alone), m
+    with pytest.raises(ConfigInvalid):  # before the pass that pas would start
+        score_candidate(source, rows, ["pas", "oracle"])
+
+
+def test_pas_family_peak_stays_within_its_block_bytes(tmp_path, rng, monkeypatch):
+    """Traced peak of a four-method pass at one worker, less its 16 output
+    columns: the block bytes it states to the runner (unit buffer and one
+    distance block, 8 * rows * (d + C), and the read buffer) plus a few
+    256 KiB chunks (the copies for the methods that share the centroids,
+    normalization's temporaries and the source tables). Holding both
+    tables' products at once would add a 2 MiB distance block."""
+    block, dim, classes = 1024, 32, 256
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", "1")
+    source = random_labeled(rng, n_per_class=2, num_classes=classes, dim=dim)
+    target = _write_target(tmp_path / "t.pemb", rng.standard_normal((4 * block, dim)))
+    labels = rng.integers(0, classes, target.n)
+    scores._pas_family(source, target, list(FAMILY), labels)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scores._pas_family(source, target, list(FAMILY), labels)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stated = 8 * block * (dim + classes) + 4 * block * dim
+    assert peak - 4 * 32 * target.n <= stated + 4 * 8 * embed_core._CHUNK_ENTRIES, (peak, stated)
