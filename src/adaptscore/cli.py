@@ -122,10 +122,13 @@ def _cmd_score(args) -> int:
 
 def _check_out(path) -> None:
     """OSError (exit 2) unless the directory of `path` exists and is
-    writable, so that rank and substudy fail before they score."""
+    writable and `path` is no directory or read-only file, so that rank
+    and substudy fail before they score."""
     folder = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise OSError(f"cannot write {path}: it is a directory or a read-only file")
 
 
 def _cmd_rank(args) -> int:
@@ -204,7 +207,7 @@ def _cmd_substudy(args) -> int:
         target_emb,
         fractions,
         repeats=args.repeats,
-        base_seed=int(manifest.get("seed", 0)),
+        base_seed=manifest["seed"],
         candidate_ids=ids,
     )
     with open(args.out, "w") as fh:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape, _integer_labels
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
+from .synth import SynthConfig
 
 PEMB_MAGIC = b"PEMB"
 PLBL_MAGIC = b"PLBL"
@@ -126,6 +127,14 @@ def _open_pemb(fh, path: Path) -> PembRows:
     return rows
 
 
+def _utf8(path, blob: bytes) -> str:
+    """`blob` decoded as UTF-8, or BadMagic for the file at `path`."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadMagic(str(path), blob[:4]) from None
+
+
 def open_embeddings(path):
     """A PEMB file as PembRows (no row read yet), or a CSV file loaded as
     an EmbeddingSet (sniffed by magic bytes)."""
@@ -135,11 +144,7 @@ def open_embeddings(path):
             fh.seek(0)
             return _open_pemb(fh, path)
         fh.seek(0)
-        blob = fh.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        raise BadMagic(str(path), blob[:4]) from None
+        text = _utf8(path, fh.read())
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -207,12 +212,8 @@ def load_labels(path) -> np.ndarray:
         if len(blob) != expected:
             raise TruncatedFile(str(path), expected, len(blob))
         return np.frombuffer(blob, dtype="<u4", offset=PLBL_HEADER.size).astype(np.int64)
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        raise BadMagic(str(path), blob[:4]) from None
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_utf8(path, blob).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -243,31 +244,44 @@ def manifest_field(entry: dict, key: str, where: str, kind: type):
 
 
 def load_manifest(path) -> dict:
-    """Read a rank/substudy manifest and check it (_check_manifest)."""
+    """Read a rank/substudy manifest: its checked copy (_check_manifest)."""
     with open(path) as fh:
         return _check_manifest(json.load(fh))
 
 
 def _check_manifest(manifest) -> dict:
-    """`manifest`, or ManifestError unless it has a "target" object, a
-    non-empty list of "candidates" (each with a unique string "id" and
-    "emb"/"labels" files or a "synth" config), and optional "methods" (a
-    non-empty list of unique names), "seed" and "max_samples"."""
-    manifest_field(manifest, "target", "manifest", dict)
+    """A copy of `manifest` with defaults for "methods", "seed" and
+    "max_samples", or ManifestError unless it has a "target" entry, a
+    non-empty list of "candidates" entries with unique string "id"s,
+    "methods" as a non-empty list of unique names, and integer "seed" and
+    "max_samples". An entry holds a "synth" object, which
+    SynthConfig.from_dict parses (ConfigInvalid), or string "emb" and
+    "labels" files ("labels" optional for the target). Other keys are
+    ignored."""
+    target = manifest_field(manifest, "target", "manifest", dict)
     candidates = manifest_field(manifest, "candidates", "manifest", list)
     if not candidates:
         raise ManifestError("manifest candidates must be a non-empty list")
     ids = [manifest_field(c, "id", f"candidate {i}", str) for i, c in enumerate(candidates)]
     if len(ids) != len(set(ids)):
         raise ManifestError("candidate ids must be unique")
-    methods = manifest.get("methods", ["pas"])
+    manifest = {"methods": ["pas"], "seed": 0, "max_samples": 10_000, **manifest}
+    methods = manifest["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ManifestError("manifest 'methods' is not a JSON list of strings")
     if not methods or len(methods) != len(set(methods)):
         raise ManifestError("manifest 'methods' must be a non-empty list of unique names")
     for key in ("seed", "max_samples"):
-        if type(manifest.get(key, 0)) is not int:  # not a float, bool or string
+        if type(manifest[key]) is not int:  # not a float, bool or string
             raise ManifestError(f"manifest {key!r} is not an integer")
+    entries = [("target", target)] + [(f"candidate {i!r}", c) for i, c in zip(ids, candidates)]
+    for where, entry in entries:
+        if "synth" in entry:
+            SynthConfig.from_dict(manifest_field(entry, "synth", where, dict))
+            continue
+        for key in ("emb", "labels"):
+            if key in entry or (where, key) != ("target", "labels"):
+                manifest_field(entry, key, where, str)
     return manifest
 
 
@@ -279,20 +293,20 @@ def dump_report(report: dict, path) -> None:
 
 def load_accuracy_csv(path) -> dict:
     """candidate_id,accuracy_percent rows into a dict. A line without two
-    fields or with an unparsable or non-finite accuracy raises RaggedCsv."""
+    fields or with an unparsable or non-finite accuracy raises RaggedCsv,
+    and a file that is not UTF-8 BadMagic."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 2:
-                raise RaggedCsv(str(path), lineno)
-            try:
-                accuracy = float(parts[1])
-            except ValueError:
-                raise RaggedCsv(str(path), lineno) from None
-            if not math.isfinite(accuracy):
-                raise RaggedCsv(str(path), lineno)
-            out[parts[0]] = accuracy
+    for lineno, line in enumerate(_utf8(path, Path(path).read_bytes()).splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != 2:
+            raise RaggedCsv(str(path), lineno)
+        try:
+            accuracy = float(parts[1])
+        except ValueError:
+            raise RaggedCsv(str(path), lineno) from None
+        if not math.isfinite(accuracy):
+            raise RaggedCsv(str(path), lineno)
+        out[parts[0]] = accuracy
     return out

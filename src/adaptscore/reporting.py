@@ -11,14 +11,7 @@ from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_d
 from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import CandidateScoreRow, rank_candidates
-from .formats import (
-    REPORT_SCHEMA,
-    _check_manifest,
-    load_embeddings,
-    load_labels,
-    manifest_field,
-    open_embeddings,
-)
+from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, open_embeddings
 from .scores import _FAMILY, _pas_family, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from .synth import SynthConfig, generate_pair
 
@@ -85,7 +78,8 @@ def load_source(emb_path, labels_path) -> LabeledEmbeddingSet:
 
 
 def load_target(spec, opener=None) -> tuple:
-    """Target descriptor -> (row source, labels-or-None).
+    """Target entry, as formats._check_manifest checked it -> (row source,
+    labels-or-None).
 
     A {"synth": cfg} entry yields the target half of the generated pair.
     A file entry is read by `opener`, open_embeddings when None: a PEMB
@@ -96,13 +90,12 @@ def load_target(spec, opener=None) -> tuple:
     whether or not a method reads it.
     """
     if "synth" in spec:
-        cfg = SynthConfig.from_dict(manifest_field(spec, "synth", "target", dict))
-        _, target = generate_pair(cfg)
+        _, target = generate_pair(SynthConfig.from_dict(spec["synth"]))
         return target.embeddings, target.labels
-    emb = (opener or open_embeddings)(manifest_field(spec, "emb", "target", str))
+    emb = (opener or open_embeddings)(spec["emb"])
     if "labels" not in spec:
         return emb, None
-    return emb, load_labels_for(manifest_field(spec, "labels", "target", str), emb.n)
+    return emb, load_labels_for(spec["labels"], emb.n)
 
 
 def load_labels_for(path, rows: int):
@@ -114,25 +107,24 @@ def load_labels_for(path, rows: int):
 
 
 def load_candidate(entry) -> LabeledEmbeddingSet:
-    """Candidate entry -> labeled source set.
+    """Candidate entry, as formats._check_manifest checked it -> labeled
+    source set.
 
     A {"synth": cfg} entry yields the source half of the generated pair.
     """
-    where = f"candidate {entry.get('id')!r}"
     if "synth" in entry:
-        cfg = SynthConfig.from_dict(manifest_field(entry, "synth", where, dict))
-        source, _ = generate_pair(cfg)
+        source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
         return source
-    return load_source(manifest_field(entry, "emb", where, str), manifest_field(entry, "labels", where, str))
+    return load_source(entry["emb"], entry["labels"])
 
 
 def score_candidate(
     source: LabeledEmbeddingSet,
     target,
     methods,
-    target_labels=None,
-    seed: int = 0,
-    max_samples: int = 10_000,
+    target_labels,
+    seed: int,
+    max_samples: int,
 ) -> dict:
     """{method: raw score} of one source against the target, a row source;
     ConfigInvalid before any scoring for a method resolve_method rejects.
@@ -160,21 +152,20 @@ def build_report(manifest: dict) -> dict:
     Candidates are scored one after another (the block runner,
     embed_core._run_blocks, is the only parallel part), so identical
     manifest+seed yields an identical report (the created_at timestamp
-    aside). Raises ManifestError for a manifest that load_manifest would
-    reject.
+    aside). Raises what load_manifest raises for a manifest it would
+    reject, before any file is read; `manifest` itself is not changed.
     """
-    _check_manifest(manifest)
+    manifest = _check_manifest(manifest)
     target_emb, target_labels = load_target(manifest["target"])
-    methods = manifest.get("methods", ["pas"])
+    methods = manifest["methods"]
     for name in methods:
         resolve_method(name, target_labels is not None)
-    seed = manifest.get("seed", 0)
-    max_samples = manifest.get("max_samples", 10_000)
+    seed = manifest["seed"]
 
     rows = []
     for entry in manifest["candidates"]:
         source = load_candidate(entry)
-        raw = score_candidate(source, target_emb, methods, target_labels, seed, max_samples)
+        raw = score_candidate(source, target_emb, methods, target_labels, seed, manifest["max_samples"])
         rows.append(
             {
                 "candidate_id": entry["id"],

@@ -263,6 +263,35 @@ class TestManifestSchema:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("command", ["rank", "substudy"])
+    @pytest.mark.parametrize("last, error, code", [
+        ({"labels": "a.plbl"}, "ManifestError", 2),
+        ({"emb": "a.pemb"}, "ManifestError", 2),
+        ({"emb": 5, "labels": "a.plbl"}, "ManifestError", 2),
+        ({"emb": "a.pemb", "labels": ["a.plbl"]}, "ManifestError", 2),
+        ({"synth": 5}, "ManifestError", 2),
+        ({"synth": [synth_entry(1)]}, "ManifestError", 2),
+        ({"synth": dict(synth_entry(1), spread=0.1)}, "ConfigInvalid", 3),
+    ], ids=["no-emb", "no-labels", "emb-not-string", "labels-not-string", "synth-5", "synth-list",
+            "synth-unknown-field"])
+    def test_last_candidate_defect_fails_before_any_file_is_read(self, readme_dir, capsys, command,
+                                                                last, error, code):
+        """The target and the first candidate name missing files, so a
+        manifest check made only when an entry is loaded would report
+        FileNotFoundError instead; nothing is scored either."""
+        manifest = _readme_manifest()
+        manifest["target"]["emb"] = "missing.pemb"
+        manifest["candidates"][0].update(emb="missing.pemb", labels="missing.plbl")
+        manifest["candidates"].append(dict(last, id="last"))
+        (readme_dir / "m.json").write_text(json.dumps(manifest))
+        argv = [command, "--manifest", "m.json", "--out", "out.json", "--json"]
+        if command == "substudy":
+            argv += ["--fractions", "1.0", "--repeats", "1"]
+        assert main(argv) == code
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == (error, code)
+        assert not (readme_dir / "out.json").exists()
+
     @pytest.mark.parametrize("manifest", [
         [],
         {"target": "tgt.pemb", "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]},
@@ -332,14 +361,17 @@ class TestMethodTable:
             assert row["display_scores"][name] == (-value if method.negated else value), name
 
     @pytest.mark.parametrize("command", ["rank", "substudy"])
-    @pytest.mark.parametrize("out", ["missing/r.json", "m.json/r.json", "locked/r.json"])
+    @pytest.mark.parametrize("out", ["missing/r.json", "m.json/r.json", "locked/r.json", "taken", "r.locked"])
     def test_unwritable_out_fails_before_scoring(self, fixture_dir, capsys, monkeypatch, command, out):
-        """An --out directory that is missing, a file, or not writable exits
-        2 before any candidate is scored. os.access is patched to call
-        "locked" read-only, since a chmod does not stop the root user."""
+        """An --out directory that is missing, a file, or not writable, and
+        an --out that is a directory or a read-only file, exit 2 before any
+        candidate is scored. os.access is patched to call "locked" and
+        "r.locked" read-only, since a chmod does not stop the root user."""
         from adaptscore import cli, reporting
 
         (fixture_dir / "locked").mkdir()
+        (fixture_dir / "taken").mkdir()
+        (fixture_dir / "r.locked").write_text("")
         access = os.access
         monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("locked") and access(p, mode))
         scored = []

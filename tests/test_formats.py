@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import struct
@@ -323,10 +324,31 @@ class TestManifestAndAccuracy:
         with pytest.raises(ManifestError):
             build_report(manifest)
 
+    def test_manifest_defaults_fill_a_copy(self, tmp_path):
+        from adaptscore.reporting import build_report
+
+        synth = {"num_classes": 2, "dim": 4, "n_source_per_class": 3, "n_target_per_class": 3}
+        manifest = {"target": {"synth": synth, "note": 1}, "candidates": [{"id": "a", "synth": synth}]}
+        before = copy.deepcopy(manifest)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(manifest))
+        checked = load_manifest(p)
+        assert checked == dict(before, methods=["pas"], seed=0, max_samples=10_000)
+        report = build_report(manifest)
+        assert manifest == before
+        assert report["target"] == before["target"] and report["seed"] == 0
+        assert list(report["selection"]) == ["pas"]
+
     def test_accuracy_csv(self, tmp_path):
         p = tmp_path / "acc.csv"
         p.write_text("D,71.8\nW,70.6\n")
         assert load_accuracy_csv(p) == {"D": 71.8, "W": 70.6}
+
+    def test_accuracy_csv_not_utf8_is_bad_magic(self, tmp_path):
+        p = tmp_path / "acc.csv"
+        p.write_bytes(b"\xff\xfeD,71.8\n")
+        with pytest.raises(BadMagic):
+            load_accuracy_csv(p)
 
     def test_accuracy_line_without_two_fields(self, tmp_path):
         p = tmp_path / "acc.csv"

@@ -489,7 +489,7 @@ def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, 
         alone = METHODS[m].score(source, rows, target.labels, 3, 12)
         assert got[m] == (alone.value if isinstance(alone, ScoreResult) else alone), m
     with pytest.raises(ConfigInvalid):  # before the pass that pas would start
-        score_candidate(source, rows, ["pas", "oracle"])
+        score_candidate(source, rows, ["pas", "oracle"], None, 3, 12)
 
 
 def test_pas_family_peak_stays_within_its_block_bytes(tmp_path, rng, monkeypatch):
