@@ -17,17 +17,17 @@ from pathlib import Path
 
 from .embed_core import _block_ranges
 from .errors import AdaptScoreError, FormatError, MissingScore
-from .evaluation import pearson, spearman, subsample_study
+from .evaluation import _check_study, pearson, spearman, subsample_study
 from .formats import (
+    _load_json,
     dump_report,
     load_accuracy_csv,
     load_embeddings,
     load_manifest,
-    open_embeddings,
     save_embeddings,
     save_labels,
 )
-from .reporting import build_report, load_candidate, load_labels_for, load_source, load_target, resolve_method
+from .reporting import build_report, load_candidate, load_target, resolve_method
 from .scores import ScoreResult
 from .synth import SynthConfig, generate_pair
 
@@ -107,10 +107,10 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 
 def _cmd_score(args) -> int:
-    source = load_source(args.source_emb, args.source_labels)
-    target = open_embeddings(args.target_emb)  # PEMB rows stream through the kernel
     method = resolve_method(args.method, bool(args.target_labels))
-    target_labels = load_labels_for(args.target_labels, target.n) if args.target_labels else None
+    labels = {"labels": args.target_labels} if args.target_labels else {}
+    target, target_labels = load_target({"emb": args.target_emb, **labels})  # PEMB rows stream through the kernel
+    source = load_candidate({"emb": args.source_emb, "labels": args.source_labels})
     result = method.score(source, target, target_labels, args.seed, args.max_samples)
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
@@ -166,10 +166,9 @@ def _corr_pairs(report, method: str, accuracy: dict):
 
 
 def _cmd_corr(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
-    accuracy = load_accuracy_csv(args.accuracy)
     resolve_method(args.method)
+    report = _load_json(args.report)
+    accuracy = load_accuracy_csv(args.accuracy)
     xs, ys = _corr_pairs(report, args.method, accuracy)
     p = pearson(xs, ys)
     s = spearman(xs, ys)
@@ -181,8 +180,7 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.config) as fh:
-        cfg = SynthConfig.from_dict(json.load(fh))
+    cfg = SynthConfig.from_dict(_load_json(args.config))
     source, target = generate_pair(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,13 +193,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_substudy(args) -> int:
+    fractions = _check_study(args.fractions.split(","), args.repeats)
     _check_out(args.out)
     manifest = load_manifest(args.manifest)
     # Loaded whole: the study draws fractions x repeats x candidates subsamples.
     target_emb, _ = load_target(manifest["target"], load_embeddings)
     sources = [load_candidate(c) for c in manifest["candidates"]]
     ids = [c["id"] for c in manifest["candidates"]]
-    fractions = [float(f) for f in args.fractions.split(",")]
     result = subsample_study(
         sources,
         target_emb,
@@ -210,9 +208,7 @@ def _cmd_substudy(args) -> int:
         base_seed=manifest["seed"],
         candidate_ids=ids,
     )
-    with open(args.out, "w") as fh:
-        json.dump(dataclasses.asdict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_report(dataclasses.asdict(result), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

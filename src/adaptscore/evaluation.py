@@ -129,6 +129,17 @@ def _uniform_subsample(target: EmbeddingSet, fraction: float, rng) -> EmbeddingS
     return EmbeddingSet(target.data[idx])
 
 
+def _check_study(fractions, repeats: int) -> list:
+    """`fractions` as floats; ValueError unless they parse and ascend within
+    (0, 1] and `repeats` is at least 1."""
+    fractions = [float(f) for f in fractions]
+    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
+        raise ValueError("fractions must be ascending values in (0, 1]")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    return fractions
+
+
 def subsample_study(
     sources,
     target: EmbeddingSet,
@@ -144,11 +155,7 @@ def subsample_study(
     max(1, round(f * n_c)) <= n_c rows of every class, so a subsample
     never loses a class.
     """
-    fractions = [float(f) for f in fractions]
-    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
-        raise ValueError("fractions must be ascending values in (0, 1]")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    fractions = _check_study(fractions, repeats)
     if candidate_ids is None:
         candidate_ids = [f"candidate_{i}" for i in range(len(sources))]
 

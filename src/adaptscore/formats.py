@@ -243,10 +243,14 @@ def manifest_field(entry: dict, key: str, where: str, kind: type):
     return entry[key]
 
 
+def _load_json(path):
+    """The JSON document in the file at `path`; BadMagic unless it is UTF-8."""
+    return json.loads(_utf8(path, Path(path).read_bytes()))
+
+
 def load_manifest(path) -> dict:
     """Read a rank/substudy manifest: its checked copy (_check_manifest)."""
-    with open(path) as fh:
-        return _check_manifest(json.load(fh))
+    return _check_manifest(_load_json(path))
 
 
 def _check_manifest(manifest) -> dict:

@@ -68,15 +68,6 @@ def resolve_method(name, have_target_labels: bool = True) -> Method:
     return method
 
 
-def load_source(emb_path, labels_path) -> LabeledEmbeddingSet:
-    """A labeled source set from its embedding and label files. The class
-    count is the largest label + 1, and every class needs a member."""
-    emb = load_embeddings(emb_path)
-    labels = load_labels(labels_path)
-    # initial=-1: an empty label file reaches the LabelCountMismatch check
-    return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
-
-
 def load_target(spec, opener=None) -> tuple:
     """Target entry, as formats._check_manifest checked it -> (row source,
     labels-or-None).
@@ -95,15 +86,10 @@ def load_target(spec, opener=None) -> tuple:
     emb = (opener or open_embeddings)(spec["emb"])
     if "labels" not in spec:
         return emb, None
-    return emb, load_labels_for(spec["labels"], emb.n)
-
-
-def load_labels_for(path, rows: int):
-    """The label file at `path`; LabelCountMismatch unless it has `rows` labels."""
-    labels = load_labels(path)
-    if labels.shape[0] != rows:
-        raise LabelCountMismatch(labels.shape[0], rows)
-    return labels
+    labels = load_labels(spec["labels"])
+    if labels.shape[0] != emb.n:
+        raise LabelCountMismatch(labels.shape[0], emb.n)
+    return emb, labels
 
 
 def load_candidate(entry) -> LabeledEmbeddingSet:
@@ -111,11 +97,16 @@ def load_candidate(entry) -> LabeledEmbeddingSet:
     source set.
 
     A {"synth": cfg} entry yields the source half of the generated pair.
+    A file entry is loaded whole. The class count is the largest label + 1,
+    and every class needs a member.
     """
     if "synth" in entry:
         source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
         return source
-    return load_source(entry["emb"], entry["labels"])
+    emb = load_embeddings(entry["emb"])
+    labels = load_labels(entry["labels"])
+    # initial=-1: an empty label file reaches the LabelCountMismatch check
+    return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
 
 
 def score_candidate(
@@ -147,19 +138,20 @@ def display_value(method: str, raw: float) -> float:
 
 def build_report(manifest: dict) -> dict:
     """Score every manifest candidate against the target and assemble the
-    adaptscore-report-v1 document.
+    adaptscore-report-v1 document; `manifest` itself is not changed.
 
-    Candidates are scored one after another (the block runner,
-    embed_core._run_blocks, is the only parallel part), so identical
-    manifest+seed yields an identical report (the created_at timestamp
-    aside). Raises what load_manifest raises for a manifest it would
-    reject, before any file is read; `manifest` itself is not changed.
+    Candidates are scored one after another (embed_core._run_blocks is the
+    only parallel part), so identical manifest+seed yields an identical
+    report, created_at aside. Each input is checked before the next file
+    is opened: the manifest entries (what load_manifest raises), the
+    methods (ConfigInvalid), the target, then each candidate in turn.
     """
     manifest = _check_manifest(manifest)
-    target_emb, target_labels = load_target(manifest["target"])
     methods = manifest["methods"]
+    target = manifest["target"]
     for name in methods:
-        resolve_method(name, target_labels is not None)
+        resolve_method(name, "labels" in target or "synth" in target)
+    target_emb, target_labels = load_target(target)
     seed = manifest["seed"]
 
     rows = []
@@ -180,7 +172,7 @@ def build_report(manifest: dict) -> dict:
     ranking = {m: rank_candidates(score_rows, m) for m in methods}
     return {
         "schema": REPORT_SCHEMA,
-        "target": dict(manifest["target"]),
+        "target": dict(target),
         "rows": rows,
         "ranking": ranking,
         "selection": {m: ordered[0] for m, ordered in ranking.items()},

@@ -470,6 +470,56 @@ class TestMethodTable:
         assert main(["rank", "--manifest", "m.json", "--out", "r.json", "--json"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
 
+    @pytest.mark.parametrize("method", ["nope", "oracle"])
+    def test_score_checks_the_method_before_any_file(self, fixture_dir, capsys, method):
+        # oracle without --target-labels; neither embedding file exists.
+        argv = ["score", "--method", method, "--source-emb", "missing.pemb",
+                "--source-labels", "src.plbl", "--target-emb", "missing-tgt.pemb", "--json"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("ConfigInvalid", 3)
+
+    @pytest.mark.parametrize("method", ["nope", "oracle"])
+    def test_rank_checks_methods_before_the_target(self, fixture_dir, capsys, method):
+        # The target has no labels for oracle, and its file does not exist.
+        manifest = {
+            "target": {"emb": "missing-tgt.pemb"},
+            "candidates": [{"id": "a", "emb": "src.pemb", "labels": "src.plbl"}],
+            "methods": ["pas", method],
+        }
+        (fixture_dir / "m.json").write_text(json.dumps(manifest))
+        assert main(["rank", "--manifest", "m.json", "--out", "r.json", "--json"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("ConfigInvalid", 3)
+
+    def test_rank_synth_target_has_labels(self, fixture_dir):
+        manifest = {
+            "target": {"synth": synth_entry(1)},
+            "candidates": [{"id": "a", "synth": synth_entry(2)}],
+            "methods": ["oracle"],
+        }
+        (fixture_dir / "m.json").write_text(json.dumps(manifest))
+        assert main(["rank", "--manifest", "m.json", "--out", "r.json"]) == 0
+        rows = json.loads((fixture_dir / "r.json").read_text())["rows"]
+        assert list(rows[0]["method_scores"]) == ["oracle"]
+
+
+@pytest.mark.parametrize("command", ["rank", "substudy", "corr", "synth"])
+def test_non_utf8_json_is_bad_magic(tmp_path, capsys, command):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"\xff\xfe{}")
+    (tmp_path / "acc.csv").write_text("a,70.0\nb,60.0\n")
+    argv = {
+        "rank": ["rank", "--manifest", str(doc), "--out", str(tmp_path / "r.json")],
+        "substudy": ["substudy", "--manifest", str(doc), "--fractions", "1.0",
+                     "--out", str(tmp_path / "s.json")],
+        "corr": ["corr", "--report", str(doc), "--accuracy", str(tmp_path / "acc.csv")],
+        "synth": ["synth", "--config", str(doc), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main([*argv, "--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("BadMagic", 2)
+
 
 class TestCorrCommand:
     def test_reference_row(self, tmp_path, capsys):
@@ -514,6 +564,13 @@ class TestCorrErrors:
                 "--method", method, "--json"]
         assert main(argv) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def test_unknown_method_before_any_file(self, tmp_path, capsys):
+        argv = ["corr", "--report", str(tmp_path / "missing.json"),
+                "--accuracy", str(tmp_path / "missing.csv"), "--method", "nope", "--json"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("ConfigInvalid", 3)
 
     def _run(self, tmp_path, capsys, report, accuracy):
         (tmp_path / "r.json").write_text(json.dumps(report))
@@ -596,6 +653,7 @@ class TestSubstudyCommand:
         ])
         assert code == 0
         study = json.loads(out.read_text())
+        assert out.read_text() == json.dumps(study, indent=2, sort_keys=True) + "\n"
         assert study["fractions"] == [0.5, 1.0]
         assert len(study["scores"]) == 2
         assert study["rank_stable"][1] is True
@@ -616,6 +674,31 @@ class TestSubstudyCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("fractions, repeats", [
+        ("0.5,abc", "2"), ("0.5,1.0", "0"), ("1.0,0.5", "2"), ("0,1.0", "2"),
+    ])
+    def test_arguments_checked_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, fractions, repeats
+    ):
+        from adaptscore import cli
+
+        manifest = {
+            "target": {"synth": synth_entry(2, shift=0.0)},
+            "candidates": [{"id": "a", "synth": synth_entry(2)}],
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        loaded = []
+        for name in ("load_manifest", "load_target", "load_candidate"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: loaded.append(name))
+        code = main([
+            "substudy", "--manifest", str(mpath), "--json",
+            "--fractions", fractions, "--repeats", repeats, "--out", str(tmp_path / "study.json"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert loaded == []
 
 
 def test_cli_import_leaves_scipy_out():

@@ -205,7 +205,7 @@ def test_file_truncated_after_the_header_check(files, monkeypatch, capsys):
             fh.truncate(100)
         return opened[-1]
 
-    monkeypatch.setattr("adaptscore.cli.open_embeddings", open_then_truncate)
+    monkeypatch.setattr("adaptscore.reporting.open_embeddings", open_then_truncate)
     assert main(_score_argv(tmp_path, "pas")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "TruncatedFile"
     assert isinstance(opened[0], PembRows)
