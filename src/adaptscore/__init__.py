@@ -25,8 +25,6 @@ from .embed_core import (  # noqa: E402,F401
     LabeledEmbeddingSet,
     CentroidTable,
     unit_normalize,
-    cosine_distance,
-    euclidean_distance,
     class_centroids,
 )
 from .scores import (  # noqa: E402,F401

@@ -25,11 +25,6 @@ from .embed_core import (
 )
 from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples, check_fields
 
-# Entries of one silhouette distance block (block rows x n, float64): the
-# row block shrinks as n grows so the block stays near 64 MB, and the two
-# blocks in flight near 128 MB.
-_SILHOUETTE_BLOCK_ENTRIES = 2**23
-
 # Rows of one MMD pairwise block (rows x pooled n, float64): 20 MB at the
 # default cap's 20,000 pooled rows.
 _MMD_BLOCK_ROWS = 128
@@ -78,7 +73,9 @@ def cdist(XA: np.ndarray, XB: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise distances between the unit rows of XA and XB from one GEMM,
     transformed in place (_gram_to_distance): "cosine" is 1 - x.y clipped
     to [0, 2] (the PAS block kernel's formula), "sqeuclidean" is
-    max(2 - 2 x.y, 0) and "euclidean" its square root.
+    max(2 - 2 x.y, 0) and "euclidean" its square root. MMD's walks
+    (_upper_blocks) and window sample (_window) take every squared
+    distance from it.
 
     Limit of the GEMM form: x.y of two equal unit rows rounds to within a
     few ulp of 1, so the squared distance between duplicate rows at
@@ -185,7 +182,7 @@ def _upper_blocks(p: np.ndarray, reduce):
     lower = np.tri(ranges[0][1], dtype=bool)
 
     def block(lo, hi):
-        s = _gram_to_distance(p[lo:hi] @ p[lo:].T, "sqeuclidean")
+        s = cdist(p[lo:hi], p[lo:], "sqeuclidean")
         h = hi - lo
         s[:, :h][lower[:h, :h]] = np.inf
         return reduce(lo, s)
@@ -279,7 +276,7 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     """
     n = p.shape[0]
     rows = np.linspace(0, n - 1, min(_MMD_BLOCK_ROWS, n)).astype(np.intp)
-    sample = _gram_to_distance(p[rows] @ p.T, "sqeuclidean")
+    sample = cdist(p[rows], p, "sqeuclidean")
     sample[np.arange(rows.shape[0]), rows] = np.inf  # self-pairs sort last
     sample = sample.ravel()
     size = rows.shape[0] * (n - 1)
@@ -389,22 +386,16 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     return 2.0 * (1.0 - 2.0 * err)
 
 
-def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
-    """Classical mean silhouette (b - a) / max(a, b) with self-exclusion.
+def silhouette(data: LabeledEmbeddingSet) -> float:
+    """Classical mean silhouette (b - a) / max(a, b) with self-exclusion,
+    under the cosine distance 1 - x.y between unit-normalized rows.
 
-    metric is "cosine" or "euclidean", both between unit-normalized rows.
     Each row block, run by the block runner within its byte budget, takes
-    the sums of its distances to every class. For cosine they come from
-    one GEMM against the C class sums of the unit rows, sum_{j in c} (1 -
-    x.s_j) = n_c - x.S_c, so a block holds block x (d + C) floats and no
-    normalized n x d copy is kept. For euclidean they come from the
-    block's distances to all n rows; the block has at most
-    _SILHOUETTE_BLOCK_ENTRIES // n rows, so its memory stays bounded as n
-    grows instead of reaching n x n (such a block exceeds the budget, so
-    two of these blocks run at a time, the runner's floor).
+    the sums of its distances to every class from one GEMM against the C
+    class sums of the unit rows, sum_{j in c} (1 - x.s_j) = n_c - x.S_c,
+    so a block holds block x (d + C) floats and no normalized n x d copy
+    is kept.
     """
-    if metric not in ("cosine", "euclidean"):
-        raise ConfigInvalid(f"unknown metric {metric!r}")
     data._check_classes()
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if (counts < 2).any():
@@ -412,29 +403,15 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
 
     labels = data.labels
     raw = data.embeddings.data
-    if metric == "cosine":
-        ranges = _block_ranges(data.n)
-        width = data.dim + data.num_classes
-        class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
-    else:
-        ranges = _block_ranges(data.n, _SILHOUETTE_BLOCK_ENTRIES // data.n)
-        width = data.n
-        x = _unit_rows(raw)
-        onehot = np.zeros((data.n, data.num_classes))
-        onehot[np.arange(data.n), labels] = 1.0
+    ranges = _block_ranges(data.n)
+    class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
 
     def block(lo, hi):
         rows = np.arange(hi - lo)
         own = labels[lo:hi]
-        if metric == "cosine":
-            xb = _unit_rows(raw[lo:hi], lo)
-            sums = counts - xb @ class_sums.T
-            self_dist = 1.0 - np.einsum("ij,ij->i", xb, xb)
-        else:
-            dist = cdist(x[lo:hi], x, metric)
-            sums = dist @ onehot
-            self_dist = dist[rows, lo + rows]
-            del dist  # before the tail allocates
+        xb = _unit_rows(raw[lo:hi], lo)
+        sums = counts - xb @ class_sums.T
+        self_dist = 1.0 - np.einsum("ij,ij->i", xb, xb)
         # The own-class mean leaves out the row's distance to itself.
         a = (sums[rows, own] - self_dist) / (counts[own] - 1)
         sums /= counts
@@ -443,5 +420,5 @@ def silhouette(data: LabeledEmbeddingSet, metric: str = "cosine") -> float:
         denom = np.maximum(a, b)
         return np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom != 0.0)
 
-    scores = _run_blocks(block, ranges, 8 * ranges[0][1] * width)
+    scores = _run_blocks(block, ranges, 8 * ranges[0][1] * (data.dim + data.num_classes))
     return float(np.concatenate(list(scores)).mean())

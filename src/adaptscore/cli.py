@@ -107,11 +107,11 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 
 def _cmd_score(args) -> int:
-    method = resolve_method(args.method, bool(args.target_labels))
+    score = resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
     labels = {"labels": args.target_labels} if args.target_labels else {}
     target, target_labels = load_target({"emb": args.target_emb, **labels})  # PEMB rows stream through the kernel
     source = load_candidate({"emb": args.source_emb, "labels": args.source_labels})
-    result = method.score(source, target, target_labels, args.seed, args.max_samples)
+    result = score(source, target, target_labels)
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
         _write_score_json(sys.stdout, args.method, value, result)

@@ -1,6 +1,5 @@
 """Embedding containers, the shared row primitives (block and chunk grid,
-the block runner, unit rows, Gram-to-distance), distances, and class
-centroids.
+the block runner, unit rows, Gram-to-distance), and class centroids.
 
 An EmbeddingSet keeps float32 data as float32 (half the memory of a
 loaded PEMB file widened up front) and widens every other dtype to
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DegenerateClass,
-    DimensionMismatch,
     LabelCountMismatch,
     LabelOutOfRange,
     MissingClass,
@@ -340,24 +338,6 @@ def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
     EPS_NORM.
     """
     return EmbeddingSet(_unit_rows(e.data))
-
-
-def cosine_distance(u, v) -> float:
-    """1 - u.v for unit vectors, clamped to [0, 2]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(u.shape[-1], v.shape[-1])
-    return float(min(max(1.0 - float(u @ v), 0.0), 2.0))
-
-
-def euclidean_distance(u, v) -> float:
-    """||u - v||_2."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(u.shape[-1], v.shape[-1])
-    return float(np.linalg.norm(u - v))
 
 
 def _class_sums(

@@ -18,14 +18,16 @@ from .synth import SynthConfig, generate_pair
 
 @dataclass(frozen=True)
 class Method:
-    """A scoring method: score(source, target, target_labels, seed,
-    max_samples) returns a ScoreResult for the PAS family and a float for
-    the baselines. A negated method is lower-is-better, so rankings use its
-    raw value negated."""
+    """A scoring method: score(source, target, target_labels, cfg) returns
+    a ScoreResult for the PAS family and a float for the baselines, where
+    cfg is config(seed, max_samples), the settings of mmd and adist and
+    None for the others. A negated method is lower-is-better, so rankings
+    use its raw value negated."""
 
     score: Callable
     needs_target_labels: bool = False
     negated: bool = False
+    config: Callable = lambda seed, max_samples: None
 
 
 # The entries call the scorers through their module-global names at call
@@ -36,36 +38,40 @@ METHODS = {
     "pas_euclidean": Method(lambda s, t, *_: pas_euclidean(s, t)),
     "pas_avg_pairwise": Method(lambda s, t, *_: pas_avg_pairwise(s, t)),
     "oracle": Method(
-        lambda s, t, labels, *_: oracle_score(
+        lambda s, t, labels, _cfg: oracle_score(
             s, LabeledEmbeddingSet(t, labels, s.num_classes, require_all_classes=False)
         ),
         needs_target_labels=True,
     ),
     "mmd": Method(
-        lambda s, t, _labels, seed, cap: mmd_gaussian(
-            s.embeddings, t, MmdConfig(max_samples_per_domain=cap, seed=seed)
-        ),
+        lambda s, t, _labels, cfg: mmd_gaussian(s.embeddings, t, cfg),
         negated=True,
+        config=lambda seed, max_samples: MmdConfig(max_samples_per_domain=max_samples, seed=seed),
     ),
     "adist": Method(
-        lambda s, t, _labels, seed, _cap: proxy_a_distance(
-            s.embeddings, t, ProxyClassifierConfig(seed=seed)
-        ),
+        lambda s, t, _labels, cfg: proxy_a_distance(s.embeddings, t, cfg),
         negated=True,
+        config=lambda seed, _max_samples: ProxyClassifierConfig(seed=seed),
     ),
     "silhouette": Method(lambda s, *_: silhouette(s)),
 }
 
 
-def resolve_method(name, have_target_labels: bool = True) -> Method:
-    """The METHODS entry for `name`. ConfigInvalid for an unknown name, or
-    for a method that needs target labels when none were given."""
+def resolve_method(
+    name, have_target_labels: bool = True, seed: int = 0, max_samples: int = 10_000
+) -> Callable:
+    """score(source, target, target_labels) of the METHODS entry `name`,
+    bound to its settings. ConfigInvalid for an unknown name, for a method
+    that needs target labels when none were given, and for settings the
+    method's config rejects (mmd, adist), so every one of them is reported
+    before any data file is read."""
     method = METHODS.get(name)
     if method is None:
         raise ConfigInvalid(f"unknown method {name!r}; known: {', '.join(METHODS)}")
     if method.needs_target_labels and not have_target_labels:
         raise ConfigInvalid(f"{name} scoring requires target labels")
-    return method
+    cfg = method.config(seed, max_samples)
+    return lambda source, target, target_labels: method.score(source, target, target_labels, cfg)
 
 
 def load_target(spec, opener=None) -> tuple:
@@ -118,15 +124,16 @@ def score_candidate(
     max_samples: int,
 ) -> dict:
     """{method: raw score} of one source against the target, a row source;
-    ConfigInvalid before any scoring for a method resolve_method rejects.
-    The PAS-family methods share one pass over the target, made at the
-    first of them (scores._pas_family); every other method makes its own."""
-    methods = {name: resolve_method(name, target_labels is not None) for name in methods}
+    ConfigInvalid before any scoring for a method or setting that
+    resolve_method rejects. The PAS-family methods share one pass over the
+    target, made at the first of them (scores._pas_family); every other
+    method makes its own."""
+    methods = {name: resolve_method(name, target_labels is not None, seed, max_samples) for name in methods}
     family = [name for name in methods if name in _FAMILY]
     out = {}
-    for name, method in methods.items():
+    for name, score in methods.items():
         if name not in family:
-            out[name] = method.score(source, target, target_labels, seed, max_samples)
+            out[name] = score(source, target, target_labels)
         elif name == family[0]:
             out.update((m, r.value) for m, r in _pas_family(source, target, family, target_labels).items())
     return {name: out[name] for name in methods}
@@ -144,15 +151,16 @@ def build_report(manifest: dict) -> dict:
     only parallel part), so identical manifest+seed yields an identical
     report, created_at aside. Each input is checked before the next file
     is opened: the manifest entries (what load_manifest raises), the
-    methods (ConfigInvalid), the target, then each candidate in turn.
+    methods and their settings (ConfigInvalid), the target, then each
+    candidate in turn.
     """
     manifest = _check_manifest(manifest)
     methods = manifest["methods"]
     target = manifest["target"]
-    for name in methods:
-        resolve_method(name, "labels" in target or "synth" in target)
-    target_emb, target_labels = load_target(target)
     seed = manifest["seed"]
+    for name in methods:
+        resolve_method(name, "labels" in target or "synth" in target, seed, manifest["max_samples"])
+    target_emb, target_labels = load_target(target)
 
     rows = []
     for entry in manifest["candidates"]:

@@ -38,16 +38,11 @@ def brute_force_mmd(x, y, sigma):
     return xx + yy - 2 * xy
 
 
-def loop_silhouette(data, metric):
-    """The per-sample loop over a dense n x n matrix that the blockwise
-    silhouette replaced."""
-    from scipy.spatial.distance import cdist
-
+def loop_silhouette(data):
+    """The per-sample loop over a dense n x n cosine distance matrix that
+    the blockwise silhouette replaced."""
     x = unit_normalize(data.embeddings).data
-    if metric == "cosine":
-        dist = np.clip(1.0 - x @ x.T, 0.0, 2.0)
-    else:
-        dist = cdist(x, x, "euclidean")
+    dist = np.clip(1.0 - x @ x.T, 0.0, 2.0)
     labels = data.labels
     per_sample = np.empty(data.n)
     for i in range(data.n):
@@ -70,6 +65,39 @@ def test_cdist_matches_scipy_on_unit_rows(rng, metric):
     xa = unit_normalize(EmbeddingSet(rng.standard_normal((40, 16)))).data
     xb = unit_normalize(EmbeddingSet(rng.standard_normal((25, 16)))).data
     np.testing.assert_allclose(baselines.cdist(xa, xb, metric), cdist(xa, xb, metric), rtol=0, atol=1e-12)
+
+
+class TestCdist:
+    """Worked examples of the one pairwise primitive on unit rows."""
+
+    @pytest.mark.parametrize(
+        "u,v,expected",
+        [((1, 0), (1, 0), 0.0), ((1, 0), (0, 1), 1.0), ((1, 0), (-1, 0), 2.0)],
+    )
+    def test_cosine_examples(self, u, v, expected):
+        got = baselines.cdist(np.array([u], float), np.array([v], float), "cosine")
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "u,v,expected",
+        [((1, 0), (1, 0), 0.0), ((1, 0), (0, 1), np.sqrt(2)), ((0, 1), (0, -1), 2.0)],
+    )
+    def test_euclidean_examples(self, u, v, expected):
+        a, b = np.array([u], float), np.array([v], float)
+        assert baselines.cdist(a, b, "euclidean")[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert baselines.cdist(a, b, "sqeuclidean")[0, 0] == pytest.approx(expected**2, abs=1e-12)
+
+    # The Euclidean self distance is the square root of a squared distance
+    # that may round to ~1e-15 (see cdist's docstring), so up to ~3e-8.
+    @pytest.mark.parametrize("metric, self_atol", [("cosine", 1e-12), ("sqeuclidean", 1e-12), ("euclidean", 1e-7)])
+    def test_symmetric_and_self_zero(self, rng, metric, self_atol):
+        xa = unit_normalize(EmbeddingSet(rng.standard_normal((12, 5)))).data
+        xb = unit_normalize(EmbeddingSet(rng.standard_normal((9, 5)))).data
+        np.testing.assert_allclose(
+            baselines.cdist(xa, xb, metric), baselines.cdist(xb, xa, metric).T, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(np.diag(baselines.cdist(xa, xa, metric)), 0.0, rtol=0, atol=self_atol)
 
 
 class TestMmd:
@@ -663,40 +691,34 @@ class TestSilhouette:
             ]
         )
         data = LabeledEmbeddingSet(EmbeddingSet(rows), [0] * 10 + [1] * 10, 2)
-        assert silhouette(data, "cosine") > 0.9
+        assert silhouette(data) > 0.9
 
     def test_interleaved_identical_clusters(self, rng):
         x = rng.standard_normal((10, 5))
         data = LabeledEmbeddingSet(
             EmbeddingSet(np.vstack([x, x])), [0] * 10 + [1] * 10, 2
         )
-        assert silhouette(data, "cosine") <= 0.0
+        assert silhouette(data) <= 0.0
 
     def test_range(self, rng):
         for _ in range(10):
             data = random_labeled(rng, n_per_class=8, num_classes=3, dim=5, spread=1.0)
-            for metric in ("cosine", "euclidean"):
-                assert -1.0 <= silhouette(data, metric) <= 1.0
+            assert -1.0 <= silhouette(data) <= 1.0
 
     def test_orthogonal_invariance_cosine(self, rng):
         data = random_labeled(rng, dim=6)
-        base = silhouette(data, "cosine")
+        base = silhouette(data)
         q = random_orthogonal(rng, 6)
         rotated = LabeledEmbeddingSet(
             EmbeddingSet(data.embeddings.data @ q.T), data.labels, data.num_classes
         )
-        assert silhouette(rotated, "cosine") == pytest.approx(base, abs=1e-9)
+        assert silhouette(rotated) == pytest.approx(base, abs=1e-9)
 
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_blocks_match_per_sample_loop(self, rng, monkeypatch, metric):
+    def test_blocks_match_per_sample_loop(self, rng, monkeypatch):
         monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         for spread in (0.3, 1.5):
             data = random_labeled(rng, n_per_class=9, num_classes=4, dim=6, spread=spread)
-            want = loop_silhouette(data, metric)
-            # 7-row blocks, then 3-row blocks from a 108-entry budget at n = 36
-            for budget in (baselines._SILHOUETTE_BLOCK_ENTRIES, 3 * data.n):
-                monkeypatch.setattr(baselines, "_SILHOUETTE_BLOCK_ENTRIES", budget)
-                assert silhouette(data, metric) == pytest.approx(want, abs=1e-12)
+            assert silhouette(data) == pytest.approx(loop_silhouette(data), abs=1e-12)
 
     @pytest.mark.parametrize("block_rows", [1, 2])
     def test_cosine_class_sums_match_loop(self, rng, monkeypatch, block_rows):
@@ -704,11 +726,11 @@ class TestSilhouette:
         x = rng.standard_normal((12, 5))
         tied = LabeledEmbeddingSet(EmbeddingSet(np.vstack([x, x])), [0] * 12 + [1] * 12, 2)
         for data in (random_labeled(rng, n_per_class=5, num_classes=4, dim=6, spread=0.8), tied):
-            assert silhouette(data, "cosine") == pytest.approx(loop_silhouette(data, "cosine"), abs=1e-12)
+            assert silhouette(data) == pytest.approx(loop_silhouette(data), abs=1e-12)
         single = LabeledEmbeddingSet(
             EmbeddingSet(data.embeddings.data.astype(np.float32)), data.labels, data.num_classes
         )
-        assert silhouette(single, "cosine") == pytest.approx(loop_silhouette(single, "cosine"), abs=1e-12)
+        assert silhouette(single) == pytest.approx(loop_silhouette(single), abs=1e-12)
 
     def test_singleton_class(self):
         data = LabeledEmbeddingSet(
@@ -716,10 +738,6 @@ class TestSilhouette:
         )
         with pytest.raises(SingletonClass):
             silhouette(data)
-
-    def test_unknown_metric(self, rng):
-        with pytest.raises(ConfigInvalid):
-            silhouette(random_labeled(rng), "manhattan")
 
     def test_cosine_memory_is_blocks(self, rng, monkeypatch):
         # A gather of each class's unit rows took 89 MB here. The runner's
@@ -735,7 +753,7 @@ class TestSilhouette:
             monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
             tracemalloc.start()
             try:
-                silhouette(data, "cosine")
+                silhouette(data)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

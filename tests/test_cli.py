@@ -424,6 +424,30 @@ class TestMethodTable:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
 
+    @pytest.mark.parametrize("command, method, setting", [
+        ("score", "mmd", {"seed": -1}),
+        ("rank", "mmd", {"max_samples": -1}),
+        ("rank", "adist", {"seed": -1}),
+    ], ids=["score-mmd-seed", "rank-mmd-max_samples", "rank-adist-seed"])
+    def test_bad_baseline_setting_is_config_invalid_before_any_file(
+        self, fixture_dir, capsys, command, method, setting
+    ):
+        """A seed or sample cap that MmdConfig or ProxyClassifierConfig
+        rejects is checked with the methods, before a missing file is
+        opened."""
+        (fixture_dir / "tgt.pemb").unlink()
+        (fixture_dir / "src.pemb").unlink()
+        if command == "score":
+            argv = ["score", "--method", method, *self.SCORE_ARGS, "--seed", str(setting["seed"])]
+        else:
+            manifest = json.loads((fixture_dir / "m.json").read_text())
+            manifest.update(methods=[method], **setting)
+            (fixture_dir / "m.json").write_text(json.dumps(manifest))
+            argv = ["rank", "--manifest", "m.json", "--out", "r.json", "--json"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and err["exit_code"] == 3
+
     @pytest.mark.parametrize("labels, count", [("src.plbl", 0), ("src.plbl", 23), ("tgt.plbl", 11)],
                              ids=["empty-source", "short-source", "short-target"])
     @pytest.mark.parametrize("command", ["score", "rank"])

@@ -5,15 +5,12 @@ from adaptscore import (
     EmbeddingSet,
     LabeledEmbeddingSet,
     class_centroids,
-    cosine_distance,
-    euclidean_distance,
     unit_normalize,
 )
 from adaptscore import embed_core
 from adaptscore.embed_core import _class_sums
 from adaptscore.errors import (
     DegenerateClass,
-    DimensionMismatch,
     FormatError,
     MissingClass,
     NonFiniteValue,
@@ -41,39 +38,6 @@ class TestUnitNormalize:
         once = unit_normalize(e)
         twice = unit_normalize(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-9)
-
-
-class TestDistances:
-    @pytest.mark.parametrize(
-        "u,v,expected",
-        [((1, 0), (1, 0), 0.0), ((1, 0), (0, 1), 1.0), ((1, 0), (-1, 0), 2.0)],
-    )
-    def test_cosine_examples(self, u, v, expected):
-        assert cosine_distance(u, v) == pytest.approx(expected, abs=1e-12)
-
-    def test_cosine_symmetric_and_self_zero(self, rng):
-        for _ in range(20):
-            u = rng.standard_normal(5)
-            u /= np.linalg.norm(u)
-            v = rng.standard_normal(5)
-            v /= np.linalg.norm(v)
-            assert cosine_distance(u, v) == cosine_distance(v, u)
-            assert cosine_distance(u, u) == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_distance((1, 0), (1, 0, 0))
-
-    @pytest.mark.parametrize(
-        "u,v,expected",
-        [((1, 0), (1, 0), 0.0), ((1, 0), (0, 1), np.sqrt(2)), ((0, 0), (3, 4), 5.0)],
-    )
-    def test_euclidean_examples(self, u, v, expected):
-        assert euclidean_distance(u, v) == pytest.approx(expected, abs=1e-12)
-
-    def test_euclidean_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            euclidean_distance((1,), (1, 0))
 
 
 class TestClassCentroids:

@@ -34,7 +34,7 @@ from adaptscore.formats import (
     save_embeddings_csv,
     save_labels,
 )
-from adaptscore.reporting import METHODS, score_candidate
+from adaptscore.reporting import METHODS, resolve_method, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled
 
@@ -486,7 +486,7 @@ def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, 
     got = score_candidate(source, rows, methods, target.labels, 3, 12)
     assert list(got) == methods
     for m in methods:
-        alone = METHODS[m].score(source, rows, target.labels, 3, 12)
+        alone = resolve_method(m, True, 3, 12)(source, rows, target.labels)
         assert got[m] == (alone.value if isinstance(alone, ScoreResult) else alone), m
     with pytest.raises(ConfigInvalid):  # before the pass that pas would start
         score_candidate(source, rows, ["pas", "oracle"], None, 3, 12)

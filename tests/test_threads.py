@@ -92,7 +92,7 @@ for threads in ("1", "2"):
     for sigma in (None, 1.0):
         cfg = MmdConfig(sigma=sigma, max_samples_per_domain=600)
         bits.update(np.float64(mmd_gaussian(src.embeddings, tgt.embeddings, cfg)).tobytes())
-    bits.update(np.float64(silhouette(src, "cosine")).tobytes())
+    bits.update(np.float64(silhouette(src)).tobytes())
     digests.append(bits.hexdigest())
 print(" ".join(digests))
 """
