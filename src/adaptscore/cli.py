@@ -27,7 +27,7 @@ from .formats import (
     save_embeddings,
     save_labels,
 )
-from .reporting import build_report, load_candidate, load_target, resolve_method
+from .reporting import build_report, load_candidate, load_target, resolve_method, score_candidate
 from .scores import ScoreResult
 from .synth import SynthConfig, generate_pair
 
@@ -107,11 +107,12 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 
 def _cmd_score(args) -> int:
-    score = resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
+    resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
     labels = {"labels": args.target_labels} if args.target_labels else {}
     target, target_labels = load_target({"emb": args.target_emb, **labels})  # PEMB rows stream through the kernel
     source = load_candidate({"emb": args.source_emb, "labels": args.source_labels})
-    result = score(source, target, target_labels)
+    results = score_candidate(source, target, [args.method], target_labels, args.seed, args.max_samples)
+    result = results[args.method]
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
         _write_score_json(sys.stdout, args.method, value, result)

@@ -12,66 +12,58 @@ from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import CandidateScoreRow, rank_candidates
 from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, open_embeddings
-from .scores import _FAMILY, _pas_family, oracle_score, pas, pas_avg_pairwise, pas_euclidean
+from .scores import _FAMILY, ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
 
 
 @dataclass(frozen=True)
 class Method:
-    """A scoring method: score(source, target, target_labels, cfg) returns
-    a ScoreResult for the PAS family and a float for the baselines, where
-    cfg is config(seed, max_samples), the settings of mmd and adist and
-    None for the others. A negated method is lower-is-better, so rankings
-    use its raw value negated."""
+    """A row of the method table. A baseline's score(source, target, cfg)
+    returns a float, where cfg is config(seed, max_samples): the settings of
+    mmd and adist, None for silhouette. A PAS-family row has no score, as
+    score_candidate scores the family together. A negated method is
+    lower-is-better, so rankings use its raw value negated."""
 
-    score: Callable
+    score: Callable | None = None
     needs_target_labels: bool = False
     negated: bool = False
     config: Callable = lambda seed, max_samples: None
 
 
-# The entries call the scorers through their module-global names at call
-# time rather than holding the function objects, so a tracer that patches
-# those names also sees the calls made through the table.
+# The baseline entries call their scorers through their module-global names
+# at call time rather than holding the function objects, so a tracer that
+# patches those names also sees the calls made through the table.
 METHODS = {
-    "pas": Method(lambda s, t, *_: pas(s, t)),
-    "pas_euclidean": Method(lambda s, t, *_: pas_euclidean(s, t)),
-    "pas_avg_pairwise": Method(lambda s, t, *_: pas_avg_pairwise(s, t)),
-    "oracle": Method(
-        lambda s, t, labels, _cfg: oracle_score(
-            s, LabeledEmbeddingSet(t, labels, s.num_classes, require_all_classes=False)
-        ),
-        needs_target_labels=True,
-    ),
+    "pas": Method(),
+    "pas_euclidean": Method(),
+    "pas_avg_pairwise": Method(),
+    "oracle": Method(needs_target_labels=True),
     "mmd": Method(
-        lambda s, t, _labels, cfg: mmd_gaussian(s.embeddings, t, cfg),
+        lambda s, t, cfg: mmd_gaussian(s.embeddings, t, cfg),
         negated=True,
         config=lambda seed, max_samples: MmdConfig(max_samples_per_domain=max_samples, seed=seed),
     ),
     "adist": Method(
-        lambda s, t, _labels, cfg: proxy_a_distance(s.embeddings, t, cfg),
+        lambda s, t, cfg: proxy_a_distance(s.embeddings, t, cfg),
         negated=True,
         config=lambda seed, _max_samples: ProxyClassifierConfig(seed=seed),
     ),
-    "silhouette": Method(lambda s, *_: silhouette(s)),
+    "silhouette": Method(lambda s, _t, _cfg: silhouette(s)),
 }
 
 
-def resolve_method(
-    name, have_target_labels: bool = True, seed: int = 0, max_samples: int = 10_000
-) -> Callable:
-    """score(source, target, target_labels) of the METHODS entry `name`,
-    bound to its settings. ConfigInvalid for an unknown name, for a method
-    that needs target labels when none were given, and for settings the
-    method's config rejects (mmd, adist), so every one of them is reported
-    before any data file is read."""
+def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_samples: int = 10_000):
+    """The settings of the METHODS entry `name`: MmdConfig,
+    ProxyClassifierConfig or None. ConfigInvalid for an unknown name, for
+    a method that needs target labels when none were given, and for
+    settings the method's config rejects (mmd, adist), so every one of
+    them is reported before any data file is read."""
     method = METHODS.get(name)
     if method is None:
         raise ConfigInvalid(f"unknown method {name!r}; known: {', '.join(METHODS)}")
     if method.needs_target_labels and not have_target_labels:
         raise ConfigInvalid(f"{name} scoring requires target labels")
-    cfg = method.config(seed, max_samples)
-    return lambda source, target, target_labels: method.score(source, target, target_labels, cfg)
+    return method.config(seed, max_samples)
 
 
 def load_target(spec, opener=None) -> tuple:
@@ -123,20 +115,21 @@ def score_candidate(
     seed: int,
     max_samples: int,
 ) -> dict:
-    """{method: raw score} of one source against the target, a row source;
+    """{method: result} of one source against the target, a row source: a
+    ScoreResult for a PAS-family method and a float for a baseline.
     ConfigInvalid before any scoring for a method or setting that
     resolve_method rejects. The PAS-family methods share one pass over the
-    target, made at the first of them (scores._pas_family); every other
-    method makes its own."""
-    methods = {name: resolve_method(name, target_labels is not None, seed, max_samples) for name in methods}
-    family = [name for name in methods if name in _FAMILY]
+    target, made at the first of them (scores._pas_family); each baseline
+    makes its own."""
+    configs = {name: resolve_method(name, target_labels is not None, seed, max_samples) for name in methods}
+    family = [name for name in configs if name in _FAMILY]
     out = {}
-    for name, score in methods.items():
+    for name, cfg in configs.items():
         if name not in family:
-            out[name] = score(source, target, target_labels)
+            out[name] = METHODS[name].score(source, target, cfg)
         elif name == family[0]:
-            out.update((m, r.value) for m, r in _pas_family(source, target, family, target_labels).items())
-    return {name: out[name] for name in methods}
+            out.update(_pas_family(source, target, family, target_labels))
+    return {name: out[name] for name in configs}
 
 
 def display_value(method: str, raw: float) -> float:
@@ -165,7 +158,8 @@ def build_report(manifest: dict) -> dict:
     rows = []
     for entry in manifest["candidates"]:
         source = load_candidate(entry)
-        raw = score_candidate(source, target_emb, methods, target_labels, seed, manifest["max_samples"])
+        results = score_candidate(source, target_emb, methods, target_labels, seed, manifest["max_samples"])
+        raw = {m: r.value if isinstance(r, ScoreResult) else r for m, r in results.items()}
         rows.append(
             {
                 "candidate_id": entry["id"],

@@ -127,3 +127,42 @@ def test_damaged_inputs_exit_2_or_3_with_one_json_error(inputs, tmp_path, monkey
             assert set(payload) == {"error", "message", "exit_code"}
             assert payload["exit_code"] == code
     assert {2, 3} <= seen
+
+
+@pytest.mark.parametrize("case", ["dimension", "degenerate"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_score_and_rank_report_the_same_first_error(tmp_path, monkeypatch, capsys, method, case):
+    """Inputs with two defects each: a target label of 7 for 3 classes,
+    and either an 8-d source against a 6-d target or a source class whose
+    two rows cancel (DegenerateClass). score --json and a one-candidate
+    rank of the same method exit with the same code and error, or both
+    succeed (silhouette never reads the target)."""
+    rng = np.random.default_rng(7)
+    source = rng.standard_normal((6, 8))
+    target_dim = 6 if case == "dimension" else 8
+    if case == "degenerate":
+        source[3] = -source[0]  # rows 0 and 3 are class 0
+    target_labels = np.arange(10) % 3
+    target_labels[4] = 7
+    save_embeddings(tmp_path / "src.pemb", EmbeddingSet(source))
+    save_labels(tmp_path / "src.plbl", np.arange(6) % 3)
+    save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(rng.standard_normal((10, target_dim))))
+    save_labels(tmp_path / "tgt.plbl", target_labels)
+    manifest = {
+        "target": {"emb": "tgt.pemb", "labels": "tgt.plbl"},
+        "candidates": [{"id": "a", "emb": "src.pemb", "labels": "src.plbl"}],
+        "methods": [method],
+        "max_samples": 50,
+    }
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    outcomes = []
+    for argv in (
+        ["score", "--method", method, "--source-emb", "src.pemb", "--source-labels", "src.plbl",
+         "--target-emb", "tgt.pemb", "--target-labels", "tgt.plbl", "--max-samples", "50"],
+        ["rank", "--manifest", "m.json", "--out", "r.json"],
+    ):
+        code = main([*argv, "--json"])
+        err = capsys.readouterr().err
+        outcomes.append((code, json.loads(err)["error"] if code else None))
+    assert outcomes[0] == outcomes[1]

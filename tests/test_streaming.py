@@ -34,7 +34,7 @@ from adaptscore.formats import (
     save_embeddings_csv,
     save_labels,
 )
-from adaptscore.reporting import METHODS, resolve_method, score_candidate
+from adaptscore.reporting import METHODS, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled
 
@@ -478,7 +478,8 @@ def test_rank_reads_the_target_once_per_candidate_for_the_pas_family(files, monk
 
 def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, monkeypatch):
     """The family methods, scored together at the first of them, and the
-    others between them give what each method gives alone."""
+    baselines between them give what each method gives alone: a PAS-family
+    method its value and four columns bit for bit, a baseline its float."""
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     tmp_path, source, target = files
     rows = open_embeddings(tmp_path / "tgt.pemb")
@@ -486,8 +487,13 @@ def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, 
     got = score_candidate(source, rows, methods, target.labels, 3, 12)
     assert list(got) == methods
     for m in methods:
-        alone = resolve_method(m, True, 3, 12)(source, rows, target.labels)
-        assert got[m] == (alone.value if isinstance(alone, ScoreResult) else alone), m
+        alone = score_candidate(source, rows, [m], target.labels, 3, 12)[m]
+        if isinstance(alone, ScoreResult):
+            assert got[m].method == m
+            for g, w in zip(_columns(got[m]), _columns(alone)):
+                np.testing.assert_array_equal(g, w, strict=True)
+        else:
+            assert isinstance(got[m], float) and got[m] == alone, m
     with pytest.raises(ConfigInvalid):  # before the pass that pas would start
         score_candidate(source, rows, ["pas", "oracle"], None, 3, 12)
 
