@@ -12,7 +12,11 @@ CentroidTable) is float64. Matrices are dense row-major.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,11 +77,71 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+# The thread-count functions of an OpenBLAS build, newest naming first:
+# numpy 2's scipy-openblas, then OpenBLAS with 64-bit and 32-bit integers.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy
+    (numpy.libs, or numpy/.dylibs on macOS), called through ctypes as
+    threadpoolctl does, or None where numpy bundles none (MKL, Accelerate,
+    a system BLAS)."""
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _BlasPin:
+    """OpenBLAS at one thread while any block pass runs, so a pass gets the
+    same bits whatever thread count the process's BLAS started with. The
+    count is process-wide: the first pass to enter saves it and sets 1,
+    and the last concurrent pass to leave restores it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        blas = _openblas()
+        with self._lock:
+            if self._depth == 0 and blas:
+                self._saved = blas[0]()
+                if self._saved != 1:
+                    blas[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        blas = _openblas()
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and blas and self._saved != 1:
+                blas[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _BlasPin()
+
+
 def _run_blocks(fn, ranges, block_bytes: int):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
-    This is the one parallel runner: blocks run on a thread pool (BLAS
-    itself runs single-threaded, see the package __init__), at most
+    This is the one parallel runner: blocks run on a thread pool, with
+    BLAS pinned to one thread for the pass (_ONE_BLAS_THREAD), at most
     worker_count() at once and no more than fit in _FLIGHT_BYTES at
     `block_bytes`, the memory of the caller's largest block, but two at
     least. Results come back in block order whatever finishes first, so a
@@ -87,21 +151,22 @@ def _run_blocks(fn, ranges, block_bytes: int):
     of the lowest block that raised one escapes at its turn.
     """
     workers = min(worker_count(), len(ranges), max(2, _FLIGHT_BYTES // block_bytes))
-    if workers <= 1:
-        for lo, hi in ranges:
-            yield fn(lo, hi)
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    flight = deque()
-    try:
-        for lo, hi in ranges:
-            flight.append(pool.submit(fn, lo, hi))
-            if len(flight) == workers:
+    with _ONE_BLAS_THREAD:
+        if workers <= 1:
+            for lo, hi in ranges:
+                yield fn(lo, hi)
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        flight = deque()
+        try:
+            for lo, hi in ranges:
+                flight.append(pool.submit(fn, lo, hi))
+                if len(flight) == workers:
+                    yield flight.popleft().result()
+            while flight:
                 yield flight.popleft().result()
-        while flight:
-            yield flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _row_pass(source, fn, block_bytes: int, serial: bool = False) -> None:

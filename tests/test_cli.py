@@ -22,7 +22,8 @@ from adaptscore import (
     pas_avg_pairwise,
     pas_euclidean,
 )
-from adaptscore.cli import _write_score_json, main
+from adaptscore.cli import main
+from adaptscore.commands import _write_score_json
 from adaptscore.formats import (
     REPORT_SCHEMA,
     load_embeddings,
@@ -367,7 +368,7 @@ class TestMethodTable:
         an --out that is a directory or a read-only file, exit 2 before any
         candidate is scored. os.access is patched to call "locked" and
         "r.locked" read-only, since a chmod does not stop the root user."""
-        from adaptscore import cli, reporting
+        from adaptscore import evaluation, reporting
 
         (fixture_dir / "locked").mkdir()
         (fixture_dir / "taken").mkdir()
@@ -375,7 +376,7 @@ class TestMethodTable:
         access = os.access
         monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("locked") and access(p, mode))
         scored = []
-        for module, name in ((reporting, "score_candidate"), (cli, "subsample_study")):
+        for module, name in ((reporting, "score_candidate"), (evaluation, "subsample_study")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, real=real, **k: scored.append(a) or real(*a, **k))
         argv = [command, "--manifest", "m.json", "--json"]
@@ -705,7 +706,7 @@ class TestSubstudyCommand:
     def test_arguments_checked_before_any_input_is_read(
         self, tmp_path, capsys, monkeypatch, fractions, repeats
     ):
-        from adaptscore import cli
+        from adaptscore import formats, reporting
 
         manifest = {
             "target": {"synth": synth_entry(2, shift=0.0)},
@@ -714,8 +715,8 @@ class TestSubstudyCommand:
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(manifest))
         loaded = []
-        for name in ("load_manifest", "load_target", "load_candidate"):
-            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: loaded.append(name))
+        for module, name in ((formats, "load_manifest"), (reporting, "load_target"), (reporting, "load_candidate")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: loaded.append(name))
         code = main([
             "substudy", "--manifest", str(mpath), "--json",
             "--fractions", fractions, "--repeats", repeats, "--out", str(tmp_path / "study.json"),

@@ -1,7 +1,8 @@
 """The thread budget: the block runner (embed_core._run_blocks) is the only
-parallelism, and BLAS runs one thread unless the user set its variables.
-OpenBLAS reads them once, when numpy loads it, so every check of the BLAS
-setting runs in a fresh interpreter."""
+parallelism, and it runs BLAS at one thread for each pass and restores the
+process's count after it. OpenBLAS reads its thread variables once, when
+numpy loads it, so every check of the BLAS setting runs in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -10,12 +11,14 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaptscore import embed_core
 from adaptscore.embed_core import _run_blocks, worker_count
 
 THREAD_VARS = ("ADAPTSCORE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _child(code, **env):
@@ -100,11 +103,11 @@ print(" ".join(digests))
 
 @pytest.mark.parametrize("blas", ["1", "2"])
 def test_bits_identical_across_block_threads_at_each_blas_setting(blas):
-    """Every output at 1 and 2 block workers, with BLAS at 1 or 2 threads.
-    Bits across BLAS thread counts are not compared: OpenBLAS does not
-    promise them, and at the real PAS shape, (8192, 512) @ (512, 345), it
-    rounds 20 of the 8192 entries of the last column differently at one
-    and two threads (see the README)."""
+    """Every output at 1 and 2 block workers, with OPENBLAS_NUM_THREADS at
+    1 or 2. Every pass runs BLAS at one thread whatever that setting, so
+    the bits do not depend on it either: test_gemm_bits_at_every_blas_setting
+    checks that at the real PAS shape, where OpenBLAS rounds differently at
+    two threads."""
     one, two = _child(_BITS, OPENBLAS_NUM_THREADS=blas).split()
     assert one == two
 
@@ -116,10 +119,105 @@ def test_import_leaves_environ_as_found(first, env):
     assert _child(code, **env) == "True"
 
 
+_GEMM = r"""
+FIRST
+import hashlib
+import numpy as np
+from adaptscore.embed_core import _run_blocks
+
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((8192, 512)), rng.standard_normal((512, 345))
+for ranges in ([(0, 8192)], [(0, 8192)] * 2):  # on the calling thread, then on two workers
+    for product in _run_blocks(lambda lo, hi: a @ b, ranges, 1):
+        print(hashlib.sha256(product.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_gemm_bits_at_every_blas_setting():
+    """One real PAS block, (8192, 512) @ (512, 345), run in a block pass:
+    the same bytes whether OpenBLAS started with one thread or two and
+    whether numpy or adaptscore was imported first. OpenBLAS 0.3.31 rounds
+    some entries of this product differently at two threads."""
+    digests = set()
+    for first in ("import numpy, adaptscore", "import adaptscore, numpy"):
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            digests.update(_child(_GEMM.replace("FIRST", first), **env).split())
+    assert len(digests) == 1
+
+
+_COUNTS = r"""
+import sys, threading
+import numpy
+from adaptscore import embed_core
+
+blas = embed_core._openblas()
+if blas is None:
+    print("none")
+    raise SystemExit
+get = blas[0]
+counts = [get()]
+# Two passes at once: the first to end leaves BLAS pinned for the other.
+one = embed_core._run_blocks(lambda lo, hi: get(), [(0, 1), (1, 2)], 1)
+counts.append(next(one))
+two = embed_core._run_blocks(lambda lo, hi: get(), [(0, 1)], 1)
+counts.append(next(two))
+one.close()
+counts.append(get())
+two.close()
+counts.append(get())
+print(*counts)
+
+# Eight threads start and end passes, switching often: a lost update of
+# the pass count would let a block see the saved count, or end with 1.
+seen = set()
+def passes():
+    for k in range(2000):
+        ranges = [(0, 1), (1, 2)] if k % 100 == 0 else [(0, 1)]  # two workers, or the calling thread
+        seen.update(embed_core._run_blocks(lambda lo, hi: get(), ranges, 1))
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=passes) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(sorted(seen), get(), any(t.is_alive() for t in threads))
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_pass_restores_the_blas_count():
+    got = _child(_COUNTS, OPENBLAS_NUM_THREADS="2").splitlines()
+    if got == ["none"]:
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert got == ["2 1 1 1 2", "[1] 2 False"]
+
+
+def test_cli_leaves_environ_as_found_and_blas_at_one_thread(tmp_path):
+    from adaptscore.formats import save_embeddings, save_labels
+
+    rng = np.random.default_rng(0)
+    save_embeddings(tmp_path / "s.pemb", rng.standard_normal((20, 4)))
+    save_labels(tmp_path / "s.plbl", np.arange(20) % 2)
+    save_embeddings(tmp_path / "t.pemb", rng.standard_normal((10, 4)))
+    argv = ["score", "--method", "pas", "--source-emb", str(tmp_path / "s.pemb"),
+            "--source-labels", str(tmp_path / "s.plbl"), "--target-emb", str(tmp_path / "t.pemb")]
+    code = (
+        "import os; before = dict(os.environ)\n"
+        "from adaptscore import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "from adaptscore import embed_core\n"
+        "blas = embed_core._openblas()\n"
+        "print(dict(os.environ) == before, blas[0]() if blas else 1)"
+    )
+    assert _child(code).splitlines()[-1] == "True 1"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
-def test_blas_threads_after_a_gemm(env, threads):
-    if threads > len(os.sched_getaffinity(0)):
-        pytest.skip("OpenBLAS starts no more threads than the CPUs it may use")
-    code = "import os, adaptscore, numpy as np; a = np.ones((512, 512)); a @ a; print(len(os.listdir('/proc/self/task')))"
-    assert int(_child(code, **env)) == threads
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_blas_threads_after_a_gemm(env):
+    """Importing adaptscore leaves numpy's BLAS threads as numpy alone
+    starts them."""
+    gemm = "a = np.ones((512, 512)); a @ a; print(len(os.listdir('/proc/self/task')))"
+    alone = _child("import os, numpy as np; " + gemm, **env)
+    assert _child("import os, adaptscore, numpy as np; " + gemm, **env) == alone
