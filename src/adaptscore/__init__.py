@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # Each module whose names the package serves, with those names. A module
 # named here is also served as an attribute.
 _EXPORTS = {
-    "embed_core": ("EmbeddingSet", "LabeledEmbeddingSet", "CentroidTable", "unit_normalize", "class_centroids"),
+    "embed_core": ("EmbeddingSet", "LabeledEmbeddingSet", "CentroidTable"),
     "scores": ("PerSampleBreakdown", "ScoreResult", "pas", "pas_euclidean", "pas_avg_pairwise", "oracle_score"),
     "baselines": ("MmdConfig", "ProxyClassifierConfig", "mmd_gaussian", "proxy_a_distance", "silhouette"),
     "evaluation": (

@@ -16,6 +16,7 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    _ONE_BLAS_THREAD,
     _block_ranges,
     _class_sums,
     _gram_to_distance,
@@ -362,7 +363,9 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     every step depends on the pooled matrix alone and swapping the
     arguments returns the identical score. One permutation seeded with
     cfg.seed picks the same m // 2 training positions in both halves; the
-    rest are held out. Memory is the pooled matrix plus one copy of the
+    rest are held out. The probe trains and predicts under the block
+    passes' BLAS pin (_ONE_BLAS_THREAD), so its bits do not depend on the
+    BLAS thread count. Memory is the pooled matrix plus one copy of the
     training rows.
     """
     m = min(source.n, target.n)
@@ -372,14 +375,14 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     x = p[np.concatenate([train, m + train])]
     y = np.repeat([-1.0, 1.0], m // 2)
     w, b = np.zeros(p.shape[1]), 0.0
-    for _ in range(cfg.epochs):
-        # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
-        g = y / (1.0 + np.exp(np.clip(y * (x @ w + b), -500, 500)))
-        w = w - cfg.learning_rate * (L2_PENALTY * w - x.T @ g / y.shape[0])
-        b = b - cfg.learning_rate * (L2_PENALTY * b - g.sum() / y.shape[0])
-    del x
-
-    positive = p @ w + b > 0.0
+    with _ONE_BLAS_THREAD:
+        for _ in range(cfg.epochs):
+            # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
+            g = y / (1.0 + np.exp(np.clip(y * (x @ w + b), -500, 500)))
+            w = w - cfg.learning_rate * (L2_PENALTY * w - x.T @ g / y.shape[0])
+            b = b - cfg.learning_rate * (L2_PENALTY * b - g.sum() / y.shape[0])
+        del x
+        positive = p @ w + b > 0.0
     wrong = np.count_nonzero(positive[held]) + np.count_nonzero(~positive[m + held])
     err = wrong / (2 * held.shape[0])
     err = min(err, 1.0 - err)
@@ -404,7 +407,7 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
     labels = data.labels
     raw = data.embeddings.data
     ranges = _block_ranges(data.n)
-    class_sums = _class_sums(raw, labels, data.num_classes, unit=True)
+    class_sums = _class_sums(raw, labels, data.num_classes)
 
     def block(lo, hi):
         rows = np.arange(hi - lo)

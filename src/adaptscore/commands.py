@@ -57,9 +57,11 @@ def _cmd_score(args) -> None:
 
 
 def _check_out(path) -> None:
-    """OSError (exit 2) unless the directory of `path` exists and is
-    writable and `path` is no directory or read-only file, so that rank
-    and substudy fail before they score."""
+    """OSError (exit 2) unless `path` names a file ("" and "dir/" do not),
+    no directory or read-only file, in a writable directory that exists,
+    so that rank and substudy fail before they score."""
+    if not os.path.basename(path):
+        raise OSError(f"cannot write {path!r}: it names no file")
     folder = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")

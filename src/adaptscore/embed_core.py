@@ -1,12 +1,12 @@
 """Embedding containers, the shared row primitives (block and chunk grid,
-the block runner, unit rows, Gram-to-distance), and class centroids.
+the block runner, unit rows, Gram-to-distance), and unit-row class sums.
 
 An EmbeddingSet keeps float32 data as float32 (half the memory of a
 loaded PEMB file widened up front) and widens every other dtype to
-float64. All arithmetic is float64 regardless of storage: unit_normalize
-and the scorers' block kernel widen their rows before the first
-operation, and everything derived from the data (unit rows, centroids,
-CentroidTable) is float64. Matrices are dense row-major.
+float64. All arithmetic is float64 regardless of storage: _unit_rows
+widens rows before the first operation, and everything derived from the
+data (unit rows, class sums, CentroidTable) is float64. Matrices are
+dense row-major.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ def _openblas():
 
 
 class _BlasPin:
-    """OpenBLAS at one thread while any block pass runs, so a pass gets the
-    same bits whatever thread count the process's BLAS started with. The
-    count is process-wide: the first pass to enter saves it and sets 1,
-    and the last concurrent pass to leave restores it."""
+    """OpenBLAS at one thread while any block pass or proxy A-distance probe
+    runs, so it gets the same bits whatever count the process's BLAS started
+    with. The count is process-wide: the first to enter saves it and sets
+    1, and the last concurrent one to leave restores it."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -395,30 +395,18 @@ def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = No
     return out
 
 
-def unit_normalize(e: EmbeddingSet) -> EmbeddingSet:
-    """Scale every row to unit Euclidean norm.
+def _class_sums(data: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """The num_classes x d float64 per-class sums of the unit rows
+    (_unit_rows) of `data`: the table behind every centroid and class mean.
 
-    The rows are widened to float64 first, so the result is float64
-    whatever the storage dtype. Raises ZeroVector for rows with norm <=
-    EPS_NORM.
-    """
-    return EmbeddingSet(_unit_rows(e.data))
-
-
-def _class_sums(
-    data: np.ndarray, labels: np.ndarray, num_classes: int, unit: bool = False
-) -> np.ndarray:
-    """The num_classes x d float64 per-class sums of the rows of `data`, or
-    of their unit rows (_unit_rows) when `unit`.
-
-    Each class's rows are added one at a time in row order, starting from
-    0, which is the order of np.add.at(sums, labels, rows) and so gives its
-    bits. The rows are visited in a stable label order, in slices of at
-    most one block gathered after a spare row: a class's running sum is
-    written into the row just before its first row in the slice, and one
+    Each class's unit rows are added one at a time in row order, starting
+    from 0, which is the order of np.add.at(sums, labels, unit_rows) and so
+    gives its bits. The rows are visited in a stable label order, in slices
+    of at most one block normalized after a spare row: a class's running sum
+    is written into the row just before its first row in the slice, and one
     np.add.reduce over axis 0 carries it on row by row. With one column
     that reduce would be pairwise, so cumsum stands in. No n x d float64
-    copy exists. Raises ZeroVector at the lowest zero row when `unit`.
+    copy exists. Raises ZeroVector at the lowest zero row.
     """
     d = data.shape[1]
     order = np.argsort(labels, kind="stable")
@@ -428,10 +416,7 @@ def _class_sums(
     buf = np.empty((ranges[0][1] + 1, d))
     try:
         for lo, hi in ranges:
-            if unit:
-                _unit_rows(data[order[lo:hi]], out=buf[1 : hi - lo + 1])
-            else:
-                buf[1 : hi - lo + 1] = data[order[lo:hi]]
+            _unit_rows(data[order[lo:hi]], out=buf[1 : hi - lo + 1])
             start = lo
             while start < hi:
                 c = int(np.searchsorted(ends, start, side="right"))
@@ -456,14 +441,3 @@ def _centroid_table(sums: np.ndarray) -> CentroidTable:
     if small.any():
         raise DegenerateClass(int(np.argmax(small)))
     return CentroidTable(sums / norms[:, None])
-
-
-def class_centroids(s: LabeledEmbeddingSet) -> CentroidTable:
-    """Unit-normalized per-class sums of (already unit-normalized) rows.
-
-    Each class sum adds its rows one at a time in row order (_class_sums,
-    np.add.at's order), so results are reproducible bit for bit; no float64
-    copy of the rows is made. Raises DegenerateClass when a class's member
-    rows cancel out.
-    """
-    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes))

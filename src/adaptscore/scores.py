@@ -146,7 +146,7 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     source._check_classes()
-    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes, unit=True)
+    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes)
     counts = np.bincount(source.labels)[:, None]  # C of them: every class has a row
     tables = {}
     for name in methods:

@@ -7,7 +7,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet, unit_normalize
+from .embed_core import EmbeddingSet, LabeledEmbeddingSet, _unit_rows
 from .errors import ConfigInvalid, check_fields
 from .scores import pas
 
@@ -121,7 +121,7 @@ def generate_pair(cfg: SynthConfig):
             rows.append(class_means[c] + spread * noise)
             labels.append(np.full(n_per_class, c, dtype=np.int64))
         data = np.vstack(rows)
-        return unit_normalize(EmbeddingSet(data)), np.concatenate(labels)
+        return EmbeddingSet(_unit_rows(data)), np.concatenate(labels)
 
     src_emb, src_labels = draw(means, cfg.n_source_per_class, src_spread)
     tgt_emb, tgt_labels = draw(target_means, cfg.n_target_per_class, tgt_spread)

@@ -263,12 +263,12 @@ def test_criterion_08_baseline_sanity():
         MmdConfig(sigma=1.0),
     )
 
-    from adaptscore.embed_core import unit_normalize
+    from adaptscore.embed_core import _unit_rows
     from scipy.spatial.distance import cdist
 
     a = EmbeddingSet(rng.standard_normal((20, 4)))
     b = EmbeddingSet(rng.standard_normal((15, 4)))
-    au, bu = unit_normalize(a).data, unit_normalize(b).data
+    au, bu = _unit_rows(a.data), _unit_rows(b.data)
     pooled = np.vstack([au, bu])
     sigma = float(np.median(cdist(pooled, pooled, "euclidean")))
     fast = mmd_gaussian(a, b, MmdConfig())

@@ -14,7 +14,7 @@ from adaptscore import (
     silhouette,
 )
 from adaptscore import baselines, embed_core
-from adaptscore.embed_core import _unit_rows, unit_normalize
+from adaptscore.embed_core import _unit_rows
 from adaptscore.errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -41,7 +41,7 @@ def brute_force_mmd(x, y, sigma):
 def loop_silhouette(data):
     """The per-sample loop over a dense n x n cosine distance matrix that
     the blockwise silhouette replaced."""
-    x = unit_normalize(data.embeddings).data
+    x = _unit_rows(data.embeddings.data)
     dist = np.clip(1.0 - x @ x.T, 0.0, 2.0)
     labels = data.labels
     per_sample = np.empty(data.n)
@@ -62,8 +62,8 @@ def loop_silhouette(data):
 def test_cdist_matches_scipy_on_unit_rows(rng, metric):
     from scipy.spatial.distance import cdist
 
-    xa = unit_normalize(EmbeddingSet(rng.standard_normal((40, 16)))).data
-    xb = unit_normalize(EmbeddingSet(rng.standard_normal((25, 16)))).data
+    xa = _unit_rows(rng.standard_normal((40, 16)))
+    xb = _unit_rows(rng.standard_normal((25, 16)))
     np.testing.assert_allclose(baselines.cdist(xa, xb, metric), cdist(xa, xb, metric), rtol=0, atol=1e-12)
 
 
@@ -92,8 +92,8 @@ class TestCdist:
     # that may round to ~1e-15 (see cdist's docstring), so up to ~3e-8.
     @pytest.mark.parametrize("metric, self_atol", [("cosine", 1e-12), ("sqeuclidean", 1e-12), ("euclidean", 1e-7)])
     def test_symmetric_and_self_zero(self, rng, metric, self_atol):
-        xa = unit_normalize(EmbeddingSet(rng.standard_normal((12, 5)))).data
-        xb = unit_normalize(EmbeddingSet(rng.standard_normal((9, 5)))).data
+        xa = _unit_rows(rng.standard_normal((12, 5)))
+        xb = _unit_rows(rng.standard_normal((9, 5)))
         np.testing.assert_allclose(
             baselines.cdist(xa, xb, metric), baselines.cdist(xb, xa, metric).T, rtol=0, atol=1e-12
         )
@@ -137,14 +137,13 @@ class TestMmd:
             assert mmd_gaussian(s, t, MmdConfig(seed=i)) >= 0.0
 
     def test_matches_brute_force(self, rng):
-        from adaptscore.embed_core import unit_normalize
         from scipy.spatial.distance import cdist
 
         for _ in range(5):
             s = EmbeddingSet(rng.standard_normal((12, 4)))
             t = EmbeddingSet(rng.standard_normal((9, 4)))
-            su = unit_normalize(s).data
-            tu = unit_normalize(t).data
+            su = _unit_rows(s.data)
+            tu = _unit_rows(t.data)
             pooled = np.vstack([su, tu])
             sigma = float(np.median(cdist(pooled, pooled, "euclidean")))
             fast = mmd_gaussian(s, t, MmdConfig())
@@ -157,7 +156,7 @@ class TestMmd:
         canonical (rows, unit-row bytes) order."""
 
         def draw(e):
-            unit = unit_normalize(e).data
+            unit = _unit_rows(e.data)
             cap = cfg.max_samples_per_domain
             if unit.shape[0] <= cap:
                 return unit
@@ -218,7 +217,7 @@ class TestMmd:
         x = rng.standard_normal((30, 4))
         x[5:] = x[0] + 1e-5 * rng.standard_normal((25, 4))
         x[20:24] = x[0]
-        p = unit_normalize(EmbeddingSet(x)).data
+        p = _unit_rows(x)
         values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
         assert values.shape[0] == 30 * 29 // 2
         assert np.count_nonzero(values < 2.0**-14) == 325  # [324, 325] straddles its end

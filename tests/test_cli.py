@@ -362,10 +362,13 @@ class TestMethodTable:
             assert row["display_scores"][name] == (-value if method.negated else value), name
 
     @pytest.mark.parametrize("command", ["rank", "substudy"])
-    @pytest.mark.parametrize("out", ["missing/r.json", "m.json/r.json", "locked/r.json", "taken", "r.locked"])
+    @pytest.mark.parametrize(
+        "out", ["missing/r.json", "m.json/r.json", "locked/r.json", "taken", "r.locked", "", "fresh/", "m.json/"]
+    )
     def test_unwritable_out_fails_before_scoring(self, fixture_dir, capsys, monkeypatch, command, out):
-        """An --out directory that is missing, a file, or not writable, and
-        an --out that is a directory or a read-only file, exit 2 before any
+        """An --out directory that is missing, a file, or not writable, an
+        --out that is a directory or a read-only file, and an --out that
+        names no file (empty, or ending in a separator) exit 2 before any
         candidate is scored. os.access is patched to call "locked" and
         "r.locked" read-only, since a chmod does not stop the root user."""
         from adaptscore import evaluation, reporting

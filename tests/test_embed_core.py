@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from adaptscore import (
-    EmbeddingSet,
-    LabeledEmbeddingSet,
-    class_centroids,
-    unit_normalize,
-)
+from adaptscore import EmbeddingSet, LabeledEmbeddingSet
 from adaptscore import embed_core
-from adaptscore.embed_core import _class_sums
+from adaptscore.embed_core import _centroid_table, _class_sums, _unit_rows
 from adaptscore.errors import (
     DegenerateClass,
     FormatError,
@@ -20,24 +15,30 @@ from conftest import random_labeled, random_orthogonal
 
 
 class TestUnitNormalize:
+    """_unit_rows, the one normalizer."""
+
     def test_three_four_five(self):
-        out = unit_normalize(EmbeddingSet([[3.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [[0.6, 0.8]])
+        out = _unit_rows(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]])
 
     def test_already_unit(self):
-        e = EmbeddingSet([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(unit_normalize(e).data, e.data)
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(_unit_rows(x), x)
 
     def test_zero_row(self):
         with pytest.raises(ZeroVector) as exc:
-            unit_normalize(EmbeddingSet([[0.0, 0.0]]))
+            _unit_rows(np.array([[0.0, 0.0]]))
         assert exc.value.row_index == 0
 
     def test_idempotent(self, rng):
-        e = EmbeddingSet(rng.standard_normal((50, 7)))
-        once = unit_normalize(e)
-        twice = unit_normalize(once)
-        np.testing.assert_allclose(twice.data, once.data, atol=1e-9)
+        once = _unit_rows(rng.standard_normal((50, 7)))
+        twice = _unit_rows(once)
+        np.testing.assert_allclose(twice, once, atol=1e-9)
+
+
+def _centroids(s: LabeledEmbeddingSet) -> np.ndarray:
+    """The centroid table that the PAS kernel builds for source `s`."""
+    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes)).centroids
 
 
 class TestClassCentroids:
@@ -47,22 +48,21 @@ class TestClassCentroids:
             [0, 0, 1, 1],
             2,
         )
-        table = class_centroids(s)
         r = 1 / np.sqrt(2)
-        np.testing.assert_allclose(table.centroids[0], [r, r], atol=1e-12)
+        np.testing.assert_allclose(_centroids(s)[0], [r, r], atol=1e-12)
 
     def test_identical_members(self):
         s = LabeledEmbeddingSet(
             EmbeddingSet([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 1], 2
         )
-        np.testing.assert_allclose(class_centroids(s).centroids[0], [1, 0])
+        np.testing.assert_allclose(_centroids(s)[0], [1, 0])
 
     def test_antipodal_cancellation(self):
         s = LabeledEmbeddingSet(
             EmbeddingSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), [0, 0, 1], 2
         )
         with pytest.raises(DegenerateClass) as exc:
-            class_centroids(s)
+            _centroids(s)
         assert exc.value.class_id == 0
 
     def test_missing_class_at_construction(self):
@@ -81,22 +81,14 @@ class TestClassCentroids:
         assert info.value.class_id == missing
 
     def test_unit_norm_rows(self, rng):
-        s = random_labeled(rng)
-        table = class_centroids(
-            LabeledEmbeddingSet(unit_normalize(s.embeddings), s.labels, s.num_classes)
-        )
-        norms = np.linalg.norm(table.centroids, axis=1)
+        norms = np.linalg.norm(_centroids(random_labeled(rng)), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_orthogonal_commutes(self, rng):
         s = random_labeled(rng, dim=6)
-        normed = LabeledEmbeddingSet(unit_normalize(s.embeddings), s.labels, s.num_classes)
-        base = class_centroids(normed).centroids
         q = random_orthogonal(rng, 6)
-        rotated = LabeledEmbeddingSet(
-            EmbeddingSet(normed.embeddings.data @ q.T), s.labels, s.num_classes
-        )
-        np.testing.assert_allclose(class_centroids(rotated).centroids, base @ q.T, atol=1e-6)
+        rotated = LabeledEmbeddingSet(EmbeddingSet(s.embeddings.data @ q.T), s.labels, s.num_classes)
+        np.testing.assert_allclose(_centroids(rotated), _centroids(s) @ q.T, atol=1e-6)
 
     def test_per_sample_scale_absorbed(self, rng):
         s = random_labeled(rng)
@@ -104,20 +96,13 @@ class TestClassCentroids:
         scaled = LabeledEmbeddingSet(
             EmbeddingSet(s.embeddings.data * scales[:, None]), s.labels, s.num_classes
         )
-        a = class_centroids(
-            LabeledEmbeddingSet(unit_normalize(s.embeddings), s.labels, s.num_classes)
-        )
-        b = class_centroids(
-            LabeledEmbeddingSet(unit_normalize(scaled.embeddings), s.labels, s.num_classes)
-        )
-        np.testing.assert_allclose(a.centroids, b.centroids, atol=1e-12)
+        np.testing.assert_allclose(_centroids(s), _centroids(scaled), atol=1e-12)
 
 
-def _add_at_sums(x, labels, num_classes, unit):
-    """The sequential reference: np.add.at over the (unit) rows in row order."""
-    rows = unit_normalize(EmbeddingSet(x)).data if unit else x
+def _add_at_sums(x, labels, num_classes):
+    """The sequential reference: np.add.at over the unit rows in row order."""
     sums = np.zeros((num_classes, x.shape[1]))
-    np.add.at(sums, labels, rows)
+    np.add.at(sums, labels, _unit_rows(x))
     return sums
 
 
@@ -125,35 +110,23 @@ class TestClassSums:
     """_class_sums walks the rows in label order, yet each class sum must
     carry np.add.at's row-order bits."""
 
-    @pytest.mark.parametrize("unit", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
-    def test_bit_identical_to_add_at(self, rng, dtype, dim, unit):
+    def test_bit_identical_to_add_at(self, rng, dtype, dim):
         for _ in range(40):
             num_classes = int(rng.integers(2, 6))
             n = int(rng.integers(num_classes, 120))
             labels = rng.integers(0, num_classes, n)  # interleaved, some classes may be empty
             x = (rng.standard_normal((n, dim)) * rng.uniform(0.1, 1e3)).astype(dtype)
-            got = _class_sums(x, labels, num_classes, unit)
-            np.testing.assert_array_equal(got, _add_at_sums(x, labels, num_classes, unit), strict=True)
+            got = _class_sums(x, labels, num_classes)
+            np.testing.assert_array_equal(got, _add_at_sums(x, labels, num_classes), strict=True)
 
     def test_class_spanning_several_slices(self, rng, monkeypatch):
         monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
         labels = np.concatenate([np.zeros(30, dtype=np.int64), rng.integers(0, 3, 40), [2] * 11])
         for dtype in (np.float32, np.float64):
             x = rng.standard_normal((labels.shape[0], 5)).astype(dtype)
-            for unit in (False, True):
-                np.testing.assert_array_equal(
-                    _class_sums(x, labels, 3, unit), _add_at_sums(x, labels, 3, unit), strict=True
-                )
-
-    def test_centroids_of_raw_rows_unchanged(self, rng):
-        s = random_labeled(rng, n_per_class=25, num_classes=4, dim=6)
-        order = rng.permutation(s.n)
-        shuffled = LabeledEmbeddingSet(EmbeddingSet(s.embeddings.data[order]), s.labels[order], 4)
-        sums = _add_at_sums(shuffled.embeddings.data, shuffled.labels, 4, unit=False)
-        want = sums / np.linalg.norm(sums, axis=1)[:, None]
-        np.testing.assert_array_equal(class_centroids(shuffled).centroids, want, strict=True)
+            np.testing.assert_array_equal(_class_sums(x, labels, 3), _add_at_sums(x, labels, 3), strict=True)
 
     @pytest.mark.parametrize("block", [2, 8192])
     def test_lowest_zero_row_when_label_order_reverses_row_order(self, rng, monkeypatch, block):
@@ -162,7 +135,7 @@ class TestClassSums:
         labels = np.array([1, 0, 1, 1, 0, 0])
         x[[2, 4]] = 0.0  # row 2 is in class 1, row 4 in class 0, which is visited first
         with pytest.raises(ZeroVector) as info:
-            _class_sums(x, labels, 2, unit=True)
+            _class_sums(x, labels, 2)
         assert info.value.row_index == 2
 
     def test_degenerate_class_unchanged(self):
@@ -172,7 +145,7 @@ class TestClassSums:
             3,
         )
         with pytest.raises(DegenerateClass) as info:
-            class_centroids(s)
+            _centroids(s)
         assert info.value.class_id == 1
 
 

@@ -144,4 +144,17 @@ def test_public_names_load_on_first_use():
     assert same == "True"
     assert listed == "True True"
     assert unknown == "module 'adaptscore' has no attribute 'no_such_name'"
-    assert len(adaptscore.__all__) == 25
+    assert len(adaptscore.__all__) == 23
+
+
+@pytest.mark.parametrize("name", ["unit_normalize", "class_centroids"])
+def test_removed_names_are_gone(name):
+    """The PAS kernel's centroid table (CentroidTable, built from the class
+    sums of unit rows) is the one centroid definition left."""
+    from adaptscore import embed_core
+
+    assert name not in adaptscore.__all__
+    with pytest.raises(AttributeError):
+        getattr(adaptscore, name)
+    assert not hasattr(embed_core, name)
+    assert hasattr(embed_core, "CentroidTable")

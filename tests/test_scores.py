@@ -100,12 +100,14 @@ class TestPas:
         src = random_labeled(rng, num_classes=6, dim=5)
         tgt = EmbeddingSet(rng.standard_normal((25, 5)))
         result = pas(src, tgt)
-        from adaptscore.embed_core import class_centroids, unit_normalize
-
-        cent = class_centroids(
-            LabeledEmbeddingSet(unit_normalize(src.embeddings), src.labels, 6)
-        ).centroids
-        tdata = unit_normalize(tgt).data
+        # The reference in numpy alone: unit rows, np.add.at class sums in
+        # row order, unit centroids.
+        x, tdata = src.embeddings.data, tgt.data
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+        tdata = tdata / np.linalg.norm(tdata, axis=1)[:, None]
+        sums = np.zeros((6, x.shape[1]))
+        np.add.at(sums, src.labels, x)
+        cent = sums / np.linalg.norm(sums, axis=1)[:, None]
         dist_matrix = np.clip(1.0 - tdata @ cent.T, 0.0, 2.0)
         for i, b in enumerate(result.breakdown):
             dists = dist_matrix[i]

@@ -193,6 +193,37 @@ def test_pass_restores_the_blas_count():
     assert got == ["2 1 1 1 2", "[1] 2 False"]
 
 
+_PROBE = r"""
+import numpy as np
+from adaptscore import baselines, embed_core
+
+blas = embed_core._openblas()
+if blas is None:
+    print("none")
+    raise SystemExit
+blas[1](2)
+seen = []
+clip = np.clip
+def recording_clip(*args, **kwargs):  # the probe calls it once per epoch
+    seen.append(blas[0]())
+    return clip(*args, **kwargs)
+np.clip = recording_clip
+rng = np.random.default_rng(0)
+s, t = (baselines.EmbeddingSet(rng.standard_normal((300, 8))) for _ in range(2))
+baselines.proxy_a_distance(s, t, baselines.ProxyClassifierConfig(epochs=7))
+print(seen, blas[0]())
+"""
+
+
+def test_probe_trains_at_one_blas_thread():
+    """The proxy A-distance probe trains with BLAS pinned to one thread in
+    a numpy-first process whose OpenBLAS runs two, and leaves two."""
+    got = _child(_PROBE)
+    if got == "none":
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert got == f"{[1] * 7} 2"
+
+
 def test_cli_leaves_environ_as_found_and_blas_at_one_thread(tmp_path):
     from adaptscore.formats import save_embeddings, save_labels
 
