@@ -5,7 +5,7 @@ An EmbeddingSet keeps float32 data as float32 (half the memory of a
 loaded PEMB file widened up front) and widens every other dtype to
 float64. All arithmetic is float64 regardless of storage: _unit_rows
 widens rows before the first operation, and everything derived from the
-data (unit rows, class sums, CentroidTable) is float64. Matrices are
+data (unit rows, class sums, class centroids) is float64. Matrices are
 dense row-major.
 """
 
@@ -433,11 +433,11 @@ def _class_sums(data: np.ndarray, labels: np.ndarray, num_classes: int) -> np.nd
     return sums
 
 
-def _centroid_table(sums: np.ndarray) -> CentroidTable:
-    """The class sums scaled to unit rows; DegenerateClass at the lowest
-    class whose sum has norm <= EPS_NORM."""
+def _centroid_table(sums: np.ndarray) -> np.ndarray:
+    """The class sums scaled to unit rows, a (C, d) float64 array;
+    DegenerateClass at the lowest class whose sum has norm <= EPS_NORM."""
     norms = np.linalg.norm(sums, axis=1)
     small = norms <= EPS_NORM
     if small.any():
         raise DegenerateClass(int(np.argmax(small)))
-    return CentroidTable(sums / norms[:, None])
+    return sums / norms[:, None]

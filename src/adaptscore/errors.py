@@ -118,10 +118,10 @@ class TruncatedFile(FormatError):
 
 
 class RaggedCsv(FormatError):
-    def __init__(self, path: str, line: int):
+    def __init__(self, path: str, line: int, why: str = "has the wrong field count or an unparsable value"):
         self.path = path
         self.line = line
-        super().__init__(f"{path}: line {line} has the wrong field count or an unparsable value")
+        super().__init__(f"{path}: line {line} {why}")
 
 
 class NonFiniteValue(FormatError, ValueError):

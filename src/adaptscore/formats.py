@@ -1,5 +1,5 @@
-"""On-disk formats: PEMB/PLBL binaries, CSV/text fallbacks, manifest and
-report JSON.
+"""On-disk formats: PEMB/PLBL binaries, CSV embeddings and text labels
+(read only), manifest and report JSON.
 
 PEMB v1: magic "PEMB", version byte 1, dtype byte 0 (float32 LE), two
 reserved zero bytes, n and d as u64 LE, then n*d floats row-major
@@ -46,17 +46,6 @@ def save_embeddings(path, e) -> None:
         fh.write(PEMB_HEADER.pack(PEMB_MAGIC, 1, 0, e.n, e.dim))
         for lo, hi in _block_ranges(e.n):
             fh.write(e.data[lo:hi].astype("<f4", copy=False))
-
-
-def save_embeddings_csv(path, e) -> None:
-    """Write an EmbeddingSet, or an array-like validated as one, as CSV,
-    converting one block of rows to float32 at a time."""
-    e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
-    with open(path, "w") as fh:
-        for lo, hi in _block_ranges(e.n):
-            # repr of the float32 value round-trips within 1 ulp of 32-bit
-            for row in e.data[lo:hi].astype(np.float32):
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 class PembRows:
@@ -191,13 +180,6 @@ def save_labels(path, labels) -> None:
         fh.write(labels.astype("<u4").tobytes())
 
 
-def save_labels_text(path, labels) -> None:
-    labels = _plbl_labels(labels)
-    with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
 def load_labels(path) -> np.ndarray:
     """Load a PLBL or plain-text label file (sniffed by magic bytes)."""
     path = Path(path)
@@ -297,8 +279,9 @@ def dump_report(report: dict, path) -> None:
 
 def load_accuracy_csv(path) -> dict:
     """candidate_id,accuracy_percent rows into a dict. A line without two
-    fields or with an unparsable or non-finite accuracy raises RaggedCsv,
-    and a file that is not UTF-8 BadMagic."""
+    fields, with an unparsable or non-finite accuracy or with an id that an
+    earlier line gave raises RaggedCsv, and a file that is not UTF-8
+    BadMagic."""
     out = {}
     for lineno, line in enumerate(_utf8(path, Path(path).read_bytes()).splitlines(), start=1):
         if not line.strip():
@@ -312,5 +295,7 @@ def load_accuracy_csv(path) -> dict:
             raise RaggedCsv(str(path), lineno) from None
         if not math.isfinite(accuracy):
             raise RaggedCsv(str(path), lineno)
+        if parts[0] in out:
+            raise RaggedCsv(str(path), lineno, f"repeats candidate id {parts[0]!r}")
         out[parts[0]] = accuracy
     return out

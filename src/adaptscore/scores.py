@@ -152,7 +152,7 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
     for name in methods:
         kind = _FAMILY[name][0]
         if kind not in tables:
-            tables[kind] = _centroid_table(sums).centroids if kind == "centroids" else sums / counts
+            tables[kind] = _centroid_table(sums) if kind == "centroids" else sums / counts
         if name == "oracle":
             bad = (true_labels < 0) | (true_labels >= source.num_classes)
             if bad.any():

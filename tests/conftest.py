@@ -22,6 +22,14 @@ def random_labeled(rng, n_per_class=20, num_classes=3, dim=8, spread=0.3):
     )
 
 
+def write_csv(path, data):
+    """The rows of `data` as a CSV embedding file: each value cast to
+    float32 and written as the repr of that value, comma-separated, one row
+    per line."""
+    rows = np.asarray(data, dtype=np.float32).tolist()
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 def random_orthogonal(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))

@@ -618,7 +618,7 @@ class TestCorrErrors:
         assert (code, err["error"]) == (3, "TooFewSamples")
         assert "need at least 2 samples" in err["message"]
 
-    @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,"])
+    @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,", "a,60.0"])
     def test_bad_accuracy_is_ragged_csv(self, tmp_path, capsys, line):
         code, err = self._run(tmp_path, capsys, {"rows": self.ROWS}, f"a,70.0\n{line}\n")
         assert (code, err["error"]) == (2, "RaggedCsv")

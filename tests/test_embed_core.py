@@ -38,7 +38,7 @@ class TestUnitNormalize:
 
 def _centroids(s: LabeledEmbeddingSet) -> np.ndarray:
     """The centroid table that the PAS kernel builds for source `s`."""
-    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes)).centroids
+    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes))
 
 
 class TestClassCentroids:

@@ -15,10 +15,9 @@ from adaptscore.formats import (
     load_labels,
     load_manifest,
     save_embeddings,
-    save_embeddings_csv,
     save_labels,
-    save_labels_text,
 )
+from conftest import write_csv
 
 
 class TestPemb:
@@ -110,7 +109,7 @@ class TestPemb:
     def test_csv_and_float64_input_stay_float64(self, tmp_path, rng):
         x = rng.standard_normal((5, 3))
         p = tmp_path / "e.csv"
-        save_embeddings_csv(p, EmbeddingSet(x))
+        write_csv(p, x)
         assert load_embeddings(p).data.dtype == np.float64
         assert EmbeddingSet(x).data.dtype == np.float64
         assert EmbeddingSet(x.astype(np.float16)).data.dtype == np.float64
@@ -128,25 +127,24 @@ class TestPemb:
             assert (info.value.row, info.value.col) == (17, 3)
 
 
-@pytest.mark.parametrize("save", [save_embeddings, save_embeddings_csv])
 class TestSaveArrayLike:
-    def test_bare_array_saves_the_bytes_of_its_set(self, tmp_path, rng, save):
+    def test_bare_array_saves_the_bytes_of_its_set(self, tmp_path, rng):
         for x in (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)).astype(np.float32), [[1, 2], [3, 4]]):
-            save(tmp_path / "set", EmbeddingSet(x))
-            save(tmp_path / "bare", x)
+            save_embeddings(tmp_path / "set", EmbeddingSet(x))
+            save_embeddings(tmp_path / "bare", x)
             assert (tmp_path / "bare").read_bytes() == (tmp_path / "set").read_bytes()
 
-    def test_nonfinite_array_raises_before_writing(self, tmp_path, rng, save):
+    def test_nonfinite_array_raises_before_writing(self, tmp_path, rng):
         x = rng.standard_normal((6, 3))
         x[4, 2] = np.nan
         with pytest.raises(NonFiniteValue):
-            save(tmp_path / "bad", x)
+            save_embeddings(tmp_path / "bad", x)
         assert not (tmp_path / "bad").exists()
 
 
 class TestBlockwiseWriters:
-    """The writers convert and write one _BLOCK_ROWS block of rows at a
-    time, with the bytes of a whole-matrix conversion."""
+    """save_embeddings converts and writes one _BLOCK_ROWS block of rows at
+    a time, with the bytes of a whole-matrix conversion."""
 
     @staticmethod
     def inputs(rng, n):
@@ -160,14 +158,6 @@ class TestBlockwiseWriters:
             save_embeddings(tmp_path / "e.pemb", EmbeddingSet(x))
             header = struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, n, 5)
             assert (tmp_path / "e.pemb").read_bytes() == header + x.astype("<f4").tobytes(), x.dtype
-
-    @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_csv_bytes_are_the_whole_matrix_conversion(self, tmp_path, rng, monkeypatch, n):
-        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
-        for x in self.inputs(rng, n):
-            save_embeddings_csv(tmp_path / "e.csv", EmbeddingSet(x))
-            want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x.astype(np.float32))
-            assert (tmp_path / "e.csv").read_text() == want, x.dtype
 
     def test_pemb_memory_is_one_block(self, tmp_path, rng, monkeypatch):
         # A float64 set of n and of 2n rows: the writer's traced peak is
@@ -196,7 +186,7 @@ class TestCsv:
     def test_round_trip_within_32bit_ulp(self, tmp_path, rng):
         e = EmbeddingSet(rng.standard_normal((9, 4)))
         p = tmp_path / "e.csv"
-        save_embeddings_csv(p, e)
+        write_csv(p, e.data)
         out = load_embeddings(p)
         np.testing.assert_array_equal(
             out.data.astype(np.float32), e.data.astype(np.float32)
@@ -228,7 +218,7 @@ class TestLabels:
     def test_text_round_trip(self, tmp_path):
         labels = [3, 1, 0, 2]
         p = tmp_path / "l.txt"
-        save_labels_text(p, labels)
+        p.write_text("".join(f"{v}\n" for v in labels))
         np.testing.assert_array_equal(load_labels(p), labels)
 
     def test_truncated(self, tmp_path):
@@ -260,7 +250,6 @@ class TestLabels:
         with pytest.raises(error):
             load_labels(p)
 
-    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
     @pytest.mark.parametrize(
         "labels, message",
         [
@@ -274,20 +263,18 @@ class TestLabels:
         ],
         ids=["negative", "beyond-u32", "beyond-i64", "2-d", "fractional", "nan", "uint64-beyond-i64"],
     )
-    def test_writers_reject_labels_they_cannot_store(self, tmp_path, save, labels, message):
+    def test_writer_rejects_labels_it_cannot_store(self, tmp_path, labels, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            save(tmp_path / "l", labels)
+            save_labels(tmp_path / "l", labels)
         assert not (tmp_path / "l").exists()
 
-    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
-    def test_writers_take_integral_floats(self, tmp_path, save):
-        save(tmp_path / "l", [0.0, 1.0, 2.0])
+    def test_writer_takes_integral_floats(self, tmp_path):
+        save_labels(tmp_path / "l", [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(load_labels(tmp_path / "l"), [0, 1, 2])
 
-    @pytest.mark.parametrize("save", [save_labels, save_labels_text])
-    def test_writers_store_the_whole_plbl_range(self, tmp_path, save):
+    def test_writer_stores_the_whole_plbl_range(self, tmp_path):
         labels = [0, 2**32 - 1, 7]
-        save(tmp_path / "l", labels)
+        save_labels(tmp_path / "l", labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "l"), labels)
 
     def test_label_beyond_u32_rejected(self, tmp_path):
@@ -348,6 +335,12 @@ class TestManifestAndAccuracy:
         p = tmp_path / "acc.csv"
         p.write_bytes(b"\xff\xfeD,71.8\n")
         with pytest.raises(BadMagic):
+            load_accuracy_csv(p)
+
+    def test_accuracy_csv_repeated_id(self, tmp_path):
+        p = tmp_path / "acc.csv"
+        p.write_text("D,71.8\nW,70.6\nD,10.0\n")
+        with pytest.raises(RaggedCsv, match="line 3 repeats candidate id 'D'"):
             load_accuracy_csv(p)
 
     def test_accuracy_line_without_two_fields(self, tmp_path):

@@ -6,6 +6,7 @@ in a fresh interpreter: the package and the CLI's parser load no numpy,
 and the public names load their modules on first use."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -147,14 +148,23 @@ def test_public_names_load_on_first_use():
     assert len(adaptscore.__all__) == 23
 
 
-@pytest.mark.parametrize("name", ["unit_normalize", "class_centroids"])
-def test_removed_names_are_gone(name):
-    """The PAS kernel's centroid table (CentroidTable, built from the class
-    sums of unit rows) is the one centroid definition left."""
-    from adaptscore import embed_core
+# Each name removed from the library API, with the module that held it.
+REMOVED = {
+    "unit_normalize": "embed_core",
+    "class_centroids": "embed_core",
+    "save_embeddings_csv": "formats",
+    "save_labels_text": "formats",
+}
 
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    """The PAS kernel's unit-row centroids (embed_core._centroid_table of
+    the class sums of unit rows) are the one centroid definition left, and
+    the CSV and text files are read but no longer written; CentroidTable
+    stays a public name."""
     assert name not in adaptscore.__all__
     with pytest.raises(AttributeError):
         getattr(adaptscore, name)
-    assert not hasattr(embed_core, name)
-    assert hasattr(embed_core, "CentroidTable")
+    assert not hasattr(importlib.import_module(f"adaptscore.{REMOVED[name]}"), name)
+    assert hasattr(adaptscore, "CentroidTable")

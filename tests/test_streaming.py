@@ -31,12 +31,11 @@ from adaptscore.formats import (
     load_embeddings,
     open_embeddings,
     save_embeddings,
-    save_embeddings_csv,
     save_labels,
 )
 from adaptscore.reporting import METHODS, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
-from conftest import random_labeled
+from conftest import random_labeled, write_csv
 
 BLOCK = 7
 SCORERS = {"pas": pas, "pas_euclidean": pas_euclidean, "pas_avg_pairwise": pas_avg_pairwise}
@@ -94,7 +93,7 @@ def test_open_gives_pemb_rows_and_loads_csv(files):
     rows = open_embeddings(tmp_path / "tgt.pemb")
     assert isinstance(rows, PembRows)
     assert (rows.n, rows.dim) == (target.n, target.dim)
-    save_embeddings_csv(tmp_path / "tgt.csv", target.embeddings)
+    write_csv(tmp_path / "tgt.csv", target.embeddings.data)
     assert isinstance(open_embeddings(tmp_path / "tgt.csv"), EmbeddingSet)
 
 
@@ -146,7 +145,7 @@ def test_shared_file_under_many_workers(files, monkeypatch):
 def test_score_json_same_bytes_for_pemb_and_csv_targets(files, method, capsys, monkeypatch):
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     tmp_path, _, target = files
-    save_embeddings_csv(tmp_path / "tgt.csv", target.embeddings)
+    write_csv(tmp_path / "tgt.csv", target.embeddings.data)
     outputs = []
     for name in ("tgt.pemb", "tgt.csv"):
         assert main(_score_argv(tmp_path, method, name)) == 0
