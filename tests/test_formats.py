@@ -205,6 +205,25 @@ class TestCsv:
             load_embeddings(p)
         assert info.value.line == 3
 
+    def test_nonfinite_value_names_its_row_and_column(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.0,2.0\n\n3.0,inf\n")
+        with pytest.raises(NonFiniteValue) as info:
+            load_embeddings(p)
+        assert (info.value.row, info.value.col) == (1, 1)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+        with pytest.raises(BadMagic):
+            load_embeddings(p)
+
+    def test_blank(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("\n  \n\n")
+        with pytest.raises(TruncatedFile):
+            load_embeddings(p)
+
 
 class TestLabels:
     def test_binary_round_trip(self, tmp_path):
@@ -276,6 +295,23 @@ class TestLabels:
         labels = [0, 2**32 - 1, 7]
         save_labels(tmp_path / "l", labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "l"), labels)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["4294967296", "18446744073709551616", "0.5", "nan", "2.0", "1e3"],
+        ids=["beyond-u32", "beyond-i64", "fractional", "nan", "integral-float", "exponent"],
+    )
+    def test_text_reader_rejects_a_line_plbl_cannot_store(self, tmp_path, line):
+        p = tmp_path / "l.txt"
+        p.write_text(f"0\n{line}\n1\n")
+        with pytest.raises(RaggedCsv) as info:
+            load_labels(p)
+        assert info.value.line == 2
+
+    def test_text_reader_takes_the_whole_plbl_range(self, tmp_path):
+        p = tmp_path / "l.txt"
+        p.write_text("0\n\n  4294967295 \n7\n")
+        np.testing.assert_array_equal(load_labels(p), [0, 2**32 - 1, 7])
 
     def test_label_beyond_u32_rejected(self, tmp_path):
         p = tmp_path / "l.txt"

@@ -154,6 +154,22 @@ def test_score_json_same_bytes_for_pemb_and_csv_targets(files, method, capsys, m
     assert len(json.loads(outputs[0])["breakdown"]) == target.n
 
 
+@pytest.mark.parametrize("method", ["pas", "oracle"])
+def test_score_json_same_bytes_for_plbl_and_text_labels(files, method, capsys, monkeypatch):
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    tmp_path, source, target = files
+    for name, labels in (("src", source.labels), ("tgt", target.labels)):
+        (tmp_path / f"{name}.txt").write_text("".join(f"{v}\n" for v in labels))
+    outputs = []
+    for suffix in ("plbl", "txt"):
+        argv = _score_argv(tmp_path, method)
+        argv[argv.index("--source-labels") + 1] = str(tmp_path / f"src.{suffix}")
+        argv[argv.index("--target-labels") + 1] = str(tmp_path / f"tgt.{suffix}")
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_non_finite_in_a_later_block_beats_a_zero_row(files, threads, monkeypatch):
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
