@@ -393,11 +393,12 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion,
     under the cosine distance 1 - x.y between unit-normalized rows.
 
-    Each row block, run by the block runner within its byte budget, takes
-    the sums of its distances to every class from one GEMM against the C
-    class sums of the unit rows, sum_{j in c} (1 - x.s_j) = n_c - x.S_c,
-    so a block holds block x (d + C) floats and no normalized n x d copy
-    is kept.
+    `data.embeddings` is any row source, read only through _row_pass: one
+    serial pass sums its unit rows per class (_class_sums), and a second,
+    on the block runner within its byte budget, takes each block's sums of
+    distances to every class from one GEMM against those C sums,
+    sum_{j in c} (1 - x.s_j) = n_c - x.S_c, formed in place. A block holds
+    block x (d + C) floats; no normalized n x d copy is kept.
     """
     data._check_classes()
     counts = np.bincount(data.labels, minlength=data.num_classes)
@@ -405,15 +406,16 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
         raise SingletonClass(int(np.argmax(counts < 2)))
 
     labels = data.labels
-    raw = data.embeddings.data
-    ranges = _block_ranges(data.n)
-    class_sums = _class_sums(raw, labels, data.num_classes)
+    class_sums = _class_sums(data.embeddings, labels, data.num_classes)
+    scores = np.zeros(data.n)
 
-    def block(lo, hi):
+    def block(lo, raw):
+        hi = lo + raw.shape[0]
         rows = np.arange(hi - lo)
         own = labels[lo:hi]
-        xb = _unit_rows(raw[lo:hi], lo)
-        sums = counts - xb @ class_sums.T
+        xb = _unit_rows(raw, lo)
+        g = xb @ class_sums.T
+        sums = np.subtract(counts, g, out=g)
         self_dist = 1.0 - np.einsum("ij,ij->i", xb, xb)
         # The own-class mean leaves out the row's distance to itself.
         a = (sums[rows, own] - self_dist) / (counts[own] - 1)
@@ -421,7 +423,7 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
         sums[rows, own] = np.inf
         b = sums.min(axis=1)
         denom = np.maximum(a, b)
-        return np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom != 0.0)
+        np.divide(b - a, denom, out=scores[lo:hi], where=denom != 0.0)
 
-    scores = _run_blocks(block, ranges, 8 * ranges[0][1] * (data.dim + data.num_classes))
-    return float(np.concatenate(list(scores)).mean())
+    _row_pass(data.embeddings, block, 8 * _block_ranges(data.n)[0][1] * (data.dim + data.num_classes))
+    return float(scores.mean())

@@ -43,12 +43,11 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 
 def _cmd_score(args) -> None:
-    reporting.resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
+    cfg = reporting.resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
     labels = {"labels": args.target_labels} if args.target_labels else {}
-    target, target_labels = reporting.load_target({"emb": args.target_emb, **labels})  # PEMB rows stream through the kernel
+    target, target_labels = reporting.load_target({"emb": args.target_emb, **labels})  # PEMB: only opened
     source = reporting.load_candidate({"emb": args.source_emb, "labels": args.source_labels})
-    results = reporting.score_candidate(source, target, [args.method], target_labels, args.seed, args.max_samples)
-    result = results[args.method]
+    result = reporting.score_candidate(source, target, {args.method: cfg}, target_labels)[args.method]
     value = result.value if isinstance(result, scores.ScoreResult) else result
     if args.json:
         _write_score_json(sys.stdout, args.method, value, result)
@@ -133,7 +132,7 @@ def _cmd_substudy(args) -> None:
     manifest = formats.load_manifest(args.manifest)
     # Loaded whole: the study draws fractions x repeats x candidates subsamples.
     target_emb, _ = reporting.load_target(manifest["target"], formats.load_embeddings)
-    sources = [reporting.load_candidate(c) for c in manifest["candidates"]]
+    sources = [reporting.load_candidate(c, formats.load_embeddings) for c in manifest["candidates"]]
     ids = [c["id"] for c in manifest["candidates"]]
     result = evaluation.subsample_study(
         sources,

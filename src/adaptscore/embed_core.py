@@ -1,12 +1,14 @@
 """Embedding containers, the shared row primitives (block and chunk grid,
-the block runner, unit rows, Gram-to-distance), and unit-row class sums.
+the block runner and row pass, unit rows, Gram-to-distance), and unit-row
+class sums. Every scorer input, source or target, is a row source read
+only through the row pass (_row_pass).
 
-An EmbeddingSet keeps float32 data as float32 (half the memory of a
-loaded PEMB file widened up front) and widens every other dtype to
-float64. All arithmetic is float64 regardless of storage: _unit_rows
-widens rows before the first operation, and everything derived from the
-data (unit rows, class sums, class centroids) is float64. Matrices are
-dense row-major.
+An EmbeddingSet, the in-memory row source, keeps float32 data as float32
+(half the memory of a loaded PEMB file widened up front) and widens every
+other dtype to float64. All arithmetic is float64 regardless of storage:
+_unit_rows widens rows before the first operation, and everything derived
+from the data (unit rows, class sums, class centroids) is float64.
+Matrices are dense row-major.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def _row_pass(source, fn, block_bytes: int, serial: bool = False) -> None:
 
     A ZeroVector that fn raises is held until the pass ends, so a
     non-finite value anywhere wins over it; then the one of the lowest
-    block is raised. Every pass over a target's rows, the scorers' and the
-    baselines' sampler's, keeps this order here.
+    block is raised. Every pass over a source's or a target's rows keeps
+    this order here.
     """
 
     def block(lo, hi):
@@ -285,18 +287,17 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def reader(self):
-        """The row-source protocol that every pass over a target reads
-        (_row_pass): a context manager giving read(lo, hi), the rows lo:hi
-        (a view of the data, already checked finite)."""
+        """The row-source protocol that every pass reads (_row_pass): a
+        context manager giving read(lo, hi), the rows lo:hi (a view of the
+        data, already checked finite)."""
         return contextlib.nullcontext(lambda lo, hi: self.data[lo:hi])
 
 
 @dataclass(frozen=True)
 class LabeledEmbeddingSet:
-    """An EmbeddingSet plus one integer class id per row over C classes.
-    The oracle scorer also takes a streamed row source (such as
-    formats.PembRows) as `embeddings`, since it reads only n, dim and
-    reader().
+    """A row source, such as an EmbeddingSet or a streamed formats.PembRows,
+    plus one integer class id per row over C classes. Only n is read here;
+    the scorers read the rows through _row_pass.
 
     By default every class id in [0, C) must appear at least once so
     every centroid is defined. Pass require_all_classes=False for label
@@ -304,7 +305,7 @@ class LabeledEmbeddingSet:
     where some classes may legitimately be absent.
     """
 
-    embeddings: EmbeddingSet
+    embeddings: object  # a row source: n, dim and reader()
     labels: np.ndarray
     num_classes: int
     require_all_classes: bool = True
@@ -395,41 +396,43 @@ def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = No
     return out
 
 
-def _class_sums(data: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+def _class_sums(source, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """The num_classes x d float64 per-class sums of the unit rows
-    (_unit_rows) of `data`: the table behind every centroid and class mean.
+    (_unit_rows) of the row source `source`, whose row i has class
+    labels[i]: the table behind every centroid and class mean.
 
     Each class's unit rows are added one at a time in row order, starting
     from 0, which is the order of np.add.at(sums, labels, unit_rows) and so
-    gives its bits. The rows are visited in a stable label order, in slices
-    of at most one block normalized after a spare row: a class's running sum
-    is written into the row just before its first row in the slice, and one
-    np.add.reduce over axis 0 carries it on row by row. With one column
-    that reduce would be pairwise, so cumsum stands in. No n x d float64
-    copy exists. Raises ZeroVector at the lowest zero row.
+    gives its bits. One serial pass (_row_pass) carries the sums from block
+    to block: each block's rows are gathered in a stable label order and
+    normalized after a spare row, a class's running sum is written into the
+    row just before its first row in the block, and one np.add.reduce over
+    axis 0 carries it on row by row. With one column that reduce would be
+    pairwise, so cumsum stands in. Neither a normalized copy nor the whole
+    source is held. Raises ZeroVector at the lowest zero row; a non-finite
+    value in a streamed source wins over it (_row_pass).
     """
-    d = data.shape[1]
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=num_classes))
+    d = source.dim
     sums = np.zeros((num_classes, d))
-    ranges = _block_ranges(data.shape[0])
-    buf = np.empty((ranges[0][1] + 1, d))
-    try:
-        for lo, hi in ranges:
-            _unit_rows(data[order[lo:hi]], out=buf[1 : hi - lo + 1])
-            start = lo
-            while start < hi:
-                c = int(np.searchsorted(ends, start, side="right"))
-                stop = min(int(ends[c]), hi)
-                run = buf[start - lo : stop - lo + 1]
-                run[0] = sums[c]
-                sums[c] = np.add.reduce(run, axis=0) if d > 1 else np.cumsum(run[:, 0])[-1]
-                start = stop
-    except ZeroVector:
-        # The slices run in label order; a row-order pass raises the lowest.
-        for lo, hi in ranges:
-            _unit_rows(data[lo:hi], lo)
-        raise
+    buf = np.empty((_block_ranges(source.n)[0][1] + 1, d))
+
+    def add(lo, raw):
+        ys = labels[lo : lo + raw.shape[0]]
+        order = np.argsort(ys, kind="stable")
+        ys = ys[order]
+        try:
+            _unit_rows(raw[order], out=buf[1 : ys.shape[0] + 1])
+        except ZeroVector:
+            _unit_rows(raw, lo)  # in row order, so the block's lowest zero row raises
+            raise
+        starts = [0, *(np.flatnonzero(np.diff(ys)) + 1).tolist()]
+        for a, b in zip(starts, starts[1:] + [ys.shape[0]]):
+            run = buf[a : b + 1]
+            c = ys[a]
+            run[0] = sums[c]
+            sums[c] = np.add.reduce(run, axis=0) if d > 1 else np.cumsum(run[:, 0])[-1]
+
+    _row_pass(source, add, buf.nbytes, serial=True)
     return sums
 
 

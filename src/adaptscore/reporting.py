@@ -11,7 +11,7 @@ from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_d
 from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import CandidateScoreRow, rank_candidates
-from .formats import REPORT_SCHEMA, _check_manifest, load_embeddings, load_labels, open_embeddings
+from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
 from .scores import _FAMILY, ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
 
@@ -90,38 +90,32 @@ def load_target(spec, opener=None) -> tuple:
     return emb, labels
 
 
-def load_candidate(entry) -> LabeledEmbeddingSet:
+def load_candidate(entry, opener=None) -> LabeledEmbeddingSet:
     """Candidate entry, as formats._check_manifest checked it -> labeled
-    source set.
+    source set, whose embeddings are a row source.
 
     A {"synth": cfg} entry yields the source half of the generated pair.
-    A file entry is loaded whole. The class count is the largest label + 1,
-    and every class needs a member.
+    A file entry is read by `opener`, as load_target reads a target: a
+    PEMB source is only opened by the default, open_embeddings, and each
+    method's passes read its rows. The class count is the largest label
+    + 1, and every class needs a member.
     """
     if "synth" in entry:
         source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
         return source
-    emb = load_embeddings(entry["emb"])
+    emb = (opener or open_embeddings)(entry["emb"])
     labels = load_labels(entry["labels"])
     # initial=-1: an empty label file reaches the LabelCountMismatch check
     return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
 
 
-def score_candidate(
-    source: LabeledEmbeddingSet,
-    target,
-    methods,
-    target_labels,
-    seed: int,
-    max_samples: int,
-) -> dict:
-    """{method: result} of one source against the target, a row source: a
-    ScoreResult for a PAS-family method and a float for a baseline.
-    ConfigInvalid before any scoring for a method or setting that
-    resolve_method rejects. The PAS-family methods share one pass over the
-    target, made at the first of them (scores._pas_family); each baseline
-    makes its own."""
-    configs = {name: resolve_method(name, target_labels is not None, seed, max_samples) for name in methods}
+def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_labels) -> dict:
+    """{method: result} of one source against the target, a row source,
+    for each method of `configs`, {method: settings} as resolve_method
+    gives them: a ScoreResult for a PAS-family method and a float for a
+    baseline, in the order of `configs`. The PAS-family methods share one
+    pass over the target, made at the first of them (scores._pas_family);
+    each baseline makes its own."""
     family = [name for name in configs if name in _FAMILY]
     out = {}
     for name, cfg in configs.items():
@@ -151,14 +145,14 @@ def build_report(manifest: dict) -> dict:
     methods = manifest["methods"]
     target = manifest["target"]
     seed = manifest["seed"]
-    for name in methods:
-        resolve_method(name, "labels" in target or "synth" in target, seed, manifest["max_samples"])
+    have_labels = "labels" in target or "synth" in target
+    configs = {name: resolve_method(name, have_labels, seed, manifest["max_samples"]) for name in methods}
     target_emb, target_labels = load_target(target)
 
     rows = []
     for entry in manifest["candidates"]:
         source = load_candidate(entry)
-        results = score_candidate(source, target_emb, methods, target_labels, seed, manifest["max_samples"])
+        results = score_candidate(source, target_emb, configs, target_labels)
         raw = {m: r.value if isinstance(r, ScoreResult) else r for m, r in results.items()}
         rows.append(
             {

@@ -1,12 +1,12 @@
 """Potential-adaptability scoring: PAS, its oracle, and design variants.
 
 The four scorers are one kernel (_pas_family), which scores any of them
-together: sum the source's unit rows per class, build C class
-representatives per table, then make one pass over the raw target rows
-that normalizes each row, computes its distances to the representatives,
-keeps the two that matter (d1, d2) and writes a per-sample contribution
-for each method. The score is the mean contribution; the per-sample
-values are kept as columns.
+together: sum the source's unit rows per class in one pass over its rows,
+build C class representatives per table, then make one pass over the raw
+target rows that normalizes each row, computes its distances to the
+representatives, keeps the two that matter (d1, d2) and writes a
+per-sample contribution for each method. The score is the mean
+contribution; the per-sample values are kept as columns.
 
 The pass runs in fixed-size row blocks on the block runner
 (embed_core._run_blocks), the program's only parallelism; the block grid
@@ -119,14 +119,14 @@ _FAMILY = {
 
 def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) -> dict:
     """{method: ScoreResult} of the PAS-family `methods` (in any order) of
-    `source` against `target`, a row source, from one pass over its rows;
-    "oracle" also reads the target's `true_labels`.
+    `source` against `target`, row sources both, from one pass over the
+    target's rows; "oracle" also reads the target's `true_labels`.
 
     The source side comes first: DimensionMismatch, MissingClass, one
-    per-class sum of the source's unit rows (_class_sums, no normalized
-    copy; ZeroVector), then each table at the first method that needs it,
-    so DegenerateClass of the unit centroids precedes the oracle's
-    LabelOutOfRange.
+    serial pass that sums the source's unit rows per class (_class_sums;
+    NonFiniteValue of a streamed source, then ZeroVector), then each table
+    at the first method that needs it, so DegenerateClass of the unit
+    centroids precedes the oracle's LabelOutOfRange.
 
     In the pass (embed_core._row_pass) each block unit-normalizes its rows
     into a buffer its worker thread keeps (_unit_rows), then takes one
@@ -146,7 +146,7 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
     source._check_classes()
-    sums = _class_sums(source.embeddings.data, source.labels, source.num_classes)
+    sums = _class_sums(source.embeddings, source.labels, source.num_classes)
     counts = np.bincount(source.labels)[:, None]  # C of them: every class has a row
     tables = {}
     for name in methods:

@@ -38,7 +38,7 @@ class TestUnitNormalize:
 
 def _centroids(s: LabeledEmbeddingSet) -> np.ndarray:
     """The centroid table that the PAS kernel builds for source `s`."""
-    return _centroid_table(_class_sums(s.embeddings.data, s.labels, s.num_classes))
+    return _centroid_table(_class_sums(s.embeddings, s.labels, s.num_classes))
 
 
 class TestClassCentroids:
@@ -107,8 +107,9 @@ def _add_at_sums(x, labels, num_classes):
 
 
 class TestClassSums:
-    """_class_sums walks the rows in label order, yet each class sum must
-    carry np.add.at's row-order bits."""
+    """_class_sums walks each block's rows in label order, carrying the
+    sums from block to block, yet each class sum must carry np.add.at's
+    row-order bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
@@ -118,7 +119,7 @@ class TestClassSums:
             n = int(rng.integers(num_classes, 120))
             labels = rng.integers(0, num_classes, n)  # interleaved, some classes may be empty
             x = (rng.standard_normal((n, dim)) * rng.uniform(0.1, 1e3)).astype(dtype)
-            got = _class_sums(x, labels, num_classes)
+            got = _class_sums(EmbeddingSet(x), labels, num_classes)
             np.testing.assert_array_equal(got, _add_at_sums(x, labels, num_classes), strict=True)
 
     def test_class_spanning_several_slices(self, rng, monkeypatch):
@@ -126,7 +127,8 @@ class TestClassSums:
         labels = np.concatenate([np.zeros(30, dtype=np.int64), rng.integers(0, 3, 40), [2] * 11])
         for dtype in (np.float32, np.float64):
             x = rng.standard_normal((labels.shape[0], 5)).astype(dtype)
-            np.testing.assert_array_equal(_class_sums(x, labels, 3), _add_at_sums(x, labels, 3), strict=True)
+            got = _class_sums(EmbeddingSet(x), labels, 3)
+            np.testing.assert_array_equal(got, _add_at_sums(x, labels, 3), strict=True)
 
     @pytest.mark.parametrize("block", [2, 8192])
     def test_lowest_zero_row_when_label_order_reverses_row_order(self, rng, monkeypatch, block):
@@ -135,7 +137,7 @@ class TestClassSums:
         labels = np.array([1, 0, 1, 1, 0, 0])
         x[[2, 4]] = 0.0  # row 2 is in class 1, row 4 in class 0, which is visited first
         with pytest.raises(ZeroVector) as info:
-            _class_sums(x, labels, 2)
+            _class_sums(EmbeddingSet(x), labels, 2)
         assert info.value.row_index == 2
 
     def test_degenerate_class_unchanged(self):

@@ -129,22 +129,28 @@ def test_damaged_inputs_exit_2_or_3_with_one_json_error(inputs, tmp_path, monkey
     assert {2, 3} <= seen
 
 
-@pytest.mark.parametrize("case", ["dimension", "degenerate"])
+@pytest.mark.parametrize("case", ["dimension", "degenerate", "nan"])
 @pytest.mark.parametrize("method", list(METHODS))
 def test_score_and_rank_report_the_same_first_error(tmp_path, monkeypatch, capsys, method, case):
     """Inputs with two defects each: a target label of 7 for 3 classes,
-    and either an 8-d source against a 6-d target or a source class whose
-    two rows cancel (DegenerateClass). score --json and a one-candidate
-    rank of the same method exit with the same code and error, or both
-    succeed (silhouette never reads the target)."""
+    and either an 8-d source against a 6-d target, a source class whose
+    two rows cancel (DegenerateClass), or an 8-d source holding a NaN
+    against a 6-d target. score --json and a one-candidate rank of the
+    same method exit with the same code and error, or both succeed
+    (silhouette never reads the target). The source is opened, not
+    loaded, so its NaN is found in a pass, after DimensionMismatch."""
     rng = np.random.default_rng(7)
     source = rng.standard_normal((6, 8))
-    target_dim = 6 if case == "dimension" else 8
+    target_dim = 8 if case == "degenerate" else 6
     if case == "degenerate":
         source[3] = -source[0]  # rows 0 and 3 are class 0
     target_labels = np.arange(10) % 3
     target_labels[4] = 7
     save_embeddings(tmp_path / "src.pemb", EmbeddingSet(source))
+    if case == "nan":  # the header's n and d stay; the value is patched in place
+        blob = bytearray((tmp_path / "src.pemb").read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()
+        (tmp_path / "src.pemb").write_bytes(bytes(blob))
     save_labels(tmp_path / "src.plbl", np.arange(6) % 3)
     save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(rng.standard_normal((10, target_dim))))
     save_labels(tmp_path / "tgt.plbl", target_labels)
@@ -166,3 +172,5 @@ def test_score_and_rank_report_the_same_first_error(tmp_path, monkeypatch, capsy
         err = capsys.readouterr().err
         outcomes.append((code, json.loads(err)["error"] if code else None))
     assert outcomes[0] == outcomes[1]
+    if case == "nan":
+        assert outcomes[0] == ((2, "NonFiniteValue") if method == "silhouette" else (3, "DimensionMismatch"))

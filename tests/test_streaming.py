@@ -1,7 +1,8 @@
-"""PEMB targets streamed as a row source (formats.PembRows) through the
-PAS block kernel and the baselines' sampler, by `score` and `rank`: the
-same bits as the in-memory path, the error contract of a pass that checks
-its rows block by block, and memory that stays flat in n."""
+"""PEMB targets and sources streamed as row sources (formats.PembRows)
+through the PAS block kernel, the class sums, the silhouette and the
+baselines' sampler, by `score` and `rank`: the same bits as the in-memory
+path, the error contract of a pass that checks its rows block by block,
+and memory that stays flat in n."""
 
 import itertools
 import json
@@ -33,7 +34,7 @@ from adaptscore.formats import (
     save_embeddings,
     save_labels,
 )
-from adaptscore.reporting import METHODS, score_candidate
+from adaptscore.reporting import METHODS, resolve_method, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled, write_csv
 
@@ -227,6 +228,9 @@ def test_file_truncated_after_the_header_check(files, monkeypatch, capsys):
 
 
 def test_silhouette_reads_no_target_block(files, monkeypatch, capsys):
+    """silhouette reads its streamed source twice (the class sums, then the
+    scores) and opens no target reader; pas reads the source once and the
+    target once."""
     tmp_path, _, _ = files
     load, reader = PembRows.load, PembRows.reader
     reads = []
@@ -234,9 +238,9 @@ def test_silhouette_reads_no_target_block(files, monkeypatch, capsys):
     monkeypatch.setattr(PembRows, "reader", lambda self: reads.append(self.path.name) or reader(self))
     assert main(_score_argv(tmp_path, "silhouette")) == 0
     assert isinstance(json.loads(capsys.readouterr().out)["value"], float)
-    assert reads == ["src.pemb"]
+    assert reads == ["src.pemb", "src.pemb"]
     assert main(_score_argv(tmp_path, "pas")) == 0
-    assert reads == ["src.pemb", "src.pemb", "tgt.pemb"]
+    assert reads == ["src.pemb", "src.pemb", "src.pemb", "tgt.pemb"]
 
 
 def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
@@ -407,8 +411,8 @@ def test_rank_loads_the_candidate_before_it_reads_the_target(files, capsys):
 
 def test_only_substudy_loads_a_streamed_target(files, monkeypatch, capsys):
     """score --method mmd/adist and a rank of every method read the PEMB
-    target as a row source; substudy, which draws many subsamples of it,
-    asks for it whole. Candidates are always loaded."""
+    target and source as row sources; substudy, which draws many
+    subsamples of them, asks for the target and each source whole."""
     tmp_path, _, _ = files
     load = PembRows.load
     loads = []
@@ -417,8 +421,7 @@ def test_only_substudy_loads_a_streamed_target(files, monkeypatch, capsys):
         assert main(_score_argv(tmp_path, method)) == 0
     manifest = _rank_manifest(tmp_path, list(METHODS))
     assert main(["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
-    assert loads == ["src.pemb"] * 3
-    loads.clear()
+    assert loads == []
     argv = ["substudy", "--manifest", manifest, "--fractions", "0.5,1.0", "--repeats", "2"]
     assert main([*argv, "--out", str(tmp_path / "s.json")]) == 0
     assert loads == ["tgt.pemb", "src.pemb"]
@@ -487,7 +490,7 @@ def test_rank_reads_the_target_once_per_candidate_for_the_pas_family(files, monk
     with open(path, "w") as fh:
         json.dump(manifest, fh)
     assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json")]) == 0
-    assert reads == ["tgt.pemb", "tgt.pemb"]
+    assert reads == ["src.pemb", "tgt.pemb"] * 2  # each candidate's class sums, then the target
     capsys.readouterr()
 
 
@@ -499,18 +502,19 @@ def test_score_candidate_gives_the_method_table_values_in_manifest_order(files, 
     tmp_path, source, target = files
     rows = open_embeddings(tmp_path / "tgt.pemb")
     methods = ["mmd", "oracle", "silhouette", "pas_avg_pairwise", "adist", "pas"]
-    got = score_candidate(source, rows, methods, target.labels, 3, 12)
+    configs = {m: resolve_method(m, True, 3, 12) for m in methods}
+    got = score_candidate(source, rows, configs, target.labels)
     assert list(got) == methods
     for m in methods:
-        alone = score_candidate(source, rows, [m], target.labels, 3, 12)[m]
+        alone = score_candidate(source, rows, {m: configs[m]}, target.labels)[m]
         if isinstance(alone, ScoreResult):
             assert got[m].method == m
             for g, w in zip(_columns(got[m]), _columns(alone)):
                 np.testing.assert_array_equal(g, w, strict=True)
         else:
             assert isinstance(got[m], float) and got[m] == alone, m
-    with pytest.raises(ConfigInvalid):  # before the pass that pas would start
-        score_candidate(source, rows, ["pas", "oracle"], None, 3, 12)
+    with pytest.raises(ConfigInvalid):  # the settings that score and rank resolve before any file is read
+        resolve_method("oracle", False, 3, 12)
 
 
 def test_pas_family_peak_stays_within_its_block_bytes(tmp_path, rng, monkeypatch):
@@ -536,3 +540,85 @@ def test_pas_family_peak_stays_within_its_block_bytes(tmp_path, rng, monkeypatch
         tracemalloc.stop()
     stated = 8 * block * (dim + classes) + 4 * block * dim
     assert peak - 4 * 32 * target.n <= stated + 4 * 8 * embed_core._CHUNK_ENTRIES, (peak, stated)
+
+
+def _labeled_rows(rng, n, dim, num_classes):
+    """float32 rows around class means far from 0 and one label per row, so
+    no class sum cancels at d = 1."""
+    labels = rng.integers(0, num_classes, n)
+    means = rng.choice([-1.0, 1.0], (num_classes, dim)) * rng.uniform(2.0, 4.0, (num_classes, dim))
+    return (means[labels] + rng.standard_normal((n, dim))).astype(np.float32), labels
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dim", [1, 16])
+def test_streamed_source_bit_identical_to_in_memory(tmp_path, rng, monkeypatch, dim, threads):
+    """A 9,000-row source (two blocks at the real block size) read from
+    an opened PEMB file and from the same float32 rows in memory gives the
+    same bits: its class sums, all four PAS-family methods, silhouette,
+    mmd (a capped draw) and adist."""
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    x, labels = _labeled_rows(rng, 9_000, dim, 5)
+    target, target_labels = _labeled_rows(rng, 300, dim, 5)
+    save_embeddings(tmp_path / "src.pemb", x)
+    target = EmbeddingSet(target)
+    runs = []
+    for emb in (EmbeddingSet(x), open_embeddings(tmp_path / "src.pemb")):
+        source = LabeledEmbeddingSet(emb, labels, 5)
+        family = scores._pas_family(source, target, list(FAMILY), target_labels)
+        runs.append([
+            embed_core._class_sums(emb, labels, 5),
+            *(np.float64(r.value) for r in family.values()),
+            *(c for r in family.values() for c in r.breakdown_arrays()),
+            baselines.silhouette(source),
+            BASELINES["mmd"](emb, target, 500),
+            BASELINES["adist"](emb, target, None),
+        ])
+    assert isinstance(source.embeddings, PembRows)
+    for got, want in zip(*runs):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_source_zero_rows_in_two_blocks_report_the_lowest(tmp_path, rng, monkeypatch, streamed):
+    """Zero rows 5 (class 2) and 6 (class 0) lie in block 0 and row 9
+    (class 0) in block 1: a label order over the block meets row 6 first,
+    and one over the whole source row 9. The class sums, so pas and
+    silhouette, report row 5."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    x, labels = _labeled_rows(rng, 30, 4, 3)
+    x[[5, 6, 9]] = 0.0
+    labels[[5, 6, 9]] = [2, 0, 0]
+    emb = _bad_target(tmp_path / "src.pemb", x) if streamed else EmbeddingSet(x)
+    source = LabeledEmbeddingSet(emb, labels, 3)
+    for run in (
+        lambda: embed_core._class_sums(emb, labels, 3),
+        lambda: pas(source, EmbeddingSet(x[10:])),
+        lambda: baselines.silhouette(source),
+    ):
+        with pytest.raises(ZeroVector) as info:
+            run()
+        assert info.value.row_index == 5
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_source_non_finite_in_a_later_block_beats_a_zero_row(tmp_path, rng, monkeypatch, threads):
+    """A streamed source with a zero row in block 0 and a NaN in block 2:
+    the class-sum pass holds the zero row, so pas and silhouette report
+    the NaN; without it pas reports the zero row."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+    x, labels = _labeled_rows(rng, 30, 4, 3)
+    x[3] = 0.0
+    x[2 * BLOCK + 4, 1] = np.nan
+    source = LabeledEmbeddingSet(_bad_target(tmp_path / "src.pemb", x), labels, 3)
+    target = EmbeddingSet(x[:3])
+    for run in (lambda: pas(source, target), lambda: baselines.silhouette(source)):
+        with pytest.raises(NonFiniteValue) as info:
+            run()
+        assert (info.value.row, info.value.col) == (2 * BLOCK + 4, 1)
+    x[2 * BLOCK + 4, 1] = 1.0
+    source = LabeledEmbeddingSet(_bad_target(tmp_path / "src.pemb", x), labels, 3)
+    with pytest.raises(ZeroVector) as zero:
+        pas(source, target)
+    assert zero.value.row_index == 3
