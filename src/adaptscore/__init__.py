@@ -15,14 +15,7 @@ _EXPORTS = {
     "embed_core": ("EmbeddingSet", "LabeledEmbeddingSet", "CentroidTable"),
     "scores": ("PerSampleBreakdown", "ScoreResult", "pas", "pas_euclidean", "pas_avg_pairwise", "oracle_score"),
     "baselines": ("MmdConfig", "ProxyClassifierConfig", "mmd_gaussian", "proxy_a_distance", "silhouette"),
-    "evaluation": (
-        "CandidateScoreRow",
-        "SubsampleStudyResult",
-        "pearson",
-        "spearman",
-        "rank_candidates",
-        "subsample_study",
-    ),
+    "evaluation": ("SubsampleStudyResult", "pearson", "spearman", "rank_candidates", "subsample_study"),
     "synth": ("SynthConfig", "generate_pair", "nearest_centroid_accuracy"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,15 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed_core import EmbeddingSet, LabeledEmbeddingSet
-from .errors import ConstantInput, LengthMismatch, MissingScore, TooFewSamples
+from .errors import ConstantInput, LengthMismatch, TooFewSamples
 from .scores import pas
-
-
-@dataclass(frozen=True)
-class CandidateScoreRow:
-    candidate_id: str
-    method_scores: dict
-    accuracy: float | None = None  # percent, when known externally
 
 
 @dataclass
@@ -83,20 +76,10 @@ def spearman(x, y) -> float:
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
-def rank_candidates(rows, method: str) -> list:
-    """Candidate ids sorted descending by the given method's score, ties
-    broken by lexicographic candidate id. The head is the selection."""
-    for row in rows:
-        if method not in row.method_scores:
-            raise MissingScore(row.candidate_id, method)
-    return [
-        r.candidate_id
-        for r in sorted(rows, key=lambda r: (-r.method_scores[method], r.candidate_id))
-    ]
-
-
-def _pas_ranking(candidate_ids, values) -> list:
-    return rank_candidates([CandidateScoreRow(c, {"pas": v}) for c, v in zip(candidate_ids, values)], "pas")
+def rank_candidates(scores: dict) -> list:
+    """The ids of one method's {candidate_id: score} sorted by descending
+    score, ties broken by lexicographic id. The head is the selection."""
+    return sorted(scores, key=lambda c: (-scores[c], c))
 
 
 def derive_seed(base_seed: int, fraction: float, repeat: int, candidate_index: int) -> int:
@@ -160,7 +143,7 @@ def subsample_study(
         candidate_ids = [f"candidate_{i}" for i in range(len(sources))]
 
     full_scores = [pas(src, target).value for src in sources]
-    full_ranking = _pas_ranking(candidate_ids, full_scores)
+    full_ranking = rank_candidates(dict(zip(candidate_ids, full_scores)))
 
     def repeat_scores(f, r):
         """The candidates' scores of repeat r at fraction f."""
@@ -177,7 +160,7 @@ def subsample_study(
     for f in fractions:
         repeat_rows = [repeat_scores(f, r) for r in range(repeats)]
         scores.append([list(column) for column in zip(*repeat_rows)])
-        rankings.append([_pas_ranking(candidate_ids, row) for row in repeat_rows])
+        rankings.append([rank_candidates(dict(zip(candidate_ids, row))) for row in repeat_rows])
     match_fraction = [sum(r == full_ranking for r in f_rankings) / repeats for f_rankings in rankings]
 
     return SubsampleStudyResult(

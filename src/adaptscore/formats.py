@@ -117,9 +117,10 @@ def _open_pemb(fh, path: Path) -> PembRows:
 
 
 def _utf8(path, blob: bytes) -> str:
-    """`blob` decoded as UTF-8, or BadMagic for the file at `path`."""
+    """`blob` decoded as UTF-8 without a leading byte-order mark, or
+    BadMagic for the file at `path`."""
     try:
-        return blob.decode("utf-8")
+        return blob.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise BadMagic(str(path), blob[:4]) from None
 

@@ -10,7 +10,7 @@ from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
 from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
-from .evaluation import CandidateScoreRow, rank_candidates
+from .evaluation import rank_candidates
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
 from .scores import _FAMILY, ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
@@ -126,10 +126,6 @@ def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_l
     return {name: out[name] for name in configs}
 
 
-def display_value(method: str, raw: float) -> float:
-    return -raw if METHODS[method].negated else raw
-
-
 def build_report(manifest: dict) -> dict:
     """Score every manifest candidate against the target and assemble the
     adaptscore-report-v1 document; `manifest` itself is not changed.
@@ -159,13 +155,12 @@ def build_report(manifest: dict) -> dict:
                 "candidate_id": entry["id"],
                 "model_id": entry.get("model_id"),
                 "method_scores": raw,
-                "display_scores": {m: display_value(m, v) for m, v in raw.items()},
+                "display_scores": {m: -v if METHODS[m].negated else v for m, v in raw.items()},
                 "accuracy": entry.get("accuracy"),
             }
         )
 
-    score_rows = [CandidateScoreRow(r["candidate_id"], r["display_scores"]) for r in rows]
-    ranking = {m: rank_candidates(score_rows, m) for m in methods}
+    ranking = {m: rank_candidates({r["candidate_id"]: r["display_scores"][m] for r in rows}) for m in methods}
     return {
         "schema": REPORT_SCHEMA,
         "target": dict(target),

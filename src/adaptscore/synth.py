@@ -3,7 +3,7 @@ oracle for desk-scale validation."""
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -32,13 +32,12 @@ class SynthConfig:
             raise ConfigInvalid("need num_classes >= 2 and dim >= 2")
         if self.n_source_per_class < 1 or self.n_target_per_class < 1:
             raise ConfigInvalid("per-class sample counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
         if self.intra_spread < 0 or self.shift < 0:
             raise ConfigInvalid("intra_spread and shift must be >= 0")
         if self.target_spread is not None and self.target_spread < 0:
             raise ConfigInvalid("target_spread must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":

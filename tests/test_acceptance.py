@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from adaptscore import (
-    CandidateScoreRow,
     EmbeddingSet,
     LabeledEmbeddingSet,
     MmdConfig,
@@ -74,11 +73,7 @@ def test_criterion_02_selection_regression():
     failures = []
     for table in (OFFICE_HOME_RESNET50, OFFICE_31_RESNET50):
         for g in table["groups"]:
-            rows = [
-                CandidateScoreRow(src, {"pas": v})
-                for src, v in zip(g["sources"], g["pas"])
-            ]
-            selected = rank_candidates(rows, "pas")[0]
+            selected = rank_candidates(dict(zip(g["sources"], g["pas"])))[0]
             if selected != g["best"]:
                 failures.append((g["target"], selected, g["best"]))
     elapsed = time.perf_counter() - start

@@ -273,8 +273,9 @@ class TestManifestSchema:
         ({"synth": 5}, "ManifestError", 2),
         ({"synth": [synth_entry(1)]}, "ManifestError", 2),
         ({"synth": dict(synth_entry(1), spread=0.1)}, "ConfigInvalid", 3),
+        ({"synth": dict(synth_entry(1), seed=-1)}, "ConfigInvalid", 3),
     ], ids=["no-emb", "no-labels", "emb-not-string", "labels-not-string", "synth-5", "synth-list",
-            "synth-unknown-field"])
+            "synth-unknown-field", "synth-negative-seed"])
     def test_last_candidate_defect_fails_before_any_file_is_read(self, readme_dir, capsys, command,
                                                                 last, error, code):
         """The target and the first candidate name missing files, so a
@@ -549,6 +550,32 @@ def test_non_utf8_json_is_bad_magic(tmp_path, capsys, command):
     assert (err["error"], err["exit_code"]) == ("BadMagic", 2)
 
 
+@pytest.mark.parametrize("command", ["corr", "synth"])
+def test_json_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    """A report or synth config with a leading UTF-8 byte-order mark gives
+    the same output as without one (test_formats checks the manifest)."""
+    doc = {
+        "corr": {"rows": [{"candidate_id": "a", "method_scores": {"pas": 0.5}},
+                          {"candidate_id": "b", "method_scores": {"pas": 0.3}}]},
+        "synth": synth_entry(3),
+    }[command]
+    (tmp_path / "acc.csv").write_text("a,70.0\nb,60.0\n")
+    outputs = []
+    for name, bom in (("plain", b""), ("marked", "\ufeff".encode())):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(bom + json.dumps(doc).encode())
+        out = tmp_path / name
+        argv = {
+            "corr": ["corr", "--report", str(path), "--accuracy", str(tmp_path / "acc.csv"), "--json"],
+            "synth": ["synth", "--config", str(path), "--out-dir", str(out)],
+        }[command]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        written = [(out / f).read_bytes() for f in sorted(os.listdir(out))] if out.exists() else None
+        outputs.append((printed, written))
+    assert outputs[0] == outputs[1]
+
+
 class TestCorrCommand:
     def test_reference_row(self, tmp_path, capsys):
         from reference_tables import OFFICE_31_RESNET50
@@ -592,6 +619,25 @@ class TestCorrErrors:
                 "--method", method, "--json"]
         assert main(argv) == code
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def test_accuracy_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        """An accuracy file saved with a UTF-8 byte-order mark keeps its
+        first candidate: the mark once became part of its id, which then
+        matched no report row."""
+        report = {"rows": [{"candidate_id": c, "method_scores": {"pas": v}}
+                           for c, v in (("a", 0.5), ("b", 0.3), ("c", 0.4))]}
+        accuracy = "a,60.0\nb,70.0\nc,62.0\n"
+        (tmp_path / "r.json").write_text(json.dumps(report))
+        printed = []
+        for bom in (b"", "\ufeff".encode()):
+            (tmp_path / "acc.csv").write_bytes(bom + accuracy.encode())
+            argv = ["corr", "--report", str(tmp_path / "r.json"), "--accuracy", str(tmp_path / "acc.csv"),
+                    "--json"]
+            assert main(argv) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        assert printed[0] == printed[1]
+        assert printed[1]["n"] == 3
+        assert printed[1]["pearson"] == adaptscore.pearson([0.5, 0.3, 0.4], [60.0, 70.0, 62.0])
 
     def test_unknown_method_before_any_file(self, tmp_path, capsys):
         argv = ["corr", "--report", str(tmp_path / "missing.json"),
@@ -642,6 +688,7 @@ class TestSynthCommand:
         dict(synth_entry(3), n_source_per_class=True),
         dict(synth_entry(3), intra_spread=float("nan")),
         dict(synth_entry(3), shift=float("inf")),
+        dict(synth_entry(3), seed=-1),
     ])
     def test_bad_config_is_config_invalid(self, tmp_path, capsys, config):
         cpath = tmp_path / "cfg.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adaptscore import (
-    CandidateScoreRow,
     EmbeddingSet,
     pas,
     pearson,
@@ -10,7 +9,7 @@ from adaptscore import (
     spearman,
     subsample_study,
 )
-from adaptscore.errors import ConstantInput, LengthMismatch, MissingScore, TooFewSamples
+from adaptscore.errors import ConstantInput, LengthMismatch, TooFewSamples
 from adaptscore.evaluation import _average_ranks, derive_seed
 from conftest import random_labeled
 from reference_tables import OFFICE_31_RESNET50, OFFICE_HOME_RESNET50, flat
@@ -108,34 +107,20 @@ class TestSpearman:
 
 class TestRankCandidates:
     def test_selects_highest(self):
-        rows = [
-            CandidateScoreRow("D", {"pas": 0.265}),
-            CandidateScoreRow("W", {"pas": 0.239}),
-        ]
-        assert rank_candidates(rows, "pas") == ["D", "W"]
+        assert rank_candidates({"D": 0.265, "W": 0.239}) == ["D", "W"]
+        assert rank_candidates({"W": 0.239, "D": 0.265}) == ["D", "W"]
 
     def test_lexicographic_tie_break(self):
-        rows = [CandidateScoreRow("b", {"pas": 0.5}), CandidateScoreRow("a", {"pas": 0.5})]
-        assert rank_candidates(rows, "pas")[0] == "a"
+        assert rank_candidates({"b": 0.5, "a": 0.5}) == ["a", "b"]
 
     def test_single_candidate(self):
-        rows = [CandidateScoreRow("only", {"pas": 0.1})]
-        assert rank_candidates(rows, "pas") == ["only"]
-
-    def test_missing_score(self):
-        rows = [CandidateScoreRow("x", {"mmd": 0.1})]
-        with pytest.raises(MissingScore):
-            rank_candidates(rows, "pas")
+        assert rank_candidates({"only": 0.1}) == ["only"]
 
     def test_increasing_transform_invariance(self, rng):
         scores = rng.uniform(0, 1, size=8)
         ids = [f"c{i}" for i in range(8)]
-        base = rank_candidates(
-            [CandidateScoreRow(i, {"pas": s}) for i, s in zip(ids, scores)], "pas"
-        )
-        transformed = rank_candidates(
-            [CandidateScoreRow(i, {"pas": np.exp(3 * s)}) for i, s in zip(ids, scores)], "pas"
-        )
+        base = rank_candidates(dict(zip(ids, scores)))
+        transformed = rank_candidates({i: np.exp(3 * s) for i, s in zip(ids, scores)})
         assert base == transformed
 
 
@@ -166,8 +151,8 @@ class TestSubsampleStudy:
         for fi in range(3):
             assert [len(row) for row in res.scores[fi]] == [3, 3, 3]
             for r in range(3):
-                rows = [CandidateScoreRow(c, {"pas": res.scores[fi][ci][r]}) for ci, c in enumerate("abc")]
-                assert res.rankings[fi][r] == rank_candidates(rows, "pas")
+                scores = {c: res.scores[fi][ci][r] for ci, c in enumerate("abc")}
+                assert res.rankings[fi][r] == rank_candidates(scores)
             matches = sum(ranking == res.full_ranking for ranking in res.rankings[fi])
             assert res.rank_match_fraction[fi] == matches / 3
             assert res.rank_stable[fi] == (matches == 3)

@@ -320,6 +320,25 @@ class TestLabels:
             load_labels(p)
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("reader, text", [
+    (lambda p: load_embeddings(p).data.tolist(), "1.0,0.0\n0.5,2.0\n"),
+    (lambda p: load_labels(p).tolist(), "3\n1\n0\n"),
+    (load_accuracy_csv, "D,71.8\nW,70.6\n"),
+    (load_manifest, json.dumps({"target": {"emb": "t.pemb"},
+                                "candidates": [{"id": "a", "emb": "a.pemb", "labels": "a.plbl"}]})),
+], ids=["csv-embeddings", "text-labels", "accuracy-csv", "json-manifest"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader, text):
+    """A UTF-8 byte-order mark, as some editors save "CSV UTF-8", is not
+    part of the first field: the file reads as it does without one."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert reader(marked) == reader(plain)
+
+
 class TestManifestAndAccuracy:
     def test_duplicate_candidate_ids_rejected(self, tmp_path):
         p = tmp_path / "m.json"

@@ -145,7 +145,7 @@ def test_public_names_load_on_first_use():
     assert same == "True"
     assert listed == "True True"
     assert unknown == "module 'adaptscore' has no attribute 'no_such_name'"
-    assert len(adaptscore.__all__) == 23
+    assert len(adaptscore.__all__) == 22
 
 
 # Each name removed from the library API, with the module that held it.
@@ -154,6 +154,7 @@ REMOVED = {
     "class_centroids": "embed_core",
     "save_embeddings_csv": "formats",
     "save_labels_text": "formats",
+    "CandidateScoreRow": "evaluation",
 }
 
 
@@ -161,8 +162,9 @@ REMOVED = {
 def test_removed_names_are_gone(name):
     """The PAS kernel's unit-row centroids (embed_core._centroid_table of
     the class sums of unit rows) are the one centroid definition left, and
-    the CSV and text files are read but no longer written; CentroidTable
-    stays a public name."""
+    the CSV and text files are read but no longer written, and
+    rank_candidates ranks a plain {id: score} dict; CentroidTable stays a
+    public name."""
     assert name not in adaptscore.__all__
     with pytest.raises(AttributeError):
         getattr(adaptscore, name)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,8 @@ class TestGeneratePair:
             cfg(intra_spread=-0.1)
         with pytest.raises(ConfigInvalid):
             cfg(n_target_per_class=0)
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
+            cfg(seed=-1)
         for key in ("intra_spread", "shift", "target_spread"):
             for value in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(ConfigInvalid):
@@ -52,7 +56,7 @@ class TestGeneratePair:
 
     def test_config_round_trips_through_dict(self):
         c = cfg(target_spread=0.5)
-        assert SynthConfig.from_dict(c.to_dict()) == c
+        assert SynthConfig.from_dict(asdict(c)) == c
 
     def test_more_classes_than_dims_supported(self):
         s, t = generate_pair(cfg(num_classes=10, dim=4))
