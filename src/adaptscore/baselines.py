@@ -92,8 +92,7 @@ def _unit_key(e) -> int:
     block at a time, so one float64 block exists at once. Raises
     ZeroVector at the lowest zero row."""
     key = hashlib.blake2b(digest_size=8)
-    unit_bytes = 8 * _block_ranges(e.n)[0][1] * e.dim
-    _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)), unit_bytes, serial=True)
+    _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)))
     return int.from_bytes(key.digest(), "little")
 
 

@@ -78,15 +78,20 @@ def _cmd_rank(args) -> None:
 
 def _corr_pairs(report, method: str, accuracy: dict):
     """(scores, accuracies) of the report rows whose string candidate_id has
-    an accuracy, in row order; FormatError for a score that is not a finite
-    number."""
+    an accuracy, in row order; FormatError for a string candidate_id that an
+    earlier row gave and for a score that is not a finite number."""
     rows = report.get("rows") if isinstance(report, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise FormatError("report rows must be a list of JSON objects")
-    xs, ys = [], []
+    xs, ys, seen = [], [], set()
     for row in rows:
         cid = row.get("candidate_id")
-        if isinstance(cid, str) and cid in accuracy:
+        if not isinstance(cid, str):
+            continue
+        if cid in seen:
+            raise FormatError(f"report rows repeat the candidate_id {cid!r}")
+        seen.add(cid)
+        if cid in accuracy:
             method_scores = row.get("method_scores")
             value = method_scores.get(method) if isinstance(method_scores, dict) else None
             if value is None:

@@ -171,14 +171,14 @@ def _run_blocks(fn, ranges, block_bytes: int):
             pool.shutdown(cancel_futures=True)
 
 
-def _row_pass(source, fn, block_bytes: int, serial: bool = False) -> None:
+def _row_pass(source, fn, block_bytes: int | None = None) -> None:
     """Call fn(lo, raw) on each row block lo:hi of `source`, a row source:
     n, dim and reader(), a context manager giving read(lo, hi), the finite
     raw rows lo:hi (EmbeddingSet gives views of its data; formats.PembRows
     reads each block from its file and raises NonFiniteValue as it goes).
-    The blocks run on the block runner, or in block order on the calling
-    thread when `serial` (for a fn that must see them in order).
-    `block_bytes` is what fn holds per block; the read buffer is added.
+    Given `block_bytes`, what fn holds per block (the read buffer is
+    added), the blocks run on the block runner; without it they run in
+    block order on the calling thread, for a fn that must see them in order.
 
     A ZeroVector that fn raises is held until the pass ends, so a
     non-finite value anywhere wins over it; then the one of the lowest
@@ -195,9 +195,11 @@ def _row_pass(source, fn, block_bytes: int, serial: bool = False) -> None:
         return None
 
     ranges = _block_ranges(source.n)
-    block_bytes += 4 * ranges[0][1] * source.dim
     with source.reader() as read:
-        blocks = (block(lo, hi) for lo, hi in ranges) if serial else _run_blocks(block, ranges, block_bytes)
+        if block_bytes is None:
+            blocks = (block(lo, hi) for lo, hi in ranges)
+        else:
+            blocks = _run_blocks(block, ranges, block_bytes + 4 * ranges[0][1] * source.dim)
         zeros = [z for z in blocks if z is not None]
     if zeros:
         raise zeros[0]
@@ -432,7 +434,7 @@ def _class_sums(source, labels: np.ndarray, num_classes: int) -> np.ndarray:
             run[0] = sums[c]
             sums[c] = np.add.reduce(run, axis=0) if d > 1 else np.cumsum(run[:, 0])[-1]
 
-    _row_pass(source, add, buf.nbytes, serial=True)
+    _row_pass(source, add)
     return sums
 
 

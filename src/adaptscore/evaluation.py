@@ -60,14 +60,9 @@ def _average_ranks(x) -> np.ndarray:
     x = np.asarray(x)
     if np.isnan(x).any():
         return np.full(x.shape[0], np.nan)
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    ends = np.append(starts[1:], x.shape[0])
-    group = np.repeat(np.arange(starts.shape[0]), ends - starts)
-    ranks = np.empty(x.shape[0])
-    ranks[order] = ((starts + ends + 1) / 2.0)[group]
-    return ranks
+    # A group of c equal values ending at rank e holds ranks e - c + 1 .. e.
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(x, y) -> float:

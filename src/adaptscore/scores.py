@@ -80,14 +80,11 @@ class Breakdown(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class ScoreResult:
-    """A score and its per-sample columns, each of length n_target and
+    """A score and its per-sample columns, one entry per target row, each
     read-only."""
 
     method: str
     value: float
-    n_target: int
-    n_source: int
-    num_classes: int
     d1: np.ndarray
     d2: np.ndarray
     nearest_class: np.ndarray
@@ -147,12 +144,13 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
         raise DimensionMismatch(source.dim, target.dim)
     source._check_classes()
     sums = _class_sums(source.embeddings, source.labels, source.num_classes)
-    counts = np.bincount(source.labels)[:, None]  # C of them: every class has a row
     tables = {}
     for name in methods:
         kind = _FAMILY[name][0]
-        if kind not in tables:
-            tables[kind] = _centroid_table(sums) if kind == "centroids" else sums / counts
+        if kind == "centroids" and kind not in tables:
+            tables[kind] = _centroid_table(sums)
+        elif kind not in tables:  # class means: every class has a row
+            tables[kind] = sums / np.bincount(source.labels)[:, None]
         if name == "oracle":
             bad = (true_labels < 0) | (true_labels >= source.num_classes)
             if bad.any():
@@ -193,10 +191,7 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
 
     # The chunk copies are not counted, like normalization's chunk temporaries.
     _row_pass(target, block, 8 * block_rows * (target.dim + source.num_classes))
-    return {
-        m: ScoreResult(m, float(np.sum(cols[3]) / n), n, source.n, source.num_classes, *cols)
-        for m, cols in columns.items()
-    }
+    return {m: ScoreResult(m, float(np.sum(cols[3]) / n), *cols) for m, cols in columns.items()}
 
 
 def pas(source: LabeledEmbeddingSet, target: EmbeddingSet) -> ScoreResult:

@@ -226,6 +226,26 @@ def _readme_manifest() -> dict:
     return json.loads(block)
 
 
+def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch, rng):
+    """Every python block of the README, run in order in one namespace that
+    holds the inputs its text names, in a directory with its src.pemb and
+    tgt.pemb; the CSV recipe's file loads back as the float32 values of x."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    means = rng.standard_normal((31, 16))
+    y_src = np.arange(310) % 31
+    x_src = means[y_src] + 0.5 * rng.standard_normal((310, 16))
+    x_tgt = means[rng.integers(0, 31, 200)] + rng.standard_normal((200, 16))
+    save_embeddings(tmp_path / "src.pemb", EmbeddingSet(x_src))
+    save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(x_tgt))
+    monkeypatch.chdir(tmp_path)
+    namespace = {"x_src": x_src, "y_src": y_src, "x_tgt": x_tgt, "x": x_tgt, "labels": y_src}
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        exec(compile(block, "README.md", "exec"), namespace)
+    want = x_tgt.astype(np.float32).astype(np.float64)
+    np.testing.assert_array_equal(load_embeddings(tmp_path / "emb.csv").data, want, strict=True)
+    np.testing.assert_array_equal(load_labels(tmp_path / "labels.txt"), y_src)
+
+
 class TestManifestSchema:
     @pytest.fixture
     def readme_dir(self, tmp_path, monkeypatch, rng):
@@ -677,6 +697,21 @@ class TestCorrErrors:
         code, err = self._run(tmp_path, capsys, report, "a,70.0\nb,60.0\n")
         assert (code, err["error"]) == (2, "FormatError")
         assert "'b'" in err["message"]
+
+    def test_repeated_candidate_id_is_format_error(self, tmp_path, capsys):
+        """A repeated string id once counted its candidate twice: these rows
+        printed pearson 0.0 over n 3. Ids that are not strings are skipped,
+        repeated or not."""
+        rows = [{"candidate_id": c, "method_scores": {"pas": v}}
+                for c, v in (("a", 0.1), ("a", 0.9), ("b", 0.5))]
+        code, err = self._run(tmp_path, capsys, {"rows": rows}, "a,70\nb,60\n")
+        assert (code, err["error"]) == (2, "FormatError")
+        assert "'a'" in err["message"]
+        skipped = [{"candidate_id": cid, "method_scores": {"pas": 0.2}} for cid in ([1], [1], None, None)]
+        (tmp_path / "r.json").write_text(json.dumps({"rows": skipped + self.ROWS}))
+        argv = ["corr", "--report", str(tmp_path / "r.json"), "--accuracy", str(tmp_path / "acc.csv"), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
 
 
 class TestSynthCommand:

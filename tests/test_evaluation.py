@@ -103,6 +103,8 @@ class TestSpearman:
             np.testing.assert_array_equal(_average_ranks(xf), rankdata(xf), strict=True)
         with_nan = np.array([2.0, np.nan, 1.0, 2.0])
         np.testing.assert_array_equal(_average_ranks(with_nan), rankdata(with_nan))
+        zeros_and_infs = np.array([np.inf, 0.0, -np.inf, -0.0, 1.0, np.inf, -np.inf, 0.0, -0.0])
+        np.testing.assert_array_equal(_average_ranks(zeros_and_infs), rankdata(zeros_and_infs), strict=True)
 
 
 class TestRankCandidates:

@@ -3,6 +3,8 @@ source and target first, sums the classes with np.add.at and then applies
 the top-2 and oracle rules block by block, and the lazy breakdown sequence
 over the result columns."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from adaptscore import (
     EmbeddingSet,
     LabeledEmbeddingSet,
     PerSampleBreakdown,
+    ScoreResult,
     oracle_score,
     pas,
     pas_avg_pairwise,
@@ -176,6 +179,11 @@ def test_float32_storage_bit_identical_to_float64(pair, threads, monkeypatch):
             np.testing.assert_array_equal(g, w, strict=True, err_msg=name)
 
 
+def test_score_result_holds_the_score_and_its_columns_only():
+    names = [f.name for f in dataclasses.fields(ScoreResult)]
+    assert names == ["method", "value", "d1", "d2", "nearest_class", "contribution"]
+
+
 class TestBreakdownSequence:
     @pytest.fixture
     def result(self, pair):
@@ -185,7 +193,7 @@ class TestBreakdownSequence:
     def test_len_index_and_iteration_agree_with_columns(self, result):
         d1, d2, nearest, contrib = result.breakdown_arrays()
         items = list(result.breakdown)
-        assert len(result.breakdown) == len(items) == result.n_target
+        assert len(result.breakdown) == len(items) == len(result.d1)
         for i, b in enumerate(items):
             assert b == PerSampleBreakdown(
                 i, float(d1[i]), float(d2[i]), int(nearest[i]), float(contrib[i])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adaptscore import embed_core
-from adaptscore.embed_core import _run_blocks, worker_count
+from adaptscore.embed_core import EmbeddingSet, _row_pass, _run_blocks, worker_count
 
 THREAD_VARS = ("ADAPTSCORE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -68,6 +68,16 @@ def test_runner_yields_in_block_order_with_at_most_workers_in_flight(monkeypatch
         most[0] = 0
         assert list(_run_blocks(fn, ranges, block_bytes)) == ranges
         assert most[0] == cap
+
+
+def test_a_pass_without_a_byte_budget_runs_in_block_order_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("ADAPTSCORE_THREADS", "2")
+    rows = embed_core._BLOCK_ROWS
+    source = EmbeddingSet(np.ones((3 * rows + 1, 2), dtype=np.float32))
+    seen = []
+    _row_pass(source, lambda lo, raw: seen.append((lo, raw.shape[0], threading.get_ident())))
+    me = threading.get_ident()
+    assert seen == [(0, rows, me), (rows, rows, me), (2 * rows, rows, me), (3 * rows, 1, me)]
 
 
 _BITS = r"""
