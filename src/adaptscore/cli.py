@@ -41,30 +41,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--target-labels")
     p_score.add_argument("--seed", type=int, default=0)
     p_score.add_argument("--max-samples", type=int, default=10_000)
-    p_score.add_argument("--json", action="store_true")
 
     p_rank = sub.add_parser("rank", help="score and rank manifest candidates")
     p_rank.add_argument("--manifest", required=True)
     p_rank.add_argument("--out", required=True)
-    p_rank.add_argument("--json", action="store_true")
 
     p_corr = sub.add_parser("corr", help="correlate report scores with accuracies")
     p_corr.add_argument("--report", required=True)
     p_corr.add_argument("--accuracy", required=True)
     p_corr.add_argument("--method", default="pas")
-    p_corr.add_argument("--json", action="store_true")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic source/target pair")
     p_synth.add_argument("--config", required=True)
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--json", action="store_true")
 
     p_sub = sub.add_parser("substudy", help="subsample-robustness study")
     p_sub.add_argument("--manifest", required=True)
     p_sub.add_argument("--fractions", required=True, help="comma-separated, e.g. 0.1,0.5,1.0")
     p_sub.add_argument("--repeats", type=int, default=10)
     p_sub.add_argument("--out", required=True)
-    p_sub.add_argument("--json", action="store_true")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

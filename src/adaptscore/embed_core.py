@@ -139,20 +139,23 @@ class _BlasPin:
 _ONE_BLAS_THREAD = _BlasPin()
 
 
-def _run_blocks(fn, ranges, block_bytes: int):
+def _run_blocks(fn, ranges, block_bytes: int | None):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
-    This is the one parallel runner: blocks run on a thread pool, with
-    BLAS pinned to one thread for the pass (_ONE_BLAS_THREAD), at most
-    worker_count() at once and no more than fit in _FLIGHT_BYTES at
-    `block_bytes`, the memory of the caller's largest block, but two at
-    least. Results come back in block order whatever finishes first, so a
-    consumer that combines them in order gets the same bits at any worker
-    count. A consumer that stops early closes the generator: blocks not yet
-    started are cancelled and running ones are waited for. The exception
-    of the lowest block that raised one escapes at its turn.
+    This is the one block runner: blocks run with BLAS pinned to one thread
+    for the pass (_ONE_BLAS_THREAD). Given `block_bytes`, the memory of the
+    caller's largest block, they run on a thread pool, at most
+    worker_count() at once and no more than fit in _FLIGHT_BYTES, but two
+    at least; with None they run one at a time on the calling thread, for
+    a fn that must see them in order. Results come back in block order
+    whatever finishes first, so a consumer that combines them in order
+    gets the same bits at any worker count. A consumer that stops early
+    closes the generator: blocks not yet started are cancelled and running
+    ones are waited for. The exception of the lowest block that raised one
+    escapes at its turn.
     """
-    workers = min(worker_count(), len(ranges), max(2, _FLIGHT_BYTES // block_bytes))
+    cap = 1 if block_bytes is None else max(2, _FLIGHT_BYTES // block_bytes)
+    workers = min(worker_count(), len(ranges), cap)
     with _ONE_BLAS_THREAD:
         if workers <= 1:
             for lo, hi in ranges:
@@ -176,9 +179,9 @@ def _row_pass(source, fn, block_bytes: int | None = None) -> None:
     n, dim and reader(), a context manager giving read(lo, hi), the finite
     raw rows lo:hi (EmbeddingSet gives views of its data; formats.PembRows
     reads each block from its file and raises NonFiniteValue as it goes).
-    Given `block_bytes`, what fn holds per block (the read buffer is
-    added), the blocks run on the block runner; without it they run in
-    block order on the calling thread, for a fn that must see them in order.
+    The blocks go through the block runner (_run_blocks): given
+    `block_bytes`, what fn holds per block (the read buffer is added), on
+    its workers; without it in block order on the calling thread.
 
     A ZeroVector that fn raises is held until the pass ends, so a
     non-finite value anywhere wins over it; then the one of the lowest
@@ -195,12 +198,10 @@ def _row_pass(source, fn, block_bytes: int | None = None) -> None:
         return None
 
     ranges = _block_ranges(source.n)
+    if block_bytes is not None:
+        block_bytes += 4 * ranges[0][1] * source.dim
     with source.reader() as read:
-        if block_bytes is None:
-            blocks = (block(lo, hi) for lo, hi in ranges)
-        else:
-            blocks = _run_blocks(block, ranges, block_bytes + 4 * ranges[0][1] * source.dim)
-        zeros = [z for z in blocks if z is not None]
+        zeros = [z for z in _run_blocks(block, ranges, block_bytes) if z is not None]
     if zeros:
         raise zeros[0]
 

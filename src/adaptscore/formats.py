@@ -125,6 +125,13 @@ def _utf8(path, blob: bytes) -> str:
         raise BadMagic(str(path), blob[:4]) from None
 
 
+def _text_lines(path, blob: bytes):
+    """(line number from 1, line) of each non-blank line of `blob`, the
+    text (_utf8) of the file at `path`."""
+    lines = enumerate(_utf8(path, blob).splitlines(), start=1)
+    return ((lineno, line) for lineno, line in lines if line.strip())
+
+
 def open_embeddings(path):
     """A PEMB file as PembRows (no row read yet), or a CSV file loaded as
     an EmbeddingSet (sniffed by magic bytes)."""
@@ -134,12 +141,10 @@ def open_embeddings(path):
             fh.seek(0)
             return _open_pemb(fh, path)
         fh.seek(0)
-        text = _utf8(path, fh.read())
+        lines = _text_lines(path, fh.read())
     rows = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         fields = line.split(",")
         if width is None:
             width = len(fields)
@@ -196,9 +201,7 @@ def load_labels(path) -> np.ndarray:
             raise TruncatedFile(str(path), expected, len(blob))
         return np.frombuffer(blob, dtype="<u4", offset=PLBL_HEADER.size).astype(np.int64)
     values = []
-    for lineno, line in enumerate(_utf8(path, blob).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _text_lines(path, blob):
         try:
             v = int(line.strip())
         except ValueError:
@@ -284,9 +287,7 @@ def load_accuracy_csv(path) -> dict:
     earlier line gave raises RaggedCsv, and a file that is not UTF-8
     BadMagic."""
     out = {}
-    for lineno, line in enumerate(_utf8(path, Path(path).read_bytes()).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _text_lines(path, Path(path).read_bytes()):
         parts = line.strip().split(",")
         if len(parts) != 2:
             raise RaggedCsv(str(path), lineno)

@@ -12,7 +12,7 @@ from .embed_core import LabeledEmbeddingSet
 from .errors import ConfigInvalid, LabelCountMismatch
 from .evaluation import rank_candidates
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
-from .scores import _FAMILY, ScoreResult, _pas_family
+from .scores import ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
 
 
@@ -67,15 +67,15 @@ def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_sam
 
 
 def load_target(spec, opener=None) -> tuple:
-    """Target entry, as formats._check_manifest checked it -> (row source,
-    labels-or-None).
+    """Target or candidate entry, as formats._check_manifest checked it ->
+    (row source, labels-or-None).
 
     A {"synth": cfg} entry yields the target half of the generated pair.
     A file entry is read by `opener`, open_embeddings when None: a PEMB
-    target is then only opened here, and each method's passes read its
+    file is then only opened here, and each method's passes read its
     rows. load_embeddings loads it whole, for a caller that reads it many
     times.
-    A label file must hold one label per target row (LabelCountMismatch),
+    A label file must hold one label per row (LabelCountMismatch),
     whether or not a method reads it.
     """
     if "synth" in spec:
@@ -95,18 +95,16 @@ def load_candidate(entry, opener=None) -> LabeledEmbeddingSet:
     source set, whose embeddings are a row source.
 
     A {"synth": cfg} entry yields the source half of the generated pair.
-    A file entry is read by `opener`, as load_target reads a target: a
-    PEMB source is only opened by the default, open_embeddings, and each
-    method's passes read its rows. The class count is the largest label
-    + 1, and every class needs a member.
+    A file entry is read by load_target with `opener`: a PEMB source is
+    only opened by the default, open_embeddings, and each method's passes
+    read its rows. The class count is the largest label + 1, and every
+    class needs a member.
     """
     if "synth" in entry:
         source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
         return source
-    emb = (opener or open_embeddings)(entry["emb"])
-    labels = load_labels(entry["labels"])
-    # initial=-1: an empty label file reaches the LabelCountMismatch check
-    return LabeledEmbeddingSet(emb, labels, int(labels.max(initial=-1)) + 1)
+    emb, labels = load_target(entry, opener)
+    return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
 
 
 def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_labels) -> dict:
@@ -116,7 +114,7 @@ def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_l
     baseline, in the order of `configs`. The PAS-family methods share one
     pass over the target, made at the first of them (scores._pas_family);
     each baseline makes its own."""
-    family = [name for name in configs if name in _FAMILY]
+    family = [name for name in configs if METHODS[name].score is None]
     out = {}
     for name, cfg in configs.items():
         if name not in family:

@@ -420,6 +420,14 @@ class TestMethodTable:
             name: (m.needs_target_labels, m.negated) for name, m in METHODS.items()
         }
 
+    def test_rows_without_a_scorer_are_the_pas_family(self):
+        """score_candidate takes the METHODS rows without a scorer as the PAS
+        family, which scores._pas_family scores from its own table; the two
+        must list the same methods in the same order."""
+        from adaptscore import scores
+
+        assert [name for name, m in METHODS.items() if m.score is None] == list(scores._FAMILY)
+
     @pytest.mark.parametrize("command", ["score", "rank"])
     def test_unknown_method_is_config_invalid(self, fixture_dir, capsys, command):
         if command == "score":

@@ -166,6 +166,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             EmbeddingSet(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_rejects_a_non_matrix(self, shape):
+        with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={len(shape)}"):
+            EmbeddingSet(np.ones(shape))
+
     @pytest.mark.parametrize(
         "labels",
         [
@@ -187,3 +192,7 @@ class TestContainers:
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0]]), [0, 1], 2)
+
+    def test_labels_must_be_1d(self):
+        with pytest.raises(ValueError, match="labels must be 1-D"):
+            LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), [[0], [1], [2]], 3)

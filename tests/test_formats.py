@@ -400,7 +400,9 @@ class TestManifestAndAccuracy:
 
     def test_accuracy_line_without_two_fields(self, tmp_path):
         p = tmp_path / "acc.csv"
-        p.write_text("D,71.8\nW\n")
-        with pytest.raises(RaggedCsv) as info:
-            load_accuracy_csv(p)
-        assert info.value.line == 2
+        # A blank line is skipped and keeps the true line numbers.
+        for text, line in (("D,71.8\nW\n", 2), ("D,71.8\n\nW\n", 3)):
+            p.write_text(text)
+            with pytest.raises(RaggedCsv) as info:
+                load_accuracy_csv(p)
+            assert info.value.line == line, text

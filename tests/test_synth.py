@@ -49,6 +49,8 @@ class TestGeneratePair:
             cfg(n_target_per_class=0)
         with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
             cfg(seed=-1)
+        with pytest.raises(ConfigInvalid, match="target_spread must be >= 0"):
+            cfg(target_spread=-0.1)
         for key in ("intra_spread", "shift", "target_spread"):
             for value in (float("nan"), float("inf"), -float("inf")):
                 with pytest.raises(ConfigInvalid):

@@ -39,6 +39,12 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert worker_count() == 1
+    # A value that is not a positive integer counts as unset, with no error.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5})
+    for raw in ("abc", "-2", "2.5"):
+        monkeypatch.setenv("ADAPTSCORE_THREADS", raw)
+        assert worker_count() == 3, raw
+    monkeypatch.delenv("ADAPTSCORE_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity masks
     assert worker_count() == 8
     monkeypatch.setenv("ADAPTSCORE_THREADS", "3")
