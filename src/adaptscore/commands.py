@@ -135,17 +135,15 @@ def _cmd_substudy(args) -> None:
     fractions = evaluation._check_study(args.fractions.split(","), args.repeats)
     _check_out(args.out)
     manifest = formats.load_manifest(args.manifest)
-    # Loaded whole: the study draws fractions x repeats x candidates subsamples.
-    target_emb, _ = reporting.load_target(manifest["target"], formats.load_embeddings)
-    sources = [reporting.load_candidate(c, formats.load_embeddings) for c in manifest["candidates"]]
-    ids = [c["id"] for c in manifest["candidates"]]
+    target_emb, _ = reporting.load_target(manifest["target"])
+    sources = [reporting.load_candidate(c) for c in manifest["candidates"]]
     result = evaluation.subsample_study(
         sources,
         target_emb,
         fractions,
         repeats=args.repeats,
         base_seed=manifest["seed"],
-        candidate_ids=ids,
+        candidate_ids=[c["id"] for c in manifest["candidates"]],
     )
     formats.dump_report(dataclasses.asdict(result), args.out)
     print(f"wrote {args.out}")

@@ -296,6 +296,32 @@ class EmbeddingSet:
         return contextlib.nullcontext(lambda lo, hi: self.data[lo:hi])
 
 
+class _Take:
+    """The rows `idx` (ascending) of the row source `source`: a row source
+    whose read(lo, hi) reads `source` in spans of at most _BLOCK_ROWS rows,
+    each starting at its first index, and gathers the rows idx[lo:hi]. A
+    streamed source checks every row of a span finite, drawn or not."""
+
+    def __init__(self, source, idx: np.ndarray):
+        self.source, self.idx = source, idx
+        self.n, self.dim = idx.shape[0], source.dim
+
+    @contextlib.contextmanager
+    def reader(self):
+        with self.source.reader() as read_source:
+
+            def read(lo, hi):
+                idx, parts, i = self.idx[lo:hi], [], 0
+                while i < idx.shape[0]:
+                    first = int(idx[i])
+                    j = i + int(np.searchsorted(idx[i:], first + _BLOCK_ROWS))
+                    parts.append(read_source(first, int(idx[j - 1]) + 1)[idx[i:j] - first])
+                    i = j
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+            yield read
+
+
 @dataclass(frozen=True)
 class LabeledEmbeddingSet:
     """A row source, such as an EmbeddingSet or a streamed formats.PembRows,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_core import EmbeddingSet, LabeledEmbeddingSet
+from .embed_core import LabeledEmbeddingSet, _Take
 from .errors import ConstantInput, LengthMismatch, TooFewSamples
 from .scores import pas
 
@@ -89,30 +89,26 @@ def derive_seed(base_seed: int, fraction: float, repeat: int, candidate_index: i
     return (base_seed ^ h) & 0xFFFFFFFFFFFFFFFF
 
 
-def _stratified_subsample(source: LabeledEmbeddingSet, fraction: float, rng) -> LabeledEmbeddingSet:
+def _stratified_subsample(source, class_rows, fraction: float, rng) -> LabeledEmbeddingSet:
     keep = []
-    for c in range(source.num_classes):
-        members = np.flatnonzero(source.labels == c)
+    for members in class_rows:  # the ascending rows of each class
         k = max(1, int(round(fraction * members.shape[0])))
         keep.append(rng.choice(members, size=k, replace=False))
     idx = np.sort(np.concatenate(keep))
-    return LabeledEmbeddingSet(
-        EmbeddingSet(source.embeddings.data[idx]), source.labels[idx], source.num_classes
-    )
+    return LabeledEmbeddingSet(_Take(source.embeddings, idx), source.labels[idx], source.num_classes)
 
 
-def _uniform_subsample(target: EmbeddingSet, fraction: float, rng) -> EmbeddingSet:
+def _uniform_subsample(target, fraction: float, rng) -> _Take:
     k = max(1, int(round(fraction * target.n)))
-    idx = np.sort(rng.choice(target.n, size=k, replace=False))
-    return EmbeddingSet(target.data[idx])
+    return _Take(target, np.sort(rng.choice(target.n, size=k, replace=False)))
 
 
 def _check_study(fractions, repeats: int) -> list:
-    """`fractions` as floats; ValueError unless they parse and ascend within
-    (0, 1] and `repeats` is at least 1."""
+    """`fractions` as floats; ValueError unless they parse and strictly
+    ascend within (0, 1] and `repeats` is at least 1."""
     fractions = [float(f) for f in fractions]
-    if any(not 0.0 < f <= 1.0 for f in fractions) or fractions != sorted(fractions):
-        raise ValueError("fractions must be ascending values in (0, 1]")
+    if any(not 0.0 < f <= 1.0 for f in fractions) or any(a >= b for a, b in zip(fractions, fractions[1:])):
+        raise ValueError("fractions must be strictly ascending values in (0, 1]")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     return fractions
@@ -120,13 +116,14 @@ def _check_study(fractions, repeats: int) -> list:
 
 def subsample_study(
     sources,
-    target: EmbeddingSet,
+    target,
     fractions,
     repeats: int,
     base_seed: int,
     candidate_ids=None,
 ) -> SubsampleStudyResult:
-    """PAS stability under joint source/target subsampling.
+    """PAS stability under joint subsampling of row sources: the `target`
+    and the embeddings of the LabeledEmbeddingSet `sources`.
 
     Fraction 1.0 bypasses the sampling path entirely, so its row is
     bit-identical to direct scoring. Stratified source sampling keeps
@@ -139,6 +136,7 @@ def subsample_study(
 
     full_scores = [pas(src, target).value for src in sources]
     full_ranking = rank_candidates(dict(zip(candidate_ids, full_scores)))
+    class_rows = [[np.flatnonzero(src.labels == c) for c in range(src.num_classes)] for src in sources]
 
     def repeat_scores(f, r):
         """The candidates' scores of repeat r at fraction f."""
@@ -147,7 +145,7 @@ def subsample_study(
         out = []
         for ci, src in enumerate(sources):
             rng = np.random.default_rng(derive_seed(base_seed, f, r, ci))
-            sub_src = _stratified_subsample(src, f, rng)
+            sub_src = _stratified_subsample(src, class_rows[ci], f, rng)
             out.append(pas(sub_src, _uniform_subsample(target, f, rng)).value)
         return out
 

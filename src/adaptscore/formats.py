@@ -5,11 +5,10 @@ PEMB v1: magic "PEMB", version byte 1, dtype byte 0 (float32 LE), two
 reserved zero bytes, n and d as u64 LE, then n*d floats row-major
 (24-byte header). PLBL v1: magic "PLBL", version byte 1, three reserved
 zero bytes, n as u64 LE, then n u32 LE class ids (16-byte header).
-Values are stored at 32-bit precision. A loaded PEMB file stays float32
-in memory (CSV input is float64); all arithmetic on it is float64.
-open_embeddings gives a PEMB file as PembRows instead, a row source whose
-rows every method's pass over a target (embed_core._row_pass) reads one
-block at a time.
+Values are stored at 32-bit precision. open_embeddings gives a PEMB file
+as PembRows, a row source whose float32 rows every pass
+(embed_core._row_pass) reads one block at a time, and a CSV file as an
+EmbeddingSet of float64 rows; all arithmetic on either is float64.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def save_embeddings(path, e) -> None:
 class PembRows:
     """The rows of a PEMB file whose header and size open_embeddings has
     checked: a row source (n, dim, reader()) for embed_core._row_pass
-    that reads a block only when a pass asks for it. load() reads every row
-    into one EmbeddingSet."""
+    that reads a block only when a pass asks for it."""
 
     def __init__(self, path: Path, n: int, dim: int):
         self.path = path
@@ -63,25 +61,13 @@ class PembRows:
     def nbytes(self) -> int:
         return PEMB_HEADER.size + 4 * self.n * self.dim
 
-    def _read_into(self, fh, lo: int, out: np.ndarray) -> None:
-        """Rows lo:lo + len(out) into `out`; TruncatedFile if the file has
-        shrunk since it was opened."""
-        fh.seek(PEMB_HEADER.size + 4 * self.dim * lo)
-        if fh.readinto(out) != out.nbytes:
-            raise TruncatedFile(str(self.path), self.nbytes, os.fstat(fh.fileno()).st_size)
-
-    def load(self) -> EmbeddingSet:
-        arr = np.empty((self.n, self.dim), dtype="<f4")
-        with open(self.path, "rb") as fh:
-            self._read_into(fh, 0, arr)
-        return EmbeddingSet(arr)
-
     @contextlib.contextmanager
     def reader(self):
         """A context manager giving read(lo, hi): rows lo:hi read into a
-        float32 buffer the calling thread keeps for the pass, and checked
-        finite (NonFiniteValue at the file's row). The threads share one
-        open file under a lock for the seek and the read."""
+        float32 buffer the calling thread keeps for the pass and checked
+        finite (NonFiniteValue at the file's row), or TruncatedFile if the
+        file has shrunk since it was opened. The threads share one open
+        file under a lock for the seek and the read."""
         lock = threading.Lock()
         local = threading.local()
         with open(self.path, "rb") as fh:
@@ -92,7 +78,9 @@ class PembRows:
                     buf = local.buf = np.empty((hi - lo, self.dim), dtype="<f4")
                 rows = buf[: hi - lo]
                 with lock:
-                    self._read_into(fh, lo, rows)
+                    fh.seek(PEMB_HEADER.size + 4 * self.dim * lo)
+                    if fh.readinto(rows) != rows.nbytes:
+                        raise TruncatedFile(str(self.path), self.nbytes, os.fstat(fh.fileno()).st_size)
                 _check_finite(rows, lo)
                 return rows
 
@@ -157,12 +145,6 @@ def open_embeddings(path):
     if not rows:
         raise TruncatedFile(str(path), 1, 0)
     return EmbeddingSet(np.asarray(rows, dtype=np.float64))
-
-
-def load_embeddings(path) -> EmbeddingSet:
-    """Load a PEMB or CSV embedding file (sniffed by magic bytes)."""
-    e = open_embeddings(path)
-    return e.load() if isinstance(e, PembRows) else e
 
 
 def _plbl_labels(labels) -> np.ndarray:

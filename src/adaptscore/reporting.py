@@ -66,22 +66,20 @@ def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_sam
     return method.config(seed, max_samples)
 
 
-def load_target(spec, opener=None) -> tuple:
+def load_target(spec) -> tuple:
     """Target or candidate entry, as formats._check_manifest checked it ->
     (row source, labels-or-None).
 
     A {"synth": cfg} entry yields the target half of the generated pair.
-    A file entry is read by `opener`, open_embeddings when None: a PEMB
-    file is then only opened here, and each method's passes read its
-    rows. load_embeddings loads it whole, for a caller that reads it many
-    times.
+    A PEMB file is only opened here (open_embeddings), and each method's
+    passes read its rows.
     A label file must hold one label per row (LabelCountMismatch),
     whether or not a method reads it.
     """
     if "synth" in spec:
         _, target = generate_pair(SynthConfig.from_dict(spec["synth"]))
         return target.embeddings, target.labels
-    emb = (opener or open_embeddings)(spec["emb"])
+    emb = open_embeddings(spec["emb"])
     if "labels" not in spec:
         return emb, None
     labels = load_labels(spec["labels"])
@@ -90,20 +88,18 @@ def load_target(spec, opener=None) -> tuple:
     return emb, labels
 
 
-def load_candidate(entry, opener=None) -> LabeledEmbeddingSet:
+def load_candidate(entry) -> LabeledEmbeddingSet:
     """Candidate entry, as formats._check_manifest checked it -> labeled
     source set, whose embeddings are a row source.
 
     A {"synth": cfg} entry yields the source half of the generated pair.
-    A file entry is read by load_target with `opener`: a PEMB source is
-    only opened by the default, open_embeddings, and each method's passes
-    read its rows. The class count is the largest label + 1, and every
-    class needs a member.
+    A file entry goes through load_target. The class count is the largest
+    label + 1, and every class needs a member.
     """
     if "synth" in entry:
         source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
         return source
-    emb, labels = load_target(entry, opener)
+    emb, labels = load_target(entry)
     return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
 
 

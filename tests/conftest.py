@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptscore import EmbeddingSet, LabeledEmbeddingSet
+from adaptscore.formats import open_embeddings
 
 
 @pytest.fixture
@@ -28,6 +29,15 @@ def write_csv(path, data):
     per line."""
     rows = np.asarray(data, dtype=np.float32).tolist()
     path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
+def read_embeddings(path):
+    """Every row of an embedding file as one EmbeddingSet: the file opened
+    by open_embeddings and its rows read, checked finite, through its
+    row-source reader. A PEMB file's rows stay float32."""
+    rows = open_embeddings(path)
+    with rows.reader() as read:
+        return EmbeddingSet(read(0, rows.n).copy())
 
 
 def random_orthogonal(rng, dim):

@@ -28,13 +28,12 @@ from adaptscore import (
     subsample_study,
 )
 from adaptscore.formats import (
-    load_embeddings,
     load_labels,
     save_embeddings,
     save_labels,
 )
 from adaptscore.reporting import build_report
-from conftest import random_labeled, random_orthogonal
+from conftest import random_labeled, random_orthogonal, read_embeddings
 from reference_tables import OFFICE_31_RESNET50, OFFICE_HOME_RESNET50, flat
 from test_baselines import brute_force_mmd
 
@@ -327,7 +326,7 @@ def test_criterion_10_round_trips_and_determinism(tmp_path):
     save_embeddings(tmp_path / "e.pemb", e)
     save_labels(tmp_path / "l.plbl", labels)
     emb_ok = np.array_equal(
-        load_embeddings(tmp_path / "e.pemb").data,
+        read_embeddings(tmp_path / "e.pemb").data,
         e.data.astype(np.float32).astype(np.float64),
     )
     lbl_ok = np.array_equal(load_labels(tmp_path / "l.plbl"), labels)

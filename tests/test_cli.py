@@ -26,12 +26,12 @@ from adaptscore.cli import main
 from adaptscore.commands import _write_score_json
 from adaptscore.formats import (
     REPORT_SCHEMA,
-    load_embeddings,
     load_labels,
     save_embeddings,
     save_labels,
 )
 from adaptscore.reporting import METHODS
+from conftest import read_embeddings
 
 
 @pytest.fixture
@@ -101,8 +101,8 @@ class TestScoreCommand:
         save_labels(tmp_path / "src.plbl", y_src)
         save_embeddings(tmp_path / "tgt.pemb", EmbeddingSet(x_tgt))
         save_labels(tmp_path / "tgt.plbl", y_tgt)
-        source = LabeledEmbeddingSet(load_embeddings(tmp_path / "src.pemb"), y_src, 3)
-        target = load_embeddings(tmp_path / "tgt.pemb")
+        source = LabeledEmbeddingSet(read_embeddings(tmp_path / "src.pemb"), y_src, 3)
+        target = read_embeddings(tmp_path / "tgt.pemb")
         scorers = {
             "pas": lambda: pas(source, target),
             "pas_euclidean": lambda: pas_euclidean(source, target),
@@ -242,7 +242,7 @@ def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch, rng):
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         exec(compile(block, "README.md", "exec"), namespace)
     want = x_tgt.astype(np.float32).astype(np.float64)
-    np.testing.assert_array_equal(load_embeddings(tmp_path / "emb.csv").data, want, strict=True)
+    np.testing.assert_array_equal(read_embeddings(tmp_path / "emb.csv").data, want, strict=True)
     np.testing.assert_array_equal(load_labels(tmp_path / "labels.txt"), y_src)
 
 
@@ -745,7 +745,7 @@ class TestSynthCommand:
         cpath.write_text(json.dumps(synth_entry(3)))
         out = tmp_path / "out"
         assert main(["synth", "--config", str(cpath), "--out-dir", str(out)]) == 0
-        emb = load_embeddings(out / "source_emb.pemb")
+        emb = read_embeddings(out / "source_emb.pemb")
         labels = load_labels(out / "source_labels.plbl")
         assert emb.n == 100 and labels.shape[0] == 100
         assert (out / "target_emb.pemb").exists()
@@ -794,7 +794,7 @@ class TestSubstudyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("fractions, repeats", [
-        ("0.5,abc", "2"), ("0.5,1.0", "0"), ("1.0,0.5", "2"), ("0,1.0", "2"),
+        ("0.5,abc", "2"), ("0.5,1.0", "0"), ("1.0,0.5", "2"), ("0,1.0", "2"), ("0.5,0.5", "1"),
     ])
     def test_arguments_checked_before_any_input_is_read(
         self, tmp_path, capsys, monkeypatch, fractions, repeats

@@ -166,6 +166,8 @@ class TestSubsampleStudy:
             subsample_study(sources, target, [0.5, 0.1], repeats=1, base_seed=0)
         with pytest.raises(ValueError):
             subsample_study(sources, target, [0.0, 1.0], repeats=1, base_seed=0)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            subsample_study(sources, target, [0.5, 0.5], repeats=1, base_seed=0)
 
     def test_reproducible(self, rng):
         sources = [random_labeled(rng, n_per_class=25, num_classes=3, dim=5)]

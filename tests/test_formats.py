@@ -11,13 +11,12 @@ from adaptscore import EmbeddingSet, embed_core
 from adaptscore.errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
     load_accuracy_csv,
-    load_embeddings,
     load_labels,
     load_manifest,
     save_embeddings,
     save_labels,
 )
-from conftest import write_csv
+from conftest import read_embeddings, write_csv
 
 
 class TestPemb:
@@ -25,7 +24,7 @@ class TestPemb:
         e = EmbeddingSet(rng.standard_normal((13, 7)))
         p = tmp_path / "e.pemb"
         save_embeddings(p, e)
-        out = load_embeddings(p)
+        out = read_embeddings(p)
         np.testing.assert_array_equal(out.data, e.data.astype(np.float32).astype(np.float64))
 
     def test_header_layout(self, tmp_path):
@@ -45,7 +44,7 @@ class TestPemb:
             struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, 2, 2)
             + np.array([1, 0, 0, 1], dtype="<f4").tobytes()
         )
-        np.testing.assert_array_equal(load_embeddings(p).data, np.eye(2))
+        np.testing.assert_array_equal(read_embeddings(p).data, np.eye(2))
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.pemb"
@@ -54,20 +53,20 @@ class TestPemb:
             + np.zeros(4, dtype="<f4").tobytes()
         )
         with pytest.raises(TruncatedFile):
-            load_embeddings(p)
+            read_embeddings(p)
 
     def test_shorter_than_header(self, tmp_path):
         p = tmp_path / "h.pemb"
         p.write_bytes(struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, 3, 2)[:20])
         with pytest.raises(TruncatedFile) as info:
-            load_embeddings(p)
+            read_embeddings(p)
         assert (info.value.expected, info.value.got) == (24, 20)
 
     def test_bad_magic_binary(self, tmp_path):
         p = tmp_path / "x.bin"
         p.write_bytes(b"\x00\x01\x02\x03\xff\xfe")
         with pytest.raises(BadMagic):
-            load_embeddings(p)
+            read_embeddings(p)
 
     def test_nonfinite_rejected(self, tmp_path):
         p = tmp_path / "nan.pemb"
@@ -76,7 +75,7 @@ class TestPemb:
             + np.array([1.0, np.nan], dtype="<f4").tobytes()
         )
         with pytest.raises(NonFiniteValue):
-            load_embeddings(p)
+            read_embeddings(p)
 
     def test_chunked_read_matches_and_locates_nonfinite(self, tmp_path, rng, monkeypatch):
         monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 4)  # the finiteness check's row blocks
@@ -84,25 +83,25 @@ class TestPemb:
         p = tmp_path / "e.pemb"
         save_embeddings(p, EmbeddingSet(data))
         np.testing.assert_array_equal(
-            load_embeddings(p).data, data.astype(np.float32).astype(np.float64)
+            read_embeddings(p).data, data.astype(np.float32).astype(np.float64)
         )
         blob = bytearray(p.read_bytes())
         for row, col, bad in ((9, 2, np.inf), (5, 0, np.nan)):
             struct.pack_into("<f", blob, 24 + 4 * (3 * row + col), bad)
         p.write_bytes(bytes(blob))
         with pytest.raises(NonFiniteValue) as info:
-            load_embeddings(p)
+            read_embeddings(p)
         assert (info.value.row, info.value.col) == (5, 0)
         p.write_bytes(bytes(blob[:-4]))
         with pytest.raises(TruncatedFile) as info:
-            load_embeddings(p)
+            read_embeddings(p)
         assert (info.value.expected, info.value.got) == (24 + 4 * 33, 24 + 4 * 32)
 
     def test_pemb_stays_float32_in_memory(self, tmp_path, rng):
         x32 = rng.standard_normal((10, 6)).astype(np.float32)
         p = tmp_path / "e.pemb"
         p.write_bytes(struct.pack("<4sBB2xQQ", b"PEMB", 1, 0, 10, 6) + x32.astype("<f4").tobytes())
-        out = load_embeddings(p).data
+        out = read_embeddings(p).data
         assert out.dtype == np.float32 and out.flags.c_contiguous
         np.testing.assert_array_equal(out, x32, strict=True)
 
@@ -110,7 +109,7 @@ class TestPemb:
         x = rng.standard_normal((5, 3))
         p = tmp_path / "e.csv"
         write_csv(p, x)
-        assert load_embeddings(p).data.dtype == np.float64
+        assert read_embeddings(p).data.dtype == np.float64
         assert EmbeddingSet(x).data.dtype == np.float64
         assert EmbeddingSet(x.astype(np.float16)).data.dtype == np.float64
         assert EmbeddingSet([[1, 2], [3, 4]]).data.dtype == np.float64
@@ -181,13 +180,13 @@ class TestCsv:
     def test_equivalent_to_pemb(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1.0,0.0\n0.0,1.0\n")
-        np.testing.assert_array_equal(load_embeddings(p).data, np.eye(2))
+        np.testing.assert_array_equal(read_embeddings(p).data, np.eye(2))
 
     def test_round_trip_within_32bit_ulp(self, tmp_path, rng):
         e = EmbeddingSet(rng.standard_normal((9, 4)))
         p = tmp_path / "e.csv"
         write_csv(p, e.data)
-        out = load_embeddings(p)
+        out = read_embeddings(p)
         np.testing.assert_array_equal(
             out.data.astype(np.float32), e.data.astype(np.float32)
         )
@@ -196,33 +195,33 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(RaggedCsv):
-            load_embeddings(p)
+            read_embeddings(p)
 
     def test_unparsable_value(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1.0,2.0\n\n3.0,x\n")
         with pytest.raises(RaggedCsv) as info:
-            load_embeddings(p)
+            read_embeddings(p)
         assert info.value.line == 3
 
     def test_nonfinite_value_names_its_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1.0,2.0\n\n3.0,inf\n")
         with pytest.raises(NonFiniteValue) as info:
-            load_embeddings(p)
+            read_embeddings(p)
         assert (info.value.row, info.value.col) == (1, 1)
 
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
         with pytest.raises(BadMagic):
-            load_embeddings(p)
+            read_embeddings(p)
 
     def test_blank(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("\n  \n\n")
         with pytest.raises(TruncatedFile):
-            load_embeddings(p)
+            read_embeddings(p)
 
 
 class TestLabels:
@@ -324,7 +323,7 @@ BOM = "\ufeff".encode()
 
 
 @pytest.mark.parametrize("reader, text", [
-    (lambda p: load_embeddings(p).data.tolist(), "1.0,0.0\n0.5,2.0\n"),
+    (lambda p: read_embeddings(p).data.tolist(), "1.0,0.0\n0.5,2.0\n"),
     (lambda p: load_labels(p).tolist(), "3\n1\n0\n"),
     (load_accuracy_csv, "D,71.8\nW,70.6\n"),
     (load_manifest, json.dumps({"target": {"emb": "t.pemb"},

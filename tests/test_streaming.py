@@ -1,9 +1,11 @@
-"""PEMB targets and sources streamed as row sources (formats.PembRows)
-through the PAS block kernel, the class sums, the silhouette and the
-baselines' sampler, by `score` and `rank`: the same bits as the in-memory
-path, the error contract of a pass that checks its rows block by block,
-and memory that stays flat in n."""
+"""PEMB targets and sources streamed as row sources (formats.PembRows),
+and views of some of their rows (embed_core._Take), through the PAS block
+kernel, the class sums, the silhouette and the baselines' sampler, by
+`score`, `rank` and `substudy`: the same bits as the in-memory path, the
+error contract of a pass that checks its rows block by block, and memory
+that stays flat in n."""
 
+import contextlib
 import itertools
 import json
 import sys
@@ -27,13 +29,7 @@ from adaptscore import (
 )
 from adaptscore.cli import main
 from adaptscore.errors import ConfigInvalid, NonFiniteValue, TruncatedFile, ZeroVector
-from adaptscore.formats import (
-    PembRows,
-    load_embeddings,
-    open_embeddings,
-    save_embeddings,
-    save_labels,
-)
+from adaptscore.formats import PembRows, open_embeddings, save_embeddings, save_labels
 from adaptscore.reporting import METHODS, resolve_method, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled, write_csv
@@ -47,6 +43,10 @@ BASELINES = {
     "mmd": lambda s, t, cap: mmd_gaussian(s, t, MmdConfig(max_samples_per_domain=cap, seed=3)),
     "adist": lambda s, t, _cap: proxy_a_distance(s, t, ProxyClassifierConfig(epochs=20, seed=3)),
 }
+# Rows of the 40-row target that a view (embed_core._Take) draws: every
+# third row, a few to a BLOCK-row span, and all rows but three, so that a
+# view block reads two spans.
+TAKES = {"sparse": np.arange(1, 40, 3), "dense": np.setdiff1d(np.arange(40), [0, 9, 23])}
 
 
 @pytest.fixture
@@ -100,18 +100,28 @@ def test_open_gives_pemb_rows_and_loads_csv(files):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("method", ["pas", "pas_euclidean", "pas_avg_pairwise", "oracle"])
-def test_streamed_bit_identical_to_in_memory(files, method, threads, monkeypatch):
+@pytest.mark.parametrize("rows", ["pemb", "pemb-sparse", "pemb-dense", "set-sparse", "set-dense"])
+def test_streamed_bit_identical_to_in_memory(files, method, threads, rows, monkeypatch):
+    """A PEMB target, or a view of some of its rows (embed_core._Take) over
+    the file or over the same float32 rows in memory, gives the bits of an
+    EmbeddingSet of those rows."""
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     tmp_path, source, target = files
     source = LabeledEmbeddingSet(
         EmbeddingSet(source.embeddings.data.astype(np.float32)), source.labels, 5
     )
-    streamed = open_embeddings(tmp_path / "tgt.pemb")
-    in_memory = EmbeddingSet(target.embeddings.data.astype(np.float32))
+    kind, _, take = rows.partition("-")
+    data = target.embeddings.data.astype(np.float32)
+    streamed = open_embeddings(tmp_path / "tgt.pemb") if kind == "pemb" else EmbeddingSet(data)
+    idx = TAKES.get(take, np.arange(target.n))
+    if take:
+        streamed = embed_core._Take(streamed, idx)
+    in_memory = EmbeddingSet(data[idx])
     if method == "oracle":
-        got = oracle_score(source, LabeledEmbeddingSet(streamed, target.labels, 5, False))
-        want = oracle_score(source, LabeledEmbeddingSet(in_memory, target.labels, 5, False))
+        labels = target.labels[idx]
+        got = oracle_score(source, LabeledEmbeddingSet(streamed, labels, 5, False))
+        want = oracle_score(source, LabeledEmbeddingSet(in_memory, labels, 5, False))
     else:
         got = SCORERS[method](source, streamed)
         want = SCORERS[method](source, in_memory)
@@ -172,19 +182,29 @@ def test_score_json_same_bytes_for_plbl_and_text_labels(files, method, capsys, m
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_non_finite_in_a_later_block_beats_a_zero_row(files, threads, monkeypatch):
+@pytest.mark.parametrize("view", [False, True], ids=["file", "view"])
+def test_non_finite_in_a_later_block_beats_a_zero_row(files, threads, view, monkeypatch):
+    """Also through a view (embed_core._Take) whose draw skips the NaN's
+    row: the span that its block reads holds that row, so the NaN is still
+    reported at its file row."""
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     tmp_path, source, target = files
     data = target.embeddings.data.copy()
     data[3] = 0.0
     data[2 * BLOCK + 4, 6] = np.nan
+    idx = np.setdiff1d(np.arange(target.n), [2 * BLOCK + 4])
+
+    def bad_target():
+        rows = _bad_target(tmp_path / "bad.pemb", data)
+        return embed_core._Take(rows, idx) if view else rows
+
     with pytest.raises(NonFiniteValue) as info:
-        pas(source, _bad_target(tmp_path / "bad.pemb", data))
+        pas(source, bad_target())
     assert (info.value.row, info.value.col) == (2 * BLOCK + 4, 6)
     data[2 * BLOCK + 4, 6] = 1.0
     with pytest.raises(ZeroVector) as zero:
-        pas(source, _bad_target(tmp_path / "bad.pemb", data))
+        pas(source, bad_target())
     assert zero.value.row_index == 3
 
 
@@ -232,9 +252,8 @@ def test_silhouette_reads_no_target_block(files, monkeypatch, capsys):
     scores) and opens no target reader; pas reads the source once and the
     target once."""
     tmp_path, _, _ = files
-    load, reader = PembRows.load, PembRows.reader
+    reader = PembRows.reader
     reads = []
-    monkeypatch.setattr(PembRows, "load", lambda self: reads.append(self.path.name) or load(self))
     monkeypatch.setattr(PembRows, "reader", lambda self: reads.append(self.path.name) or reader(self))
     assert main(_score_argv(tmp_path, "silhouette")) == 0
     assert isinstance(json.loads(capsys.readouterr().out)["value"], float)
@@ -398,35 +417,60 @@ def test_cli_reports_the_non_finite_value_of_a_streamed_target(files, method, mo
 
 def test_rank_loads_the_candidate_before_it_reads_the_target(files, capsys):
     """A rank target is only opened up front; its NaN is found in the first
-    candidate's pass, so a missing candidate file is reported first."""
-    tmp_path, _, target = files
+    candidate's pass, so a missing candidate file is reported first, and
+    the NaN of the second candidate is not reached. substudy opens its
+    target and candidates as rank does and reports the same first error."""
+    tmp_path, source, target = files
     data = target.embeddings.data.copy()
     data[5, 1] = np.nan
     _bad_target(tmp_path / "tgt.pemb", data)
+    second = source.embeddings.data.copy()
+    second[7, 2] = np.nan
+    _bad_target(tmp_path / "src2.pemb", second)
     for labels, error in (("missing.plbl", "FileNotFoundError"), ("src.plbl", "NonFiniteValue")):
-        manifest = _rank_manifest(tmp_path, ["pas"], candidate_labels=labels)
-        assert main(["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json"), "--json"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == error
+        path = _rank_manifest(tmp_path, ["pas"], candidate_labels=labels)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["candidates"].append({"id": "b", "emb": str(tmp_path / "src2.pemb"),
+                                       "labels": str(tmp_path / "src.plbl")})
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        errors = []
+        for command in (["rank"], ["substudy", "--fractions", "0.5,1.0", "--repeats", "2"]):
+            assert main([*command, "--manifest", path, "--out", str(tmp_path / "r.json"), "--json"]) == 2
+            errors.append(json.loads(capsys.readouterr().err))
+        assert errors[0]["error"] == error
+        assert errors[1] == errors[0]
+    assert "row 5, col 1" in errors[0]["message"]
 
 
-def test_only_substudy_loads_a_streamed_target(files, monkeypatch, capsys):
-    """score --method mmd/adist and a rank of every method read the PEMB
-    target and source as row sources; substudy, which draws many
-    subsamples of them, asks for the target and each source whole."""
+def test_no_command_loads_a_streamed_file_whole(files, monkeypatch, capsys):
+    """score --method mmd/adist, a rank of every method and substudy, which
+    draws many subsamples, read the PEMB target and source as row sources:
+    every read takes one block of rows at most, where a whole load would
+    read all 40 target rows at once."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
     tmp_path, _, _ = files
-    load = PembRows.load
-    loads = []
-    monkeypatch.setattr(PembRows, "load", lambda self: loads.append(self.path.name) or load(self))
-    for method in ("mmd", "adist"):
-        assert main(_score_argv(tmp_path, method)) == 0
-    manifest = _rank_manifest(tmp_path, list(METHODS))
-    assert main(["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json")]) == 0
-    assert loads == []
-    argv = ["substudy", "--manifest", manifest, "--fractions", "0.5,1.0", "--repeats", "2"]
-    assert main([*argv, "--out", str(tmp_path / "s.json")]) == 0
-    assert loads == ["tgt.pemb", "src.pemb"]
-    capsys.readouterr()
+    reader = PembRows.reader
+    reads = []
 
+    @contextlib.contextmanager
+    def recording(self):
+        with reader(self) as read:
+            yield lambda lo, hi: reads.append((self.path.name, hi - lo)) or read(lo, hi)
+
+    monkeypatch.setattr(PembRows, "reader", recording)
+    manifest = _rank_manifest(tmp_path, list(METHODS))
+    for argv in (
+        _score_argv(tmp_path, "mmd"),
+        _score_argv(tmp_path, "adist"),
+        ["rank", "--manifest", manifest, "--out", str(tmp_path / "r.json")],
+        ["substudy", "--manifest", manifest, "--fractions", "0.5,1.0", "--repeats", "2",
+         "--out", str(tmp_path / "s.json")],
+    ):
+        reads.clear()
+        assert main(argv) == 0
+        assert {name for name, _ in reads} == {"src.pemb", "tgt.pemb"}, argv
+        assert max(rows for _, rows in reads) <= BLOCK, argv
+    capsys.readouterr()
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("method", ["mmd", "adist"])
@@ -550,20 +594,29 @@ def _labeled_rows(rng, n, dim, num_classes):
     return (means[labels] + rng.standard_normal((n, dim))).astype(np.float32), labels
 
 
+@pytest.mark.parametrize("take", ["all", "sparse", "dense"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("dim", [1, 16])
-def test_streamed_source_bit_identical_to_in_memory(tmp_path, rng, monkeypatch, dim, threads):
+def test_streamed_source_bit_identical_to_in_memory(tmp_path, rng, monkeypatch, dim, threads, take):
     """A 9,000-row source (two blocks at the real block size) read from
     an opened PEMB file and from the same float32 rows in memory gives the
     same bits: its class sums, all four PAS-family methods, silhouette,
-    mmd (a capped draw) and adist."""
+    mmd (a capped draw) and adist. So does a view (embed_core._Take) of
+    every third row, or of all rows but three, over the file and over the
+    rows in memory, against a copy of those rows: a view block reads two
+    8192-row spans."""
     monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     x, labels = _labeled_rows(rng, 9_000, dim, 5)
     target, target_labels = _labeled_rows(rng, 300, dim, 5)
     save_embeddings(tmp_path / "src.pemb", x)
     target = EmbeddingSet(target)
+    sources = [EmbeddingSet(x), open_embeddings(tmp_path / "src.pemb")]
+    if take != "all":
+        idx = np.arange(0, 9_000, 3) if take == "sparse" else np.setdiff1d(np.arange(9_000), [1, 4_000, 8_500])
+        sources = [EmbeddingSet(x[idx]), *(embed_core._Take(rows, idx) for rows in sources)]
+        labels = labels[idx]
     runs = []
-    for emb in (EmbeddingSet(x), open_embeddings(tmp_path / "src.pemb")):
+    for emb in sources:
         source = LabeledEmbeddingSet(emb, labels, 5)
         family = scores._pas_family(source, target, list(FAMILY), target_labels)
         runs.append([
@@ -574,9 +627,10 @@ def test_streamed_source_bit_identical_to_in_memory(tmp_path, rng, monkeypatch, 
             BASELINES["mmd"](emb, target, 500),
             BASELINES["adist"](emb, target, None),
         ])
-    assert isinstance(source.embeddings, PembRows)
-    for got, want in zip(*runs):
-        np.testing.assert_array_equal(got, want, strict=True)
+    assert isinstance(getattr(source.embeddings, "source", source.embeddings), PembRows)
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 @pytest.mark.parametrize("streamed", [False, True])
