@@ -1,6 +1,7 @@
 """Command-line surface: the parser, the error reporting and main. The
 commands themselves (commands.py) load after the arguments parse, so
-`--help` and usage errors load no numpy.
+`--help` and usage errors load no numpy. corr runs from corr.py, on the
+standard library, without loading them.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 method
 precondition error. With --json, errors are emitted as a JSON object on
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 
+from .corr import run as _run_corr
 from .errors import AdaptScoreError, FormatError
 
 EXIT_OK = 0
@@ -96,10 +98,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    commands = _load_commands()
+    command = _run_corr if args.command == "corr" else _load_commands().COMMANDS[args.command]
     as_json = getattr(args, "json", False)
     try:
-        commands.COMMANDS[args.command](args)
+        command(args)
     except (FormatError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _emit_error(exc, as_json, EXIT_DATA)
         return EXIT_DATA

@@ -1,6 +1,8 @@
-"""The CLI's commands: one function per subcommand, each taking the parsed
-arguments. The CLI (cli.main) loads this module only after its arguments
-parse, so `--help` and usage errors load no numpy.
+"""The CLI's commands but corr: one function per subcommand, each taking the
+parsed arguments. The CLI (cli.main) loads this module only after its
+arguments parse, so `--help` and usage errors load no numpy. corr lives in
+corr.py, which loads no numpy either, and the CLI runs it without this
+module.
 
 Every layer function is reached through its module (reporting.build_report),
 so a test or tracer that patches the owning module sees each call.
@@ -16,7 +18,6 @@ import sys
 from pathlib import Path
 
 from . import embed_core, evaluation, formats, reporting, scores, synth
-from .errors import FormatError, MissingScore
 
 # One breakdown row as json.dumps renders a PerSampleBreakdown dict: ints
 # and floats by repr, the default ", " and ": " separators.
@@ -76,49 +77,6 @@ def _cmd_rank(args) -> None:
     print(f"wrote {args.out}")
 
 
-def _corr_pairs(report, method: str, accuracy: dict):
-    """(scores, accuracies) of the report rows whose string candidate_id has
-    an accuracy, in row order; FormatError for a string candidate_id that an
-    earlier row gave and for a score that is not a finite number."""
-    rows = report.get("rows") if isinstance(report, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise FormatError("report rows must be a list of JSON objects")
-    xs, ys, seen = [], [], set()
-    for row in rows:
-        cid = row.get("candidate_id")
-        if not isinstance(cid, str):
-            continue
-        if cid in seen:
-            raise FormatError(f"report rows repeat the candidate_id {cid!r}")
-        seen.add(cid)
-        if cid in accuracy:
-            method_scores = row.get("method_scores")
-            value = method_scores.get(method) if isinstance(method_scores, dict) else None
-            if value is None:
-                raise MissingScore(cid, method)
-            # JSON true/false load as bools, which are ints; NaN and ints
-            # beyond float range fail the comparison.
-            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if isinstance(value, bool) or not finite:
-                raise FormatError(f"report row {cid!r}: the {method} score is not a finite number")
-            xs.append(value)
-            ys.append(accuracy[cid])
-    return xs, ys
-
-
-def _cmd_corr(args) -> None:
-    reporting.resolve_method(args.method)
-    report = formats._load_json(args.report)
-    accuracy = formats.load_accuracy_csv(args.accuracy)
-    xs, ys = _corr_pairs(report, args.method, accuracy)
-    p = evaluation.pearson(xs, ys)
-    s = evaluation.spearman(xs, ys)
-    if args.json:
-        print(json.dumps({"pearson": p, "spearman": s, "n": len(xs)}))
-    else:
-        print(f"{p:.2f} / {s:.2f}")
-
-
 def _cmd_synth(args) -> None:
     cfg = synth.SynthConfig.from_dict(formats._load_json(args.config))
     source, target = synth.generate_pair(cfg)
@@ -152,7 +110,6 @@ def _cmd_substudy(args) -> None:
 COMMANDS = {
     "score": _cmd_score,
     "rank": _cmd_rank,
-    "corr": _cmd_corr,
     "synth": _cmd_synth,
     "substudy": _cmd_substudy,
 }

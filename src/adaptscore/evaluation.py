@@ -1,5 +1,4 @@
-"""Correlation statistics, candidate ranking, and the subsample-robustness
-study."""
+"""The subsample-robustness study."""
 
 from __future__ import annotations
 
@@ -8,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Nothing here calls pearson or spearman: perfbench/test_perfbench.py imports
+# them from this module.
+from .corr import pearson, rank_candidates, spearman
 from .embed_core import LabeledEmbeddingSet, _Take
-from .errors import ConstantInput, LengthMismatch, TooFewSamples
 from .scores import pas
 
 
@@ -25,56 +26,6 @@ class SubsampleStudyResult:
     # rank_match_fraction[f_idx]: share of repeats matching the full ranking
     rank_match_fraction: list
     rank_stable: list  # all repeats match
-
-
-def _validated_xy(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"expected two 1-D inputs, got shapes {x.shape} and {y.shape}")
-    if x.shape != y.shape:
-        raise LengthMismatch(x.shape[0], y.shape[0])
-    if x.shape[0] < 2:
-        raise TooFewSamples(2, x.shape[0])
-    if np.ptp(x) == 0.0 and np.ptp(y) == 0.0:
-        raise ConstantInput()
-    return x, y
-
-
-def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
-    x, y = _validated_xy(x, y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
-    if denom == 0.0:
-        # One side constant: correlation undefined; report 0 like a
-        # regression slope of zero evidence.
-        return 0.0
-    return float(np.sum(xc * yc) / denom)
-
-
-def _average_ranks(x) -> np.ndarray:
-    """1-based ranks of a 1-D array, tied values sharing the mean of their
-    ranks (scipy.stats.rankdata's "average" method, NaN propagating)."""
-    x = np.asarray(x)
-    if np.isnan(x).any():
-        return np.full(x.shape[0], np.nan)
-    # A group of c equal values ending at rank e holds ranks e - c + 1 .. e.
-    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-
-
-def spearman(x, y) -> float:
-    """Pearson correlation of average-rank vectors."""
-    x, y = _validated_xy(x, y)
-    return pearson(_average_ranks(x), _average_ranks(y))
-
-
-def rank_candidates(scores: dict) -> list:
-    """The ids of one method's {candidate_id: score} sorted by descending
-    score, ties broken by lexicographic id. The head is the selection."""
-    return sorted(scores, key=lambda c: (-scores[c], c))
 
 
 def derive_seed(base_seed: int, fraction: float, repeat: int, candidate_index: int) -> int:

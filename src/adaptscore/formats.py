@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import struct
 import threading
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corr import _load_json, _text_lines
 from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape, _integer_labels
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 from .synth import SynthConfig
@@ -102,22 +102,6 @@ def _open_pemb(fh, path: Path) -> PembRows:
         raise TruncatedFile(str(path), rows.nbytes, size)
     _check_shape(n, d)
     return rows
-
-
-def _utf8(path, blob: bytes) -> str:
-    """`blob` decoded as UTF-8 without a leading byte-order mark, or
-    BadMagic for the file at `path`."""
-    try:
-        return blob.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        raise BadMagic(str(path), blob[:4]) from None
-
-
-def _text_lines(path, blob: bytes):
-    """(line number from 1, line) of each non-blank line of `blob`, the
-    text (_utf8) of the file at `path`."""
-    lines = enumerate(_utf8(path, blob).splitlines(), start=1)
-    return ((lineno, line) for lineno, line in lines if line.strip())
 
 
 def open_embeddings(path):
@@ -211,11 +195,6 @@ def manifest_field(entry: dict, key: str, where: str, kind: type):
     return entry[key]
 
 
-def _load_json(path):
-    """The JSON document in the file at `path`; BadMagic unless it is UTF-8."""
-    return json.loads(_utf8(path, Path(path).read_bytes()))
-
-
 def load_manifest(path) -> dict:
     """Read a rank/substudy manifest: its checked copy (_check_manifest)."""
     return _check_manifest(_load_json(path))
@@ -261,25 +240,3 @@ def dump_report(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_accuracy_csv(path) -> dict:
-    """candidate_id,accuracy_percent rows into a dict. A line without two
-    fields, with an unparsable or non-finite accuracy or with an id that an
-    earlier line gave raises RaggedCsv, and a file that is not UTF-8
-    BadMagic."""
-    out = {}
-    for lineno, line in _text_lines(path, Path(path).read_bytes()):
-        parts = line.strip().split(",")
-        if len(parts) != 2:
-            raise RaggedCsv(str(path), lineno)
-        try:
-            accuracy = float(parts[1])
-        except ValueError:
-            raise RaggedCsv(str(path), lineno) from None
-        if not math.isfinite(accuracy):
-            raise RaggedCsv(str(path), lineno)
-        if parts[0] in out:
-            raise RaggedCsv(str(path), lineno, f"repeats candidate id {parts[0]!r}")
-        out[parts[0]] = accuracy
-    return out

@@ -9,8 +9,8 @@ from typing import Callable
 from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
 from .embed_core import LabeledEmbeddingSet
+from .corr import METHOD_NAMES, check_method, rank_candidates
 from .errors import ConfigInvalid, LabelCountMismatch
-from .evaluation import rank_candidates
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
 from .scores import ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
@@ -50,6 +50,8 @@ METHODS = {
     ),
     "silhouette": Method(lambda s, _t, _cfg: silhouette(s)),
 }
+if tuple(METHODS) != METHOD_NAMES:
+    raise ImportError("reporting.METHODS must have one row per corr.METHOD_NAMES name, in its order")
 
 
 def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_samples: int = 10_000):
@@ -58,9 +60,8 @@ def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_sam
     a method that needs target labels when none were given, and for
     settings the method's config rejects (mmd, adist), so every one of
     them is reported before any data file is read."""
-    method = METHODS.get(name)
-    if method is None:
-        raise ConfigInvalid(f"unknown method {name!r}; known: {', '.join(METHODS)}")
+    check_method(name)
+    method = METHODS[name]
     if method.needs_target_labels and not have_target_labels:
         raise ConfigInvalid(f"{name} scoring requires target labels")
     return method.config(seed, max_samples)

@@ -674,6 +674,16 @@ class TestCorrErrors:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["exit_code"]) == ("ConfigInvalid", 3)
 
+    def test_unknown_method_message_is_shared(self, tmp_path, capsys):
+        """corr, which loads no method table, and score name the known
+        methods in the table's order."""
+        want = "unknown method 'nope'; known: " + ", ".join(METHODS)
+        missing = str(tmp_path / "missing")
+        for argv in (["corr", "--report", missing, "--accuracy", missing],
+                     ["score", "--source-emb", missing, "--source-labels", missing, "--target-emb", missing]):
+            assert main([*argv, "--method", "nope", "--json"]) == 3
+            assert json.loads(capsys.readouterr().err)["message"] == want
+
     def _run(self, tmp_path, capsys, report, accuracy):
         (tmp_path / "r.json").write_text(json.dumps(report))
         (tmp_path / "acc.csv").write_text(accuracy)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from adaptscore import (
     spearman,
     subsample_study,
 )
+from adaptscore.corr import _average_ranks
 from adaptscore.errors import ConstantInput, LengthMismatch, TooFewSamples
-from adaptscore.evaluation import _average_ranks, derive_seed
+from adaptscore.evaluation import derive_seed
 from conftest import random_labeled
 from reference_tables import OFFICE_31_RESNET50, OFFICE_HOME_RESNET50, flat
 
@@ -124,6 +127,83 @@ class TestRankCandidates:
         base = rank_candidates(dict(zip(ids, scores)))
         transformed = rank_candidates({i: np.exp(3 * s) for i, s in zip(ids, scores)})
         assert base == transformed
+
+
+def _numpy_pearson(x, y):
+    """pearson in numpy's float64 arithmetic, as the package computed it
+    before it moved to the standard library: the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.ptp(x) == 0.0 and np.ptp(y) == 0.0:
+            raise ConstantInput()
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
+        if denom == 0.0:
+            return 0.0
+        return float(np.sum(xc * yc) / denom)
+
+
+def _numpy_spearman(x, y):
+    """spearman's numpy reference: _numpy_pearson of the average ranks."""
+
+    def ranks(v):
+        v = np.asarray(v, dtype=np.float64)
+        if np.isnan(v).any():
+            return np.full(v.shape[0], np.nan)
+        _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+    _numpy_pearson(x, y)  # ConstantInput on the values, as spearman checks them
+    return _numpy_pearson(ranks(x), ranks(y))
+
+
+def _outcome(corr, x, y):
+    """corr(x, y), or ConstantInput if it raised that."""
+    try:
+        return corr(x, y)
+    except ConstantInput:
+        return ConstantInput
+
+
+class TestStdlibStatistics:
+    """pearson and spearman sum with math.fsum; numpy's float64 sums agree
+    with them within 1e-12 and give the same kind of result for NaN and
+    infinite inputs."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 250, 1000])
+    def test_matches_numpy_arithmetic(self, n, ties):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        y = 0.5 * x + rng.standard_normal(n)
+        if ties:
+            x = rng.integers(0, max(2, n // 4), n).astype(np.float64)
+            y = np.round(y, 1)
+        for xs, ys in ((x.tolist(), y.tolist()), (x, y), (x.astype(np.float32), y.astype(np.float32))):
+            assert pearson(xs, ys) == pytest.approx(_numpy_pearson(xs, ys), abs=1e-12)
+            assert spearman(xs, ys) == pytest.approx(_numpy_spearman(xs, ys), abs=1e-12)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.3, math.nan, 0.1, 0.9], [60.0, 52.5, 55.0, 80.0]),
+        ([0.3, math.inf, 0.1, 0.9], [60.0, 52.5, 55.0, 80.0]),
+        ([-math.inf, 0.3, math.inf, 0.9], [60.0, 52.5, 55.0, 80.0]),
+        ([1.7e308, 1.6e308, 1.5e308, 1e308], [60.0, 52.5, 55.0, 80.0]),
+        ([math.nan] * 4, [1.0] * 4),
+        ([math.inf] * 4, [1.0] * 4),
+        ([1.0] * 4, [-math.inf] * 4),
+    ], ids=["nan", "inf", "both-infinities", "overflow", "nan-side", "inf-side", "-inf-side"])
+    def test_non_finite_like_numpy(self, x, y):
+        """A NaN or an infinity, or a sum beyond the float range, makes
+        pearson NaN, never ConstantInput: numpy's ptp of such a side is NaN
+        or infinite. spearman gives what numpy's ranks gave; infinities rank
+        like other values, so equal ones have constant ranks."""
+        assert math.isnan(pearson(x, y)) and math.isnan(_numpy_pearson(x, y))
+        got, want = (_outcome(corr, x, y) for corr in (spearman, _numpy_spearman))
+        assert (got is ConstantInput) == (want is ConstantInput)
+        if want is not ConstantInput:
+            assert got == pytest.approx(want, abs=1e-12, nan_ok=True)
 
 
 class TestSubsampleStudy:

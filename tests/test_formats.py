@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from adaptscore import EmbeddingSet, embed_core
+from adaptscore.corr import load_accuracy_csv
 from adaptscore.errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv, TruncatedFile
 from adaptscore.formats import (
-    load_accuracy_csv,
     load_labels,
     load_manifest,
     save_embeddings,

@@ -2,11 +2,13 @@
 import sits at the top of its module, the package-internal imports
 (deferred loads included) form no cycle, and the row primitives in
 embed_core depend on nothing but errors. Then the lazy surface, each case
-in a fresh interpreter: the package and the CLI's parser load no numpy,
-and the public names load their modules on first use."""
+in a fresh interpreter: the package, the CLI's parser, the corr command
+and the correlation and ranking functions load no numpy, and the public
+names load their modules on first use."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -117,10 +119,22 @@ def test_only_cli_and_the_package_defer_loads():
         "from adaptscore.cli import main; assert main(['--help']) == 0",
         "from adaptscore.cli import main; assert main(['score', '-h']) == 0",
         "from adaptscore.cli import main; assert main(['score']) == 1",
+        "from adaptscore.cli import main; assert main(['corr', '--report', 'r.json', '--accuracy', 'acc.csv']) == 0",
+        "from adaptscore.cli import main; assert main(['corr', '--report', 'r.json', '--accuracy', 'acc.csv', '--json']) == 0",
+        "import adaptscore; assert adaptscore.pearson([1, 2, 3], [2, 4, 7]) > 0.98",
+        "import adaptscore; assert adaptscore.spearman([1, 2, 3], [1, 3, 2]) == 0.5",
+        "import adaptscore; assert adaptscore.rank_candidates({'a': 0.1, 'b': 0.2}) == ['b', 'a']",
     ],
-    ids=["package", "cli", "help", "score-help", "usage-error"],
+    ids=["package", "cli", "help", "score-help", "usage-error", "corr", "corr-json", "pearson", "spearman",
+         "rank_candidates"],
 )
-def test_loads_no_numpy(code):
+def test_loads_no_numpy(code, tmp_path, monkeypatch):
+    """Each case in a fresh interpreter; the corr cases read a two-row
+    report and accuracy file from the working directory."""
+    rows = [{"candidate_id": c, "method_scores": {"pas": v}} for c, v in (("a", 0.5), ("b", 0.3))]
+    (tmp_path / "r.json").write_text(json.dumps({"rows": rows}))
+    (tmp_path / "acc.csv").write_text("a,70.0\nb,60.0\n")
+    monkeypatch.chdir(tmp_path)
     out = _child(f"import sys\n{code}\nprint('numpy' in sys.modules)")
     assert out.splitlines()[-1] == "False"
 
