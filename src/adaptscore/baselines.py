@@ -119,7 +119,7 @@ def _unit_sample(e, cap: int, seed: int, out: np.ndarray) -> None:
             if b > a:
                 _unit_rows(raw[take[a:b] - lo], out=out[a:b])
 
-    _row_pass(e, copy, 8 * _block_ranges(e.n)[0][1] * e.dim)
+    _row_pass(e, copy, e.dim)
 
 
 def _order_halves(p: np.ndarray, h: int) -> None:
@@ -187,7 +187,7 @@ def _upper_blocks(p: np.ndarray, reduce):
         s[:, :h][lower[:h, :h]] = np.inf
         return reduce(lo, s)
 
-    return _run_blocks(block, ranges, 8 * ranges[0][1] * p.shape[0])
+    return _run_blocks(block, ranges, 8 * p.shape[0])
 
 
 def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.ndarray:
@@ -424,5 +424,5 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
         denom = np.maximum(a, b)
         np.divide(b - a, denom, out=scores[lo:hi], where=denom != 0.0)
 
-    _row_pass(data.embeddings, block, 8 * _block_ranges(data.n)[0][1] * (data.dim + data.num_classes))
+    _row_pass(data.embeddings, block, data.dim + data.num_classes)
     return float(scores.mean())

@@ -43,9 +43,10 @@ EPS_NORM = 1e-12
 # row count.
 _BLOCK_ROWS = 8192
 # Bytes that the blocks in flight of one pass may hold together, or two
-# blocks when one is larger (so that a 56 MB PAS block at 512-d and 345
-# classes does not make PAS serial): no pass's memory grows with the CPU
-# count. Two blocks of MMD's walk fit at its default cap (20,000 rows).
+# blocks when one is larger (so that a 73 MB streamed PAS block at 512-d
+# and 345 classes, read buffer included, does not make PAS serial): no
+# pass's memory grows with the CPU count. Two MMD walk blocks fit at its
+# default cap (20,000 rows).
 _FLIGHT_BYTES = 48 << 20
 # float64 entries (256 KB) of the row chunks that normalization and the
 # scorers' top-2 tail walk within a block, so their temporaries stay in cache.
@@ -139,22 +140,22 @@ class _BlasPin:
 _ONE_BLAS_THREAD = _BlasPin()
 
 
-def _run_blocks(fn, ranges, block_bytes: int | None):
+def _run_blocks(fn, ranges, row_bytes: int | None):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
     This is the one block runner: blocks run with BLAS pinned to one thread
-    for the pass (_ONE_BLAS_THREAD). Given `block_bytes`, the memory of the
-    caller's largest block, they run on a thread pool, at most
-    worker_count() at once and no more than fit in _FLIGHT_BYTES, but two
-    at least; with None they run one at a time on the calling thread, for
-    a fn that must see them in order. Results come back in block order
+    for the pass (_ONE_BLAS_THREAD). Given `row_bytes`, what fn holds per
+    row, they run on a thread pool, at most worker_count() at once and no
+    more blocks of the first (largest) range than fit in _FLIGHT_BYTES, but
+    two at least; with None they run one at a time on the calling thread,
+    for a fn that must see them in order. Results come back in block order
     whatever finishes first, so a consumer that combines them in order
     gets the same bits at any worker count. A consumer that stops early
     closes the generator: blocks not yet started are cancelled and running
     ones are waited for. The exception of the lowest block that raised one
     escapes at its turn.
     """
-    cap = 1 if block_bytes is None else max(2, _FLIGHT_BYTES // block_bytes)
+    cap = 1 if row_bytes is None else max(2, _FLIGHT_BYTES // (row_bytes * (ranges[0][1] - ranges[0][0])))
     workers = min(worker_count(), len(ranges), cap)
     with _ONE_BLAS_THREAD:
         if workers <= 1:
@@ -174,14 +175,14 @@ def _run_blocks(fn, ranges, block_bytes: int | None):
             pool.shutdown(cancel_futures=True)
 
 
-def _row_pass(source, fn, block_bytes: int | None = None) -> None:
+def _row_pass(source, fn, row_floats: int | None = None) -> None:
     """Call fn(lo, raw) on each row block lo:hi of `source`, a row source:
     n, dim and reader(), a context manager giving read(lo, hi), the finite
     raw rows lo:hi (EmbeddingSet gives views of its data; formats.PembRows
     reads each block from its file and raises NonFiniteValue as it goes).
     The blocks go through the block runner (_run_blocks): given
-    `block_bytes`, what fn holds per block (the read buffer is added), on
-    its workers; without it in block order on the calling thread.
+    `row_floats`, the float64 values fn holds per row (the read buffer is
+    added), on its workers; without it in block order on the calling thread.
 
     A ZeroVector that fn raises is held until the pass ends, so a
     non-finite value anywhere wins over it; then the one of the lowest
@@ -197,21 +198,19 @@ def _row_pass(source, fn, block_bytes: int | None = None) -> None:
             return exc
         return None
 
-    ranges = _block_ranges(source.n)
-    if block_bytes is not None:
-        block_bytes += 4 * ranges[0][1] * source.dim
+    row_bytes = None if row_floats is None else 8 * row_floats + 4 * source.dim
     with source.reader() as read:
-        zeros = [z for z in _run_blocks(block, ranges, block_bytes) if z is not None]
+        zeros = [z for z in _run_blocks(block, _block_ranges(source.n), row_bytes) if z is not None]
     if zeros:
         raise zeros[0]
 
 
 def _integer_labels(labels) -> np.ndarray:
-    """`labels` as an int64 array, or ValueError for a value that is not an
-    int64 integer: a fractional or non-finite float, which the cast would
-    truncate (integral floats such as 2.0 pass), a string, a uint64 value
-    above the int64 maximum, which the cast would wrap, or a Python int
-    beyond int64 (an object array)."""
+    """`labels` as a 1-D int64 array, or ValueError for a value that is not
+    an int64 integer: a fractional or non-finite float, which the cast
+    would truncate (integral floats such as 2.0 pass), a string, a uint64
+    value above the int64 maximum, which the cast would wrap, or a Python
+    int beyond int64 (an object array); then for another shape."""
     arr = np.asarray(labels)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"labels of dtype {arr.dtype} are not int64 integers")
@@ -222,6 +221,8 @@ def _integer_labels(labels) -> np.ndarray:
     if not ok.all():
         i = int(np.argmin(ok.ravel()))
         raise ValueError(f"label {arr.ravel()[i].item()!r} at index {i} is not an int64 integer")
+    if arr.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -341,8 +342,6 @@ class LabeledEmbeddingSet:
 
     def __post_init__(self):
         labels = _integer_labels(self.labels)
-        if labels.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
         if labels.shape[0] != self.embeddings.n:
             raise LabelCountMismatch(labels.shape[0], self.embeddings.n)
         if self.num_classes < 2:
@@ -466,10 +465,9 @@ def _class_sums(source, labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _centroid_table(sums: np.ndarray) -> np.ndarray:
-    """The class sums scaled to unit rows, a (C, d) float64 array;
-    DegenerateClass at the lowest class whose sum has norm <= EPS_NORM."""
-    norms = np.linalg.norm(sums, axis=1)
-    small = norms <= EPS_NORM
-    if small.any():
-        raise DegenerateClass(int(np.argmax(small)))
-    return sums / norms[:, None]
+    """The class sums scaled to unit rows (_unit_rows), a (C, d) float64
+    array; DegenerateClass at the lowest class whose sum is a ZeroVector."""
+    try:
+        return _unit_rows(sums)
+    except ZeroVector as exc:
+        raise DegenerateClass(exc.row_index) from None

@@ -39,12 +39,16 @@ def save_embeddings(path, e) -> None:
     """Write an EmbeddingSet, or an array-like validated as one, as PEMB.
     The rows go out one block at a time, each converted to float32 and
     written through the buffer protocol, so the writer holds one float32
-    block, never a copy of the whole matrix."""
+    block, never a copy of the whole matrix. A value beyond float32 raises
+    NonFiniteValue before its block; open_embeddings rejects the short file."""
     e = e if isinstance(e, EmbeddingSet) else EmbeddingSet(e)
     with open(path, "wb") as fh:
         fh.write(PEMB_HEADER.pack(PEMB_MAGIC, 1, 0, e.n, e.dim))
         for lo, hi in _block_ranges(e.n):
-            fh.write(e.data[lo:hi].astype("<f4", copy=False))
+            with np.errstate(over="ignore"):
+                block = e.data[lo:hi].astype("<f4", copy=False)
+            _check_finite(block, lo)
+            fh.write(block)
 
 
 class PembRows:
@@ -133,11 +137,9 @@ def open_embeddings(path):
 
 def _plbl_labels(labels) -> np.ndarray:
     """`labels` as a 1-D int64 array, or ValueError for a value that is not
-    an integer (_integer_labels), another shape or a label outside the
+    an integer or another shape (_integer_labels), or a label outside the
     PLBL range [0, 2**32)."""
     labels = _integer_labels(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
     bad = (labels < 0) | (labels >= 2**32)
     if bad.any():
         i = int(np.argmax(bad))

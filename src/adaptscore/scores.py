@@ -34,7 +34,7 @@ from .embed_core import (
     _row_pass,
     _unit_rows,
 )
-from .errors import DimensionMismatch, LabelOutOfRange
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,8 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
         elif kind not in tables:  # class means: every class has a row
             tables[kind] = sums / np.bincount(source.labels)[:, None]
         if name == "oracle":
-            bad = (true_labels < 0) | (true_labels >= source.num_classes)
-            if bad.any():
-                raise LabelOutOfRange(int(true_labels[bad][0]), source.num_classes)
+            truth = LabeledEmbeddingSet(target, true_labels, source.num_classes, require_all_classes=False)
+            true_labels = truth.labels
 
     n = target.n
     columns = {m: (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.zeros(n)) for m in methods}
@@ -190,7 +189,7 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
             del dist  # before the next table's product
 
     # The chunk copies are not counted, like normalization's chunk temporaries.
-    _row_pass(target, block, 8 * block_rows * (target.dim + source.num_classes))
+    _row_pass(target, block, target.dim + source.num_classes)
     return {m: ScoreResult(m, float(np.sum(cols[3]) / n), *cols) for m, cols in columns.items()}
 
 

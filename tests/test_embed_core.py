@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from adaptscore.errors import (
     NonFiniteValue,
     ZeroVector,
 )
+from adaptscore.formats import save_labels
 from conftest import random_labeled, random_orthogonal
 
 
@@ -89,6 +92,42 @@ class TestClassCentroids:
         q = random_orthogonal(rng, 6)
         rotated = LabeledEmbeddingSet(EmbeddingSet(s.embeddings.data @ q.T), s.labels, s.num_classes)
         np.testing.assert_allclose(_centroids(rotated), _centroids(s) @ q.T, atol=1e-6)
+
+    def test_two_zero_sum_classes_name_the_lower(self):
+        s = LabeledEmbeddingSet(
+            EmbeddingSet([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [0.0, -1.0]]),
+            [0, 3, 3, 1, 1, 2],
+            4,
+        )
+        with pytest.raises(DegenerateClass) as exc:
+            _centroids(s)
+        assert exc.value.class_id == 1
+
+    @staticmethod
+    def _linalg_centroids(sums):
+        """The reference: np.linalg.norm's unit rows, and DegenerateClass
+        at the lowest class with norm <= EPS_NORM."""
+        norms = np.linalg.norm(sums, axis=1)
+        small = norms <= embed_core.EPS_NORM
+        if small.any():
+            raise DegenerateClass(int(np.argmax(small)))
+        return sums / norms[:, None]
+
+    def test_unit_scaling_matches_the_norm_arithmetic(self):
+        rng = np.random.default_rng(2024)
+        for k in range(60):
+            c, d = int(rng.integers(2, 400)), int(rng.integers(1, 1001))
+            sums = rng.standard_normal((c, d)) * 10.0 ** rng.uniform(-5, 5, (c, 1))
+            if k % 3 == 0:  # a few degenerate classes, one at the threshold's scale
+                sums[rng.integers(0, c, 2)] *= 10.0 ** rng.choice([-9, -30, -400], 2)[:, None]
+            try:
+                want = self._linalg_centroids(sums)
+            except DegenerateClass as exc:
+                with pytest.raises(DegenerateClass) as got:
+                    _centroid_table(sums)
+                assert got.value.class_id == exc.class_id, (c, d)
+            else:
+                assert _centroid_table(sums).tobytes() == want.tobytes(), (c, d)
 
     def test_per_sample_scale_absorbed(self, rng):
         s = random_labeled(rng)
@@ -193,6 +232,9 @@ class TestContainers:
         with pytest.raises(ValueError):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0]]), [0, 1], 2)
 
-    def test_labels_must_be_1d(self):
-        with pytest.raises(ValueError, match="labels must be 1-D"):
+    def test_labels_must_be_1d(self, tmp_path):
+        message = re.escape("labels must be 1-D, got shape (3, 1)")
+        with pytest.raises(ValueError, match=message):
             LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), [[0], [1], [2]], 3)
+        with pytest.raises(ValueError, match=message):
+            save_labels(tmp_path / "l.plbl", [[0], [1], [2]])

@@ -13,6 +13,7 @@ from adaptscore.errors import BadMagic, ManifestError, NonFiniteValue, RaggedCsv
 from adaptscore.formats import (
     load_labels,
     load_manifest,
+    open_embeddings,
     save_embeddings,
     save_labels,
 )
@@ -139,6 +140,20 @@ class TestSaveArrayLike:
         with pytest.raises(NonFiniteValue):
             save_embeddings(tmp_path / "bad", x)
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("block_rows, at", [(8192, (0, 0)), (2, (3, 1))], ids=["first", "later"])
+    def test_value_beyond_float32_raises_before_its_block(self, tmp_path, monkeypatch, recwarn, block_rows, at):
+        # The blocks before the bad one are written, so the file is short.
+        monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block_rows)
+        x = np.ones((5, 3))
+        x[at] = 1e39 if at == (0, 0) else -4e38
+        with pytest.raises(NonFiniteValue) as err:
+            save_embeddings(tmp_path / "big", x)
+        assert (err.value.row, err.value.col) == at
+        assert not recwarn.list  # the cast's overflow warning is not raised
+        assert (tmp_path / "big").stat().st_size == 24 + 4 * 3 * (at[0] // block_rows * block_rows)
+        with pytest.raises(TruncatedFile):
+            open_embeddings(tmp_path / "big")
 
 
 class TestBlockwiseWriters:

@@ -14,6 +14,7 @@ from adaptscore import (
 )
 from adaptscore import embed_core
 from adaptscore.errors import DimensionMismatch, LabelOutOfRange, MissingClass, TooFewClasses
+from adaptscore.reporting import score_candidate
 from conftest import random_labeled, random_orthogonal
 
 COS30 = math.cos(math.radians(30))
@@ -210,12 +211,25 @@ class TestOracle:
         with pytest.raises(LabelOutOfRange):
             LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0], [0.0, 1.0]]), [0, 5], 2)
 
-    def test_target_label_beyond_source_classes(self):
-        # The target set is valid over 3 classes; the source has 2.
-        tgt = LabeledEmbeddingSet(EmbeddingSet([[1.0, 0.0], [0.0, 1.0]]), [0, 2], 3, require_all_classes=False)
+    @pytest.mark.parametrize("labels, first_bad", [([0, 2], 2), ([3, 2], 3), ([-1, 2], -1)])
+    def test_target_label_beyond_source_classes(self, labels, first_bad):
+        # The source has 2 classes. The oracle names the first bad label
+        # as a LabeledEmbeddingSet over those classes does, whether the
+        # labels come as a set over more classes (valid for labels >= 0)
+        # or as the raw array that score and rank pass.
+        emb = EmbeddingSet([[1.0, 0.0], [0.0, 1.0]])
+        raised = []
         with pytest.raises(LabelOutOfRange) as err:
-            oracle_score(axes_source(), tgt)
-        assert (err.value.label, err.value.num_classes) == (2, 2)
+            LabeledEmbeddingSet(emb, labels, 2, require_all_classes=False)
+        raised.append(err.value)
+        with pytest.raises(LabelOutOfRange) as err:
+            score_candidate(axes_source(), emb, {"oracle": None}, np.array(labels))
+        raised.append(err.value)
+        if first_bad >= 0:
+            with pytest.raises(LabelOutOfRange) as err:
+                oracle_score(axes_source(), LabeledEmbeddingSet(emb, labels, 4, require_all_classes=False))
+            raised.append(err.value)
+        assert [(e.label, e.num_classes) for e in raised] == [(first_bad, 2)] * len(raised)
 
     def test_oracle_bounded_by_pas(self, rng):
         src = random_labeled(rng, num_classes=5, dim=16)

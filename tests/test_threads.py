@@ -9,12 +9,13 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptscore import embed_core
+from adaptscore import LabeledEmbeddingSet, MmdConfig, baselines, embed_core, mmd_gaussian, scores, silhouette
 from adaptscore.embed_core import EmbeddingSet, _row_pass, _run_blocks, worker_count
 
 THREAD_VARS = ("ADAPTSCORE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -69,10 +70,12 @@ def test_runner_yields_in_block_order_with_at_most_workers_in_flight(monkeypatch
     ranges = [(lo, lo + 1) for lo in range(16)]
     assert list(_run_blocks(fn, ranges, 1)) == ranges
     assert 1 < most[0] <= 4
-    # The byte budget, not the worker count, and two blocks at least.
-    for block_bytes, cap in ((embed_core._FLIGHT_BYTES // 3, 3), (embed_core._FLIGHT_BYTES + 1, 2)):
+    # The byte budget, not the worker count, and two blocks at least: it
+    # counts the bytes per row times the rows of the first block.
+    pairs = [(lo, lo + 2) for lo in range(0, 15, 2)] + [(16, 17)]
+    for row_bytes, cap in ((embed_core._FLIGHT_BYTES // 6, 3), (embed_core._FLIGHT_BYTES // 2 + 1, 2)):
         most[0] = 0
-        assert list(_run_blocks(fn, ranges, block_bytes)) == ranges
+        assert list(_run_blocks(fn, pairs, row_bytes)) == pairs
         assert most[0] == cap
 
 
@@ -84,6 +87,41 @@ def test_a_pass_without_a_byte_budget_runs_in_block_order_on_the_calling_thread(
     _row_pass(source, lambda lo, raw: seen.append((lo, raw.shape[0], threading.get_ident())))
     me = threading.get_ident()
     assert seen == [(0, rows, me), (rows, rows, me), (2 * rows, rows, me), (3 * rows, 1, me)]
+
+
+@pytest.mark.parametrize("flight", [2**15, 2**16, 2**17, 2**18, 2**19])
+def test_each_pass_admits_the_workers_of_its_block_bytes(monkeypatch, flight):
+    """The max_workers of the pool of every pass that has one, against
+    min(workers, blocks, max(2, _FLIGHT_BYTES // block bytes)), where a
+    row pass's block holds its float64 values plus the float32 read
+    buffer, and an MMD walk block 8 n bytes per row."""
+    monkeypatch.setenv("ADAPTSCORE_THREADS", "8")
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", flight)
+    monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 16)
+    seen = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(embed_core, "ThreadPoolExecutor", Recording)
+    rng = np.random.default_rng(0)
+    d, c, n, cap = 16, 5, 600, 200
+    source = LabeledEmbeddingSet(EmbeddingSet(rng.standard_normal((n, d))), np.arange(n) % c, c)
+    target = EmbeddingSet(rng.standard_normal((n, d)))
+
+    def admitted(blocks, block_bytes):
+        return min(8, blocks, max(2, flight // block_bytes))
+
+    row_pass = admitted(n // 64 + 1, 8 * 64 * (d + c) + 4 * 64 * d)
+    scores._pas_family(source, target, ["pas", "pas_avg_pairwise"])
+    silhouette(source)
+    mmd_gaussian(source.embeddings, target, MmdConfig(sigma=1.0, max_samples_per_domain=cap))
+    sampler = admitted(n // 64 + 1, 8 * 64 * d + 4 * 64 * d)
+    walk = admitted(2 * cap // 16, 8 * 16 * 2 * cap)
+    assert seen == [row_pass, row_pass, sampler, sampler, walk]
 
 
 _BITS = r"""
