@@ -50,6 +50,19 @@ def _text_lines(path, blob: bytes):
     return ((lineno, line) for lineno, line in lines if line.strip())
 
 
+def _ascii_number(kind, field: str, path, lineno: int):
+    """kind(field) for kind int or float, or RaggedCsv at line `lineno` of
+    the file at `path` when kind rejects the field or the field holds a
+    non-ASCII character or a "_": int and float take digit separators and
+    non-ASCII digits, and the numbers of a text file are ASCII."""
+    if field.isascii() and "_" not in field:
+        try:
+            return kind(field)
+        except ValueError:
+            pass
+    raise RaggedCsv(str(path), lineno)
+
+
 def _read_bytes(path) -> bytes:
     """The bytes of the file at `path`, read without pathlib, which the
     CLI's start does not load otherwise."""
@@ -64,18 +77,15 @@ def _load_json(path):
 
 def load_accuracy_csv(path) -> dict:
     """candidate_id,accuracy_percent rows into a dict. A line without two
-    fields, with an unparsable or non-finite accuracy or with an id that an
-    earlier line gave raises RaggedCsv, and a file that is not UTF-8
-    BadMagic."""
+    fields, with an unparsable (_ascii_number) or non-finite accuracy or
+    with an id that an earlier line gave raises RaggedCsv, and a file that
+    is not UTF-8 BadMagic."""
     out = {}
     for lineno, line in _text_lines(path, _read_bytes(path)):
         parts = line.strip().split(",")
         if len(parts) != 2:
             raise RaggedCsv(str(path), lineno)
-        try:
-            accuracy = float(parts[1])
-        except ValueError:
-            raise RaggedCsv(str(path), lineno) from None
+        accuracy = _ascii_number(float, parts[1], path, lineno)
         if not math.isfinite(accuracy):
             raise RaggedCsv(str(path), lineno)
         if parts[0] in out:

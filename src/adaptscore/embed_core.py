@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteValue,
     TooFewClasses,
     ZeroVector,
+    check_fields,
 )
 
 # Norms at or below this are degenerate rather than normalizable.
@@ -341,6 +342,7 @@ class LabeledEmbeddingSet:
     require_all_classes: bool = True
 
     def __post_init__(self):
+        check_fields(self, ("num_classes",))
         labels = _integer_labels(self.labels)
         if labels.shape[0] != self.embeddings.n:
             raise LabelCountMismatch(labels.shape[0], self.embeddings.n)

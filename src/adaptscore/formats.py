@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corr import _load_json, _text_lines
+from .corr import _ascii_number, _load_json, _text_lines
 from .embed_core import EmbeddingSet, _block_ranges, _check_finite, _check_shape, _integer_labels
 from .errors import BadMagic, ManifestError, RaggedCsv, TruncatedFile
 from .synth import SynthConfig
@@ -126,10 +126,7 @@ def open_embeddings(path):
             width = len(fields)
         elif len(fields) != width:
             raise RaggedCsv(str(path), lineno)
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise RaggedCsv(str(path), lineno) from None
+        rows.append([_ascii_number(float, f, path, lineno) for f in fields])
     if not rows:
         raise TruncatedFile(str(path), 1, 0)
     return EmbeddingSet(np.asarray(rows, dtype=np.float64))
@@ -170,10 +167,7 @@ def load_labels(path) -> np.ndarray:
         return np.frombuffer(blob, dtype="<u4", offset=PLBL_HEADER.size).astype(np.int64)
     values = []
     for lineno, line in _text_lines(path, blob):
-        try:
-            v = int(line.strip())
-        except ValueError:
-            raise RaggedCsv(str(path), lineno) from None
+        v = _ascii_number(int, line, path, lineno)
         if not 0 <= v < 2**32:  # the PLBL range
             raise RaggedCsv(str(path), lineno)
         values.append(v)

@@ -16,9 +16,7 @@ multi-threaded results are bit-identical to a sequential run.
 
 from __future__ import annotations
 
-import operator
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,38 +44,6 @@ class PerSampleBreakdown:
     contribution: float
 
 
-class Breakdown(Sequence):
-    """Read-only per-sample view over the columns of a ScoreResult.
-
-    Items are built on access, so holding a breakdown costs no more than
-    its four columns. Indexing takes negative indices and slices (a slice
-    yields a list).
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, d1, d2, nearest_class, contribution):
-        self._columns = (d1, d2, nearest_class, contribution)
-
-    def __len__(self) -> int:
-        return self._columns[0].shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"breakdown index {index} out of range for {len(self)} samples")
-        d1, d2, nearest, contrib = self._columns
-        return PerSampleBreakdown(i, float(d1[i]), float(d2[i]), int(nearest[i]), float(contrib[i]))
-
-    def __iter__(self):
-        rows = zip(*(c.tolist() for c in self._columns))
-        return (PerSampleBreakdown(i, *row) for i, row in enumerate(rows))
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreResult:
     """A score and its per-sample columns, one entry per target row, each
@@ -95,9 +61,12 @@ class ScoreResult:
             column.flags.writeable = False
 
     @property
-    def breakdown(self) -> Breakdown:
-        """Per-sample PerSampleBreakdown items as a lazy read-only sequence."""
-        return Breakdown(*self.breakdown_arrays())
+    def breakdown(self):
+        """An iterator of one PerSampleBreakdown per row, in row order, built
+        from the columns. It stays for perfbench/test_perfbench.py, which
+        reads each item's __dict__; random access reads the columns."""
+        rows = zip(*(c.tolist() for c in self.breakdown_arrays()))
+        return (PerSampleBreakdown(i, *row) for i, row in enumerate(rows))
 
     def breakdown_arrays(self):
         """(d1, d2, nearest_class, contribution) as numpy columns."""

@@ -301,7 +301,7 @@ os.environ["ADAPTSCORE_THREADS"] = "1"
 single = a.pas(src, tgt)
 
 same = multi.value == single.value and all(
-    mb == sb for mb, sb in zip(multi.breakdown[:1000], single.breakdown[:1000]))
+    m.tobytes() == s.tobytes() for m, s in zip(multi.breakdown_arrays(), single.breakdown_arrays()))
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"t_multi": t_multi, "peak_mb": peak_mb, "identical": same,
                   "value": multi.value}))

@@ -84,6 +84,17 @@ class TestScoreCommand:
         assert len(payload["breakdown"]) == 1
         assert payload["breakdown"][0]["nearest_class"] == 0
 
+    @pytest.mark.parametrize("field", ["1_0", "\u0661"], ids=["digit-separator", "non-ascii-digit"])
+    def test_csv_number_must_be_ascii(self, axes_fixture, capsys, field):
+        (axes_fixture / "tgt.csv").write_text(f"0.5,{field}\n", encoding="utf-8")
+        code = main([
+            "score", "--method", "pas", "--json",
+            "--source-emb", str(axes_fixture / "src.pemb"),
+            "--source-labels", str(axes_fixture / "src.plbl"),
+            "--target-emb", str(axes_fixture / "tgt.csv"),
+        ])
+        assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "RaggedCsv")
+
     def test_json_matches_asdict_rendering(self, tmp_path, rng, capsys):
         # Classes 0 and 1 are pure axes, so the first two target rows sit
         # exactly between their centroids (d1 == d2); the oracle labels one
@@ -686,7 +697,7 @@ class TestCorrErrors:
 
     def _run(self, tmp_path, capsys, report, accuracy):
         (tmp_path / "r.json").write_text(json.dumps(report))
-        (tmp_path / "acc.csv").write_text(accuracy)
+        (tmp_path / "acc.csv").write_text(accuracy, encoding="utf-8")
         argv = ["corr", "--report", str(tmp_path / "r.json"), "--accuracy", str(tmp_path / "acc.csv"),
                 "--json"]
         with warnings.catch_warnings():
@@ -702,7 +713,8 @@ class TestCorrErrors:
         assert (code, err["error"]) == (3, "TooFewSamples")
         assert "need at least 2 samples" in err["message"]
 
-    @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,", "a,60.0"])
+    @pytest.mark.parametrize("line", ["b,nan", "b,inf", "b,-inf", "b,abc", "b,", "a,60.0", "b,7_1.8",
+                                      "b,\u0667\u0661.8"])
     def test_bad_accuracy_is_ragged_csv(self, tmp_path, capsys, line):
         code, err = self._run(tmp_path, capsys, {"rows": self.ROWS}, f"a,70.0\n{line}\n")
         assert (code, err["error"]) == (2, "RaggedCsv")

@@ -7,6 +7,7 @@ from adaptscore import EmbeddingSet, LabeledEmbeddingSet
 from adaptscore import embed_core
 from adaptscore.embed_core import _centroid_table, _class_sums, _unit_rows
 from adaptscore.errors import (
+    ConfigInvalid,
     DegenerateClass,
     FormatError,
     MissingClass,
@@ -82,6 +83,16 @@ class TestClassCentroids:
         with pytest.raises(MissingClass) as info:
             LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), labels, num_classes)
         assert info.value.class_id == missing
+
+    @pytest.mark.parametrize("num_classes", [3.0, np.float64(3), True, "3"],
+                             ids=["float", "numpy-float", "bool", "string"])
+    def test_num_classes_must_be_an_integer(self, num_classes):
+        with pytest.raises(ConfigInvalid, match="num_classes must be an integer"):
+            LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), [0, 1, 2], num_classes)
+
+    def test_numpy_integer_num_classes(self):
+        s = LabeledEmbeddingSet(EmbeddingSet(np.eye(3)), [0, 1, 2], np.int64(3))
+        assert s.num_classes == 3
 
     def test_unit_norm_rows(self, rng):
         norms = np.linalg.norm(_centroids(random_labeled(rng)), axis=1)

@@ -214,10 +214,12 @@ class TestCsv:
 
     def test_unparsable_value(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("1.0,2.0\n\n3.0,x\n")
-        with pytest.raises(RaggedCsv) as info:
-            read_embeddings(p)
-        assert info.value.line == 3
+        # float() takes a "_" separator and non-ASCII digits; the reader does not.
+        for field in ("x", "1_0", "\u0661"):
+            p.write_text(f"1.0,2.0\n\n3.0,{field}\n", encoding="utf-8")
+            with pytest.raises(RaggedCsv) as info:
+                read_embeddings(p)
+            assert info.value.line == 3, field
 
     def test_nonfinite_value_names_its_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -273,9 +275,12 @@ class TestLabels:
             (struct.pack("<4sB3xQ", b"PLBL", 2, 0), BadMagic),
             (b"0\n\xff\xfe\n", BadMagic),
             (b"0\n1.5\n", RaggedCsv),
+            (b"0\n1_0\n", RaggedCsv),
+            ("0\n\u0661\n".encode(), RaggedCsv),
             (b"\n  \n\n", TruncatedFile),
         ],
-        ids=["plbl-short-header", "plbl-version", "not-utf8", "not-integer", "blank"],
+        ids=["plbl-short-header", "plbl-version", "not-utf8", "not-integer", "digit-separator",
+             "non-ascii-digit", "blank"],
     )
     def test_bad_label_file(self, tmp_path, blob, error):
         p = tmp_path / "l.bin"

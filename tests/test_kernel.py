@@ -1,7 +1,7 @@
 """The PAS-family block kernel against a reference that normalizes the whole
 source and target first, sums the classes with np.add.at and then applies
-the top-2 and oracle rules block by block, and the lazy breakdown sequence
-over the result columns."""
+the top-2 and oracle rules block by block, and the breakdown iterator over
+the result columns."""
 
 import dataclasses
 
@@ -184,41 +184,23 @@ def test_score_result_holds_the_score_and_its_columns_only():
     assert names == ["method", "value", "d1", "d2", "nearest_class", "contribution"]
 
 
-class TestBreakdownSequence:
+class TestBreakdown:
     @pytest.fixture
     def result(self, pair):
         source, target = pair
         return pas(source, target.embeddings)
 
-    def test_len_index_and_iteration_agree_with_columns(self, result):
+    def test_iteration_agrees_with_columns(self, result):
         d1, d2, nearest, contrib = result.breakdown_arrays()
         items = list(result.breakdown)
-        assert len(result.breakdown) == len(items) == len(result.d1)
+        assert len(items) == len(result.d1)
         for i, b in enumerate(items):
             assert b == PerSampleBreakdown(
                 i, float(d1[i]), float(d2[i]), int(nearest[i]), float(contrib[i])
             )
-            assert result.breakdown[i] == b
             assert type(b.nearest_class) is int and type(b.d1) is float
-
-    def test_negative_index_and_slice(self, result):
-        bd = result.breakdown
-        n = len(bd)
-        assert bd[-1] == bd[n - 1] and bd[-1].sample_index == n - 1
-        assert bd[-n] == bd[0]
-        assert bd[3:9:2] == [bd[3], bd[5], bd[7]]
-        assert bd[-2:] == [bd[n - 2], bd[n - 1]]
-        assert bd[5:2] == []
-
-    def test_out_of_range_raises_index_error(self, result):
-        n = len(result.breakdown)
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                result.breakdown[i]
 
     def test_columns_are_read_only(self, result):
         for column in result.breakdown_arrays():
             with pytest.raises(ValueError):
                 column[0] = 0
-        with pytest.raises(TypeError):
-            result.breakdown[0] = None

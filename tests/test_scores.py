@@ -36,10 +36,9 @@ class TestPas:
 
     def test_thirty_degrees(self):
         result = pas(axes_source(), EmbeddingSet([[COS30, SIN30]]))
-        b = result.breakdown[0]
-        assert b.d1 == pytest.approx(1 - COS30, abs=1e-12)
-        assert b.d2 == pytest.approx(0.5, abs=1e-12)
-        assert b.nearest_class == 0
+        assert result.d1[0] == pytest.approx(1 - COS30, abs=1e-12)
+        assert result.d2[0] == pytest.approx(0.5, abs=1e-12)
+        assert result.nearest_class[0] == 0
         assert result.value == pytest.approx(0.7320508075688773, abs=1e-9)
 
     def test_too_few_classes(self):
@@ -125,8 +124,8 @@ class TestPas:
     def test_tie_breaks_to_lowest_class_id(self):
         src = axes_source()
         result = pas(src, EmbeddingSet([[R2, R2]]))
-        assert result.breakdown[0].nearest_class == 0
-        assert result.breakdown[0].contribution == 0.0
+        assert result.nearest_class[0] == 0
+        assert result.contribution[0] == 0.0
 
     def test_memory_is_blocks_not_copies(self, monkeypatch):
         # One float64 copy of the 60,000 x 256 source would take 123 MB.
@@ -156,9 +155,8 @@ class TestPasEuclidean:
 
     def test_thirty_degrees(self):
         result = pas_euclidean(axes_source(), EmbeddingSet([[COS30, SIN30]]))
-        b = result.breakdown[0]
-        assert b.d1 == pytest.approx(math.sqrt(2 - 2 * COS30), abs=1e-9)
-        assert b.d2 == pytest.approx(1.0, abs=1e-9)
+        assert result.d1[0] == pytest.approx(math.sqrt(2 - 2 * COS30), abs=1e-9)
+        assert result.d2[0] == pytest.approx(1.0, abs=1e-9)
         assert result.value == pytest.approx(0.48236190979, abs=1e-9)
 
 
@@ -175,9 +173,8 @@ class TestPasAvgPairwise:
             EmbeddingSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), [0, 1, 1], 2
         )
         result = pas_avg_pairwise(src, EmbeddingSet([[1.0, 0.0]]))
-        b = result.breakdown[0]
-        assert b.d1 == pytest.approx(0.0, abs=1e-12)
-        assert b.d2 == pytest.approx(1.5, abs=1e-12)
+        assert result.d1[0] == pytest.approx(0.0, abs=1e-12)
+        assert result.d2[0] == pytest.approx(1.5, abs=1e-12)
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
     def test_equidistant_mean(self):
