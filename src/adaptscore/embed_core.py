@@ -356,9 +356,11 @@ class LabeledEmbeddingSet:
             self._check_classes()
 
     def _check_classes(self) -> None:
-        """MissingClass at the lowest class id without a row. np.unique, not
-        bincount: a corrupt label file can claim ~2**32 classes."""
-        present = np.unique(self.labels)
+        """MissingClass at the lowest class id without a row. The distinct
+        labels of a sort, not bincount: a corrupt label file can claim ~2**32
+        classes. Not np.unique either, which loads numpy.ma under numpy 2."""
+        ys = np.sort(self.labels)
+        present = ys[np.concatenate(([True], ys[1:] != ys[:-1]))]
         if present.shape[0] < self.num_classes:
             gaps = np.flatnonzero(present != np.arange(present.shape[0]))
             raise MissingClass(int(gaps[0]) if gaps.size else present.shape[0])
@@ -406,23 +408,28 @@ def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = No
     and divided by the square root: np.linalg.norm's arithmetic, per row,
     so a row's unit row is bit-identical in any chunk, block or order.
     Raises ZeroVector(first_row + i) at the first row i with norm <=
-    EPS_NORM, so a caller that walks a matrix in row blocks reports the
-    matrix row.
+    EPS_NORM or with a squared norm that overflows float64 (an entry above
+    about 1.3e154), so a caller that walks a matrix in row blocks reports
+    the matrix row.
     """
     n, d = rows.shape
     if out is None:
         out = np.empty((n, d))
     ranges = _chunk_ranges(n, d)
     sq = np.empty((ranges[0][1], d))
-    for lo, hi in ranges:
-        x = out[lo:hi]
-        x[...] = rows[lo:hi]
-        norms = np.add.reduce(np.multiply(x, x, out=sq[: hi - lo]), axis=1)
-        np.sqrt(norms, out=norms)
-        small = norms <= EPS_NORM
-        if small.any():
-            raise ZeroVector(first_row + lo + int(np.argmax(small)))
-        x /= norms[:, None]
+    with np.errstate(over="ignore"):
+        for lo, hi in ranges:
+            x = out[lo:hi]
+            x[...] = rows[lo:hi]
+            norms = np.add.reduce(np.multiply(x, x, out=sq[: hi - lo]), axis=1)
+            np.sqrt(norms, out=norms)
+            bad = (norms <= EPS_NORM) | (norms == np.inf)
+            if bad.any():
+                i = int(np.argmax(bad))
+                if norms[i] == np.inf:
+                    raise ZeroVector(first_row + lo + i, "has a squared norm that overflows float64")
+                raise ZeroVector(first_row + lo + i)
+            x /= norms[:, None]
     return out
 
 

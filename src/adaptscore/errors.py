@@ -13,9 +13,9 @@ class DataError(AdaptScoreError):
 
 
 class ZeroVector(DataError):
-    def __init__(self, row_index: int):
+    def __init__(self, row_index: int, why: str = "has (near-)zero norm"):
         self.row_index = row_index
-        super().__init__(f"row {row_index} has (near-)zero norm and cannot be normalized")
+        super().__init__(f"row {row_index} {why} and cannot be normalized")
 
 
 class DimensionMismatch(DataError):

@@ -95,6 +95,19 @@ class TestScoreCommand:
         ])
         assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "RaggedCsv")
 
+    @pytest.mark.parametrize("method", ["pas", "mmd"])
+    def test_row_whose_square_overflows_is_zero_vector(self, axes_fixture, capsys, method):
+        (axes_fixture / "tgt.csv").write_text("1e308,1e308\n1e308,-1e308\n")
+        code = main([
+            "score", "--method", method, "--json",
+            "--source-emb", str(axes_fixture / "src.pemb"),
+            "--source-labels", str(axes_fixture / "src.plbl"),
+            "--target-emb", str(axes_fixture / "tgt.csv"),
+        ])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"], err["message"]) == (
+            3, "ZeroVector", "row 0 has a squared norm that overflows float64 and cannot be normalized")
+
     def test_json_matches_asdict_rendering(self, tmp_path, rng, capsys):
         # Classes 0 and 1 are pure axes, so the first two target rows sit
         # exactly between their centroids (d1 == d2); the oracle labels one

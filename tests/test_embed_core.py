@@ -30,9 +30,10 @@ class TestUnitNormalize:
         np.testing.assert_array_equal(_unit_rows(x), x)
 
     def test_zero_row(self):
-        with pytest.raises(ZeroVector) as exc:
-            _unit_rows(np.array([[0.0, 0.0]]))
-        assert exc.value.row_index == 0
+        for row in ([0.0, 0.0], [1e200, 1e200]):  # zero, and a squared norm that overflows float64
+            with pytest.raises(ZeroVector) as exc:
+                _unit_rows(np.array([row, [3.0, 4.0]]))
+            assert exc.value.row_index == 0
 
     def test_idempotent(self, rng):
         once = _unit_rows(rng.standard_normal((50, 7)))

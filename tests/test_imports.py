@@ -12,9 +12,11 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import random_labeled
 from test_threads import _child
 
 import adaptscore
+from adaptscore.formats import save_embeddings, save_labels
 
 PACKAGE = Path(adaptscore.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -137,6 +139,33 @@ def test_loads_no_numpy(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = _child(f"import sys\n{code}\nprint('numpy' in sys.modules)")
     assert out.splitlines()[-1] == "False"
+
+
+_COMMANDS = r"""
+import sys
+from adaptscore.cli import main
+pair = ["--source-emb", "s.pemb", "--source-labels", "s.plbl", "--target-emb", "t.pemb"]
+assert main(["score", "--method", "pas", *pair]) == 0
+assert main(["rank", "--manifest", "m.json", "--out", "r.json"]) == 0
+assert main(["substudy", "--manifest", "m.json", "--fractions", "0.5,1.0", "--repeats", "2", "--out", "study.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_load_no_numpy_ma(tmp_path, monkeypatch, rng):
+    """score, rank on every method, and substudy in a fresh interpreter:
+    under numpy 2 np.unique loads numpy.ma, and no command needs it."""
+    if _child("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    for name, labeled in (("s", random_labeled(rng)), ("t", random_labeled(rng))):
+        save_embeddings(tmp_path / f"{name}.pemb", labeled.embeddings)
+        save_labels(tmp_path / f"{name}.plbl", labeled.labels)
+    methods = ["pas", "pas_euclidean", "pas_avg_pairwise", "oracle", "mmd", "adist", "silhouette"]
+    manifest = {"target": {"emb": "t.pemb", "labels": "t.plbl"},
+                "candidates": [{"id": "a", "emb": "s.pemb", "labels": "s.plbl"}], "methods": methods}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    assert _child(_COMMANDS).splitlines()[-1] == "False"
 
 
 _SURFACE = r"""
