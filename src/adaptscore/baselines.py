@@ -22,6 +22,7 @@ from .embed_core import (
     _gram_to_distance,
     _row_pass,
     _run_blocks,
+    _table_pass,
     _unit_rows,
 )
 from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamples, check_fields
@@ -392,37 +393,31 @@ def silhouette(data: LabeledEmbeddingSet) -> float:
     """Classical mean silhouette (b - a) / max(a, b) with self-exclusion,
     under the cosine distance 1 - x.y between unit-normalized rows.
 
-    `data.embeddings` is any row source, read only through _row_pass: one
-    serial pass sums its unit rows per class (_class_sums), and a second,
-    on the block runner within its byte budget, takes each block's sums of
-    distances to every class from one GEMM against those C sums,
-    sum_{j in c} (1 - x.s_j) = n_c - x.S_c, formed in place. A block holds
-    block x (d + C) floats; no normalized n x d copy is kept.
+    `data.embeddings` is any row source: _class_sums sums its unit rows per
+    class, and the block kernel (_table_pass) gives each row's sums of
+    distances to every class, n_c - x.S_c = sum_{j in c} (1 - x.s_j), from
+    its product with those sums. a and b are clipped to [0, 2], as
+    _gram_to_distance clips PAS distances: when classes share directions,
+    rounding can leave them below 0 and (b - a) / max(a, b) unbounded.
     """
     data._check_classes()
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if (counts < 2).any():
         raise SingletonClass(int(np.argmax(counts < 2)))
-
-    labels = data.labels
-    class_sums = _class_sums(data.embeddings, labels, data.num_classes)
     scores = np.zeros(data.n)
 
-    def block(lo, raw):
-        hi = lo + raw.shape[0]
-        rows = np.arange(hi - lo)
-        own = labels[lo:hi]
-        xb = _unit_rows(raw, lo)
-        g = xb @ class_sums.T
-        sums = np.subtract(counts, g, out=g)
-        self_dist = 1.0 - np.einsum("ij,ij->i", xb, xb)
+    def tail(lo, unit, sums):
+        hi = lo + unit.shape[0]
+        rows, own = np.arange(hi - lo), data.labels[lo:hi]
+        np.subtract(counts, sums, out=sums)
+        self_dist = 1.0 - np.einsum("ij,ij->i", unit, unit)
         # The own-class mean leaves out the row's distance to itself.
-        a = (sums[rows, own] - self_dist) / (counts[own] - 1)
+        a = np.clip((sums[rows, own] - self_dist) / (counts[own] - 1), 0.0, 2.0)
         sums /= counts
         sums[rows, own] = np.inf
-        b = sums.min(axis=1)
+        b = np.clip(sums.min(axis=1), 0.0, 2.0)
         denom = np.maximum(a, b)
         np.divide(b - a, denom, out=scores[lo:hi], where=denom != 0.0)
 
-    _row_pass(data.embeddings, block, data.dim + data.num_classes)
+    _table_pass(data.embeddings, [(_class_sums(data.embeddings, data.labels, data.num_classes), [tail])])
     return float(scores.mean())

@@ -71,8 +71,12 @@ def _read_bytes(path) -> bytes:
 
 
 def _load_json(path):
-    """The JSON document in the file at `path`; BadMagic unless it is UTF-8."""
-    return json.loads(_utf8(path, _read_bytes(path)))
+    """The JSON document in the file at `path`; BadMagic unless it is UTF-8,
+    and FormatError if it nests deeper than the parser's recursion allows."""
+    try:
+        return json.loads(_utf8(path, _read_bytes(path)))
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nests too deeply to parse") from None
 
 
 def load_accuracy_csv(path) -> dict:

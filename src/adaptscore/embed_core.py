@@ -1,7 +1,7 @@
 """Embedding containers, the shared row primitives (block and chunk grid,
-the block runner and row pass, unit rows, Gram-to-distance), and unit-row
-class sums. Every scorer input, source or target, is a row source read
-only through the row pass (_row_pass).
+the block runner and row pass, unit rows, Gram-to-distance), the block
+kernel (_table_pass) and unit-row class sums. Every scorer input, source
+or target, is a row source read only through the row pass (_row_pass).
 
 An EmbeddingSet, the in-memory row source, keeps float32 data as float32
 (half the memory of a loaded PEMB file widened up front) and widens every
@@ -39,7 +39,7 @@ from .errors import (
 # Norms at or below this are degenerate rather than normalizable.
 EPS_NORM = 1e-12
 
-# Rows of one block: one (block, d) @ (d, C) GEMM each in the scorers. The
+# Rows of one block: one (block, d) @ (d, C) GEMM each in _table_pass. The
 # GEMM shape is part of the bit-identity contract; BLAS picks its path by
 # row count.
 _BLOCK_ROWS = 8192
@@ -50,7 +50,7 @@ _BLOCK_ROWS = 8192
 # default cap (20,000 rows).
 _FLIGHT_BYTES = 48 << 20
 # float64 entries (256 KB) of the row chunks that normalization and the
-# scorers' top-2 tail walk within a block, so their temporaries stay in cache.
+# _table_pass's tails walk within a block, so their temporaries stay in cache.
 _CHUNK_ENTRIES = 2**15
 
 
@@ -431,6 +431,38 @@ def _unit_rows(rows: np.ndarray, first_row: int = 0, out: np.ndarray | None = No
                 raise ZeroVector(first_row + lo + i)
             x /= norms[:, None]
     return out
+
+
+def _table_pass(rows, tables) -> None:
+    """The one block kernel: a pass (_row_pass) over the row source `rows`
+    that multiplies its unit rows by class tables. `tables` is a list of
+    (table, tails), each table a (C, d) float64 array.
+
+    Each block unit-normalizes its rows into a buffer its worker thread
+    keeps (_unit_rows), takes one (block, d) @ (d, C) GEMM per table, one
+    table at a time, and walks it in row chunks of about _CHUNK_ENTRIES
+    entries: tail(lo, unit, product) gets the chunk's first row, unit rows
+    and products, in place for the table's last tail and as a copy for
+    the others. Tails work per row, so no tail, chunk or worker count
+    changes another's bits. The runner budgets d plus the widest C float64
+    values per row (not the chunk copies); errors keep _row_pass's order.
+    """
+    local = threading.local()
+
+    def block(lo, raw):
+        if not hasattr(local, "unit"):
+            local.unit = np.empty((min(_BLOCK_ROWS, rows.n), rows.dim))
+        unit = _unit_rows(raw, lo, out=local.unit[: raw.shape[0]])
+        for table, tails in tables:
+            *others, last = tails
+            product = unit @ table.T
+            for a, b in _chunk_ranges(raw.shape[0], table.shape[0]):
+                for tail in others:
+                    tail(lo + a, unit[a:b], product[a:b].copy())
+                last(lo + a, unit[a:b], product[a:b])
+            del product  # before the next table's product
+
+    _row_pass(rows, block, rows.dim + max(table.shape[0] for table, _ in tables))
 
 
 def _class_sums(source, labels: np.ndarray, num_classes: int) -> np.ndarray:

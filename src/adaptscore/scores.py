@@ -1,22 +1,16 @@
 """Potential-adaptability scoring: PAS, its oracle, and design variants.
 
-The four scorers are one kernel (_pas_family), which scores any of them
+The four scorers are one function (_pas_family), which scores any of them
 together: sum the source's unit rows per class in one pass over its rows,
-build C class representatives per table, then make one pass over the raw
-target rows that normalizes each row, computes its distances to the
-representatives, keeps the two that matter (d1, d2) and writes a
-per-sample contribution for each method. The score is the mean
-contribution; the per-sample values are kept as columns.
-
-The pass runs in fixed-size row blocks on the block runner
-(embed_core._run_blocks), the program's only parallelism; the block grid
-and the final summation order are independent of the worker count, so
-multi-threaded results are bit-identical to a sequential run.
+build C class representatives per table, then pass the target rows
+through the block kernel (embed_core._table_pass), whose tails write each
+row's two distances that matter (d1, d2) and its contribution to each
+method's columns. A score is the mean contribution.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +18,10 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
-    _block_ranges,
     _centroid_table,
-    _chunk_ranges,
     _class_sums,
     _gram_to_distance,
-    _row_pass,
-    _unit_rows,
+    _table_pass,
 )
 from .errors import DimensionMismatch
 
@@ -86,22 +77,14 @@ _FAMILY = {
 def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) -> dict:
     """{method: ScoreResult} of the PAS-family `methods` (in any order) of
     `source` against `target`, row sources both, from one pass over the
-    target's rows; "oracle" also reads the target's `true_labels`.
+    target's rows (embed_core._table_pass, with one tail per method on its
+    table); "oracle" also reads the target's `true_labels`.
 
     The source side comes first: DimensionMismatch, MissingClass, one
     serial pass that sums the source's unit rows per class (_class_sums;
     NonFiniteValue of a streamed source, then ZeroVector), then each table
     at the first method that needs it, so DegenerateClass of the unit
     centroids precedes the oracle's LabelOutOfRange.
-
-    In the pass (embed_core._row_pass) each block unit-normalizes its rows
-    into a buffer its worker thread keeps (_unit_rows), then takes one
-    (block, d) @ (d, C) GEMM per table, one table at a time. Each method's
-    tail walks the product in row chunks of about _CHUNK_ENTRIES entries,
-    in place for the last method on the table and on a chunk copy for the
-    others; it is all per row, so no method or chunk changes another's
-    bits. A zero target row is held until the pass ends, so a non-finite
-    value anywhere wins; then ZeroVector is raised at the lowest one.
 
     d1 is the distance to the picked class: the nearest (the lowest id
     among minimizers) or, for the oracle, the true one. d2 is the smallest
@@ -126,11 +109,8 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
 
     n = target.n
     columns = {m: (np.empty(n), np.empty(n), np.empty(n, dtype=np.int64), np.zeros(n)) for m in methods}
-    groups = [(rows, [m for m in methods if _FAMILY[m][0] == kind]) for kind, rows in tables.items()]
-    block_rows = _block_ranges(n)[0][1]
-    local = threading.local()
 
-    def tail(name, lo, dist):
+    def tail(name, lo, _, dist):
         d1, d2, nearest, contrib = columns[name]
         hi = lo + dist.shape[0]
         _gram_to_distance(dist, _FAMILY[name][1])
@@ -146,19 +126,8 @@ def _pas_family(source: LabeledEmbeddingSet, target, methods, true_labels=None) 
         denom = np.maximum(b1, b2)
         np.divide(b2 - b1, denom, out=contrib[lo:hi], where=denom > 0.0)
 
-    def block(lo, raw):
-        if not hasattr(local, "unit"):
-            local.unit = np.empty((block_rows, target.dim))
-        unit = _unit_rows(raw, lo, out=local.unit[: raw.shape[0]])
-        for rows, names in groups:
-            dist = unit @ rows.T
-            for a, b in _chunk_ranges(raw.shape[0], dist.shape[1]):
-                for name in names:  # the last method on the table overwrites the product
-                    tail(name, lo + a, dist[a:b] if name == names[-1] else dist[a:b].copy())
-            del dist  # before the next table's product
-
-    # The chunk copies are not counted, like normalization's chunk temporaries.
-    _row_pass(target, block, target.dim + source.num_classes)
+    _table_pass(target, [(table, [functools.partial(tail, m) for m in methods if _FAMILY[m][0] == kind])
+                         for kind, table in tables.items()])
     return {m: ScoreResult(m, float(np.sum(cols[3]) / n), *cols) for m, cols in columns.items()}
 
 

@@ -704,6 +704,29 @@ class TestSilhouette:
             data = random_labeled(rng, n_per_class=8, num_classes=3, dim=5, spread=1.0)
             assert -1.0 <= silhouette(data) <= 1.0
 
+    def test_classes_sharing_one_direction(self):
+        """Every row has the same direction, so every cosine distance is 0;
+        the GEMM form left the mean distances a rounding error below 0, and
+        the value read -1.04167 before they were clipped to [0, 2]."""
+        rows = [[30, 48], [30, 48], [45, 72], [25, 40], [20, 32], [35, 56], [45, 72], [15, 24]]
+        data = LabeledEmbeddingSet(EmbeddingSet(np.array(rows, dtype=float)), [0] * 4 + [1] * 4, 2)
+        assert -1.0 <= silhouette(data) <= 1.0
+
+    def test_range_when_classes_share_directions(self):
+        """Rows drawn from one or two directions at integer scales, so the
+        classes share directions and every a and b is 0 or a multiple of a
+        few values up to rounding; 11 of these 300 sources read outside
+        [-1, 1], the worst -3.39, before the clip."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            c, d = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+            n = int(rng.integers(2 * c, 30))
+            dirs = rng.standard_normal((int(rng.integers(1, 3)), d))
+            labels = np.concatenate([np.arange(c), np.arange(c), rng.integers(0, c, n - 2 * c)])
+            x = dirs[rng.integers(0, dirs.shape[0], n)] * rng.integers(1, 100, (n, 1))
+            value = silhouette(LabeledEmbeddingSet(EmbeddingSet(x), labels, c))
+            assert -1.0 <= value <= 1.0, (seed, value)
+
     def test_orthogonal_invariance_cosine(self, rng):
         data = random_labeled(rng, dim=6)
         base = silhouette(data)

@@ -108,6 +108,20 @@ class TestScoreCommand:
         assert (code, err["error"], err["message"]) == (
             3, "ZeroVector", "row 0 has a squared norm that overflows float64 and cannot be normalized")
 
+    def test_silhouette_of_classes_sharing_one_direction_is_in_range(self, tmp_path, capsys):
+        """Every row has the same direction, so every cosine distance is 0
+        up to the GEMM form's rounding; the value printed was -1.04167."""
+        (tmp_path / "src.csv").write_text("30,48\n30,48\n45,72\n25,40\n20,32\n35,56\n45,72\n15,24\n")
+        (tmp_path / "src.txt").write_text("0\n0\n0\n0\n1\n1\n1\n1\n")
+        code = main([
+            "score", "--method", "silhouette",
+            "--source-emb", str(tmp_path / "src.csv"),
+            "--source-labels", str(tmp_path / "src.txt"),
+            "--target-emb", str(tmp_path / "src.csv"),
+        ])
+        assert code == 0
+        assert -1.0 <= float(capsys.readouterr().out) <= 1.0
+
     def test_json_matches_asdict_rendering(self, tmp_path, rng, capsys):
         # Classes 0 and 1 are pure axes, so the first two target rows sit
         # exactly between their centroids (d1 == d2); the oracle labels one
@@ -585,10 +599,17 @@ class TestMethodTable:
         assert list(rows[0]["method_scores"]) == ["oracle"]
 
 
+@pytest.mark.parametrize(
+    "blob,error",
+    [(b"\xff\xfe{}", "BadMagic"), (b"[" * 200_000 + b"]" * 200_000, "FormatError")],
+    ids=["non-utf8", "nested-too-deep"],
+)
 @pytest.mark.parametrize("command", ["rank", "substudy", "corr", "synth"])
-def test_non_utf8_json_is_bad_magic(tmp_path, capsys, command):
+def test_non_utf8_json_is_bad_magic(tmp_path, capsys, command, blob, error):
+    """A JSON file that is not UTF-8, or that nests deeper than the parser
+    recurses (a RecursionError from json.loads), is a typed format error."""
     doc = tmp_path / "doc.json"
-    doc.write_bytes(b"\xff\xfe{}")
+    doc.write_bytes(blob)
     (tmp_path / "acc.csv").write_text("a,70.0\nb,60.0\n")
     argv = {
         "rank": ["rank", "--manifest", str(doc), "--out", str(tmp_path / "r.json")],
@@ -599,7 +620,8 @@ def test_non_utf8_json_is_bad_magic(tmp_path, capsys, command):
     }[command]
     assert main([*argv, "--json"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["exit_code"]) == ("BadMagic", 2)
+    assert (err["error"], err["exit_code"]) == (error, 2)
+    assert str(doc) in err["message"]
 
 
 @pytest.mark.parametrize("command", ["corr", "synth"])

@@ -289,9 +289,9 @@ def test_kernel_peak_is_flat_in_n(tmp_path, rng, monkeypatch):
 def _peaks_by_workers(monkeypatch, module, run):
     """Traced peak of run() at 2 and 8 block workers: the least of three
     calls after a warm-up call, so that first-call allocations and the odd
-    allocation of another thread stay out. module._unit_rows sleeps 5 ms
-    first, so each block stays in flight long enough for as many blocks
-    to run at once as the runner allows."""
+    allocation of another thread stay out. module._unit_rows (embed_core's
+    for the block kernel) sleeps 5 ms first, so each block stays in flight
+    long enough for as many blocks to run at once as the runner allows."""
     unit_rows = module._unit_rows
 
     def slow(*args, **kwargs):
@@ -314,21 +314,25 @@ def _peaks_by_workers(monkeypatch, module, run):
     return {threads: min(runs) for threads, runs in peaks.items()}
 
 
-def test_kernel_peak_does_not_grow_with_workers(tmp_path, rng, monkeypatch):
-    """Traced peak of pas on an 8-block streamed target at 2 and 8
-    workers, with one kernel block (unit buffer, distance block and read
-    buffer) more than half the runner's byte budget: two blocks are in
-    flight either way, where one block per worker took 3.7 times the
-    2-worker peak at 8. The blocks are large enough that the chunk
-    temporaries of normalization, which may or may not overlap, move the
-    peak by a few per cent only."""
+@pytest.mark.parametrize("method", ["pas", "silhouette"])
+def test_kernel_peak_does_not_grow_with_workers(tmp_path, rng, monkeypatch, method):
+    """Traced peak of the block kernel (embed_core._table_pass) on 8
+    streamed blocks at 2 and 8 workers, through pas on a streamed target
+    and through silhouette on a streamed source, with one kernel block
+    (unit buffer, distance block and read buffer) more than half the
+    runner's byte budget: two blocks are in flight either way, where one
+    block per worker took 3.7 times the 2-worker peak of pas at 8. The
+    blocks are large enough that the chunk temporaries of normalization,
+    which may or may not overlap, move the peak by a few per cent only."""
     block, dim, classes = 1024, 256, 4
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", block)
     kernel_block = 8 * block * (dim + classes) + 4 * block * dim
     monkeypatch.setattr(embed_core, "_FLIGHT_BYTES", 3 * kernel_block // 2)
     source = random_labeled(rng, num_classes=classes, dim=dim)
-    target = _write_target(tmp_path / "t.pemb", rng.standard_normal((8 * block, dim)))
-    peaks = _peaks_by_workers(monkeypatch, scores, lambda: pas(source, target))
+    rows = _write_target(tmp_path / "t.pemb", rng.standard_normal((8 * block, dim)))
+    data = LabeledEmbeddingSet(rows, np.arange(rows.n) % classes, classes)
+    run = {"pas": lambda: pas(source, rows), "silhouette": lambda: baselines.silhouette(data)}[method]
+    peaks = _peaks_by_workers(monkeypatch, embed_core, run)
     assert peaks["8"] <= 1.1 * peaks["2"], peaks
 
 
