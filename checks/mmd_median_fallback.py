@@ -2,8 +2,8 @@
 rows (cap 5,000) are read once through the sampled window and once with
 the window patched empty, which forces the bucket counts (_select) and
 their walk over the range they place. Both must give the same bits; the
-window takes 1 walk and the fallback at least 2 (1.2 s and 3.0 s on a
-2-core host with numpy 2.4)."""
+window takes 1 walk and the fallback at least 2 (0.6-0.9 s and 1.6-2.0 s,
+with 3 walks, on a 2-core host with numpy 2.4)."""
 
 import time
 

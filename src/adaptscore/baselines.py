@@ -16,7 +16,6 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
-    _ONE_BLAS_THREAD,
     _block_ranges,
     _class_sums,
     _gram_to_distance,
@@ -171,9 +170,7 @@ def _upper_blocks(p: np.ndarray, reduce):
     s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
     below the diagonal, so each pair of rows appears once over all blocks.
     reduce may overwrite s and should return something small; a block
-    lives only while its reduce runs, and the runner keeps no more blocks
-    in flight than one per worker and than fit in its byte budget (two at
-    least).
+    lives only while its reduce runs, within the runner's flight budget.
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
     multiplies a block by its own transpose, so no product of the whole
@@ -269,17 +266,16 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     values.
 
     The edges are quantiles of the squared distances from _MMD_BLOCK_ROWS
-    evenly spaced rows to all other rows (one extra block product), at the
-    ranks' fractions of the n (n - 1) / 2 values, widened by a quarter of
-    _MMD_BLOCK_ROWS * n values on each side. The sample only places the
-    window; a window that misses the ranks costs a fallback to the bucket
-    counts (_select), never a wrong value.
+    evenly spaced rows to all other rows (one block product, a call of the
+    block runner), at the ranks' fractions of the n (n - 1) / 2 values,
+    widened by a quarter of _MMD_BLOCK_ROWS * n values on each side. The
+    sample only places the window; a window that misses the ranks costs a
+    fallback to the bucket counts (_select), never a wrong value.
     """
     n = p.shape[0]
     rows = np.linspace(0, n - 1, min(_MMD_BLOCK_ROWS, n)).astype(np.intp)
-    sample = cdist(p[rows], p, "sqeuclidean")
-    sample[np.arange(rows.shape[0]), rows] = np.inf  # self-pairs sort last
-    sample = sample.ravel()
+    [sample] = _run_blocks(lambda *_: cdist(p[rows], p, "sqeuclidean").ravel(), [(0, 1)], None)
+    sample[np.arange(rows.shape[0]) * n + rows] = np.inf  # self-pairs sort last
     size = rows.shape[0] * (n - 1)
     half = _MMD_BLOCK_ROWS * n / 4  # window values on each side of the ranks
     edges = np.array([ranks[0] - half, ranks[-1] + 1 + half]) / (n * (n - 1) / 2)
@@ -363,26 +359,27 @@ def proxy_a_distance(source: EmbeddingSet, target: EmbeddingSet, cfg: ProxyClass
     every step depends on the pooled matrix alone and swapping the
     arguments returns the identical score. One permutation seeded with
     cfg.seed picks the same m // 2 training positions in both halves; the
-    rest are held out. The probe trains and predicts under the block
-    passes' BLAS pin (_ONE_BLAS_THREAD), so its bits do not depend on the
-    BLAS thread count. Memory is the pooled matrix plus one copy of the
-    training rows.
+    rest are held out. The probe trains and predicts in one call of the
+    block runner, so its bits do not depend on the BLAS thread count.
+    Memory is the pooled matrix plus one copy of the training rows.
     """
     m = min(source.n, target.n)
     p, _ = _pooled_sample(source, target, m, cfg.seed, 4)
     perm = np.random.default_rng(cfg.seed).permutation(m)
     train, held = perm[: m // 2], perm[m // 2 :]
-    x = p[np.concatenate([train, m + train])]
-    y = np.repeat([-1.0, 1.0], m // 2)
-    w, b = np.zeros(p.shape[1]), 0.0
-    with _ONE_BLAS_THREAD:
+
+    def probe(*_):  # trains, then predicts every pooled row
+        x = p[np.concatenate([train, m + train])]
+        y = np.repeat([-1.0, 1.0], m // 2)
+        w, b = np.zeros(p.shape[1]), 0.0
         for _ in range(cfg.epochs):
             # d/dw mean log(1 + exp(-y z)) = -X^T (y * sigmoid(-y z)) / n
             g = y / (1.0 + np.exp(np.clip(y * (x @ w + b), -500, 500)))
             w = w - cfg.learning_rate * (L2_PENALTY * w - x.T @ g / y.shape[0])
             b = b - cfg.learning_rate * (L2_PENALTY * b - g.sum() / y.shape[0])
-        del x
-        positive = p @ w + b > 0.0
+        return p @ w + b > 0.0
+
+    [positive] = _run_blocks(probe, [(0, 1)], None)
     wrong = np.count_nonzero(positive[held]) + np.count_nonzero(~positive[m + held])
     err = wrong / (2 * held.shape[0])
     err = min(err, 1.0 - err)

@@ -111,10 +111,10 @@ def _openblas():
 
 
 class _BlasPin:
-    """OpenBLAS at one thread while any block pass or proxy A-distance probe
-    runs, so it gets the same bits whatever count the process's BLAS started
-    with. The count is process-wide: the first to enter saves it and sets
-    1, and the last concurrent one to leave restores it."""
+    """OpenBLAS at one thread while any block runner call runs (the runner
+    is its only user), so every product gets the same bits whatever count
+    the process's BLAS started with. The count is process-wide: the first
+    to enter saves it and sets 1, the last concurrent one to leave restores it."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -144,17 +144,18 @@ _ONE_BLAS_THREAD = _BlasPin()
 def _run_blocks(fn, ranges, row_bytes: int | None):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
-    This is the one block runner: blocks run with BLAS pinned to one thread
-    for the pass (_ONE_BLAS_THREAD). Given `row_bytes`, what fn holds per
-    row, they run on a thread pool, at most worker_count() at once and no
-    more blocks of the first (largest) range than fit in _FLIGHT_BYTES, but
-    two at least; with None they run one at a time on the calling thread,
-    for a fn that must see them in order. Results come back in block order
-    whatever finishes first, so a consumer that combines them in order
-    gets the same bits at any worker count. A consumer that stops early
-    closes the generator: blocks not yet started are cancelled and running
-    ones are waited for. The exception of the lowest block that raised one
-    escapes at its turn.
+    The one block runner, and the only code that pins BLAS to one thread
+    (_ONE_BLAS_THREAD): every product a score takes runs in a call of it.
+    Given `row_bytes`, what fn holds per row, blocks run on a thread pool,
+    at most worker_count() at once and no more blocks of the first
+    (largest) range than fit in _FLIGHT_BYTES, but two at least; with None
+    in order on the calling thread, for a fn that must see them in order or
+    a single computation ([(0, 1)]: MMD's window sample, the proxy probe).
+    Results come back in block order whatever finishes first, so a
+    consumer that combines them in order gets the same bits at any worker
+    count. A consumer that stops early closes the generator: blocks not yet
+    started are cancelled and running ones are waited for. The exception
+    of the lowest block that raised one escapes at its turn.
     """
     cap = 1 if row_bytes is None else max(2, _FLIGHT_BYTES // (row_bytes * (ranges[0][1] - ranges[0][0])))
     workers = min(worker_count(), len(ranges), cap)

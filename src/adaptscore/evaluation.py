@@ -56,12 +56,12 @@ def _uniform_subsample(target, fraction: float, rng) -> _Take:
 
 def _check_study(fractions, repeats: int) -> list:
     """`fractions` as floats; ValueError unless they parse and strictly
-    ascend within (0, 1] and `repeats` is at least 1."""
+    ascend within (0, 1] and `repeats` is an integer (not a bool) >= 1."""
     fractions = [float(f) for f in fractions]
     if any(not 0.0 < f <= 1.0 for f in fractions) or any(a >= b for a, b in zip(fractions, fractions[1:])):
         raise ValueError("fractions must be strictly ascending values in (0, 1]")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)) or repeats < 1:
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     return fractions
 
 
@@ -79,14 +79,16 @@ def subsample_study(
     Fraction 1.0 bypasses the sampling path entirely, so its row is
     bit-identical to direct scoring. Stratified source sampling keeps
     max(1, round(f * n_c)) <= n_c rows of every class, so a subsample
-    never loses a class.
+    never loses a class. Bad arguments raise ValueError before any scoring,
+    and so do candidate_ids that do not name each source once.
     """
     fractions = _check_study(fractions, repeats)
-    if candidate_ids is None:
-        candidate_ids = [f"candidate_{i}" for i in range(len(sources))]
+    ids = [f"candidate_{i}" for i in range(len(sources))] if candidate_ids is None else list(candidate_ids)
+    if len(ids) != len(sources) or len(set(ids)) != len(ids):
+        raise ValueError(f"candidate_ids must name each of the {len(sources)} sources once, got {ids!r}")
 
     full_scores = [pas(src, target).value for src in sources]
-    full_ranking = rank_candidates(dict(zip(candidate_ids, full_scores)))
+    full_ranking = rank_candidates(dict(zip(ids, full_scores)))
     class_rows = [[np.flatnonzero(src.labels == c) for c in range(src.num_classes)] for src in sources]
 
     def repeat_scores(f, r):
@@ -104,12 +106,12 @@ def subsample_study(
     for f in fractions:
         repeat_rows = [repeat_scores(f, r) for r in range(repeats)]
         scores.append([list(column) for column in zip(*repeat_rows)])
-        rankings.append([rank_candidates(dict(zip(candidate_ids, row))) for row in repeat_rows])
+        rankings.append([rank_candidates(dict(zip(ids, row))) for row in repeat_rows])
     match_fraction = [sum(r == full_ranking for r in f_rankings) / repeats for f_rankings in rankings]
 
     return SubsampleStudyResult(
         fractions=fractions,
-        candidate_ids=list(candidate_ids),
+        candidate_ids=ids,
         scores=scores,
         rankings=rankings,
         full_ranking=full_ranking,

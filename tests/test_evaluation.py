@@ -5,6 +5,7 @@ import pytest
 
 from adaptscore import (
     EmbeddingSet,
+    evaluation,
     pas,
     pearson,
     rank_candidates,
@@ -248,6 +249,24 @@ class TestSubsampleStudy:
             subsample_study(sources, target, [0.0, 1.0], repeats=1, base_seed=0)
         with pytest.raises(ValueError, match="strictly ascending"):
             subsample_study(sources, target, [0.5, 0.5], repeats=1, base_seed=0)
+
+    @pytest.mark.parametrize(
+        "ids, repeats, error",
+        [(["a", "b"], 1, "candidate_ids"), (["a", "b", "c", "d"], 1, "candidate_ids"),
+         (["a", "a", "b"], 1, "candidate_ids"), (["a", "b", "c"], 2.5, "repeats"),
+         (["a", "b", "c"], True, "repeats"), (["a", "b", "c"], "2", "repeats")],
+        ids=["too-few-ids", "too-many-ids", "repeated-id", "fractional-repeats", "bool-repeats", "str-repeats"],
+    )
+    def test_bad_arguments_raise_before_any_score(self, rng, monkeypatch, ids, repeats, error):
+        """Three sources: ids that do not name each once, or repeats that
+        is not an integer (a bool is not one), raise before any score."""
+        sources = [random_labeled(rng, n_per_class=10, num_classes=3, dim=5) for _ in range(3)]
+        target = EmbeddingSet(rng.standard_normal((30, 5)))
+        calls = []
+        monkeypatch.setattr(evaluation, "pas", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=error):
+            subsample_study(sources, target, [0.5, 1.0], repeats=repeats, base_seed=0, candidate_ids=ids)
+        assert calls == []
 
     def test_reproducible(self, rng):
         sources = [random_labeled(rng, n_per_class=25, num_classes=3, dim=5)]

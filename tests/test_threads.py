@@ -1,7 +1,10 @@
 """The thread budget: the block runner (embed_core._run_blocks) is the only
-parallelism, and it runs BLAS at one thread for each pass and restores the
-process's count after it. OpenBLAS reads its thread variables once, when
-numpy loads it, so every check of the BLAS setting runs in a fresh
+parallelism, and the only code that pins BLAS: it runs BLAS at one thread
+for each of its calls and restores the process's count after it. Every
+product a score takes runs in such a call, a pass over blocks or a single
+computation on the calling thread (MMD's window sample, the proxy
+A-distance probe). OpenBLAS reads its thread variables once, when numpy
+loads it, so every check of the BLAS setting runs in a fresh
 interpreter."""
 
 import os
@@ -276,6 +279,39 @@ def test_probe_trains_at_one_blas_thread():
     if got == "none":
         pytest.skip("numpy bundles no OpenBLAS")
     assert got == f"{[1] * 7} 2"
+
+
+_MMD = r"""
+import numpy as np
+from adaptscore import baselines, embed_core
+
+blas = embed_core._openblas()
+if blas is None:
+    print("none")
+    raise SystemExit
+blas[1](2)
+seen = []
+cdist = baselines.cdist
+def recording_cdist(*args):  # the window sample, then each block of both walks
+    seen.append(blas[0]())
+    return cdist(*args)
+baselines.cdist = recording_cdist
+rng = np.random.default_rng(0)
+s, t = (baselines.EmbeddingSet(rng.standard_normal((300, 8))) for _ in range(2))
+baselines.mmd_gaussian(s, t, baselines.MmdConfig())
+print(len(seen), sorted(set(seen)), blas[0]())
+"""
+
+
+def test_mmd_products_run_at_one_blas_thread():
+    """Every product of a default-sigma MMD, the window sample included,
+    runs with BLAS pinned to one thread in a numpy-first process whose
+    OpenBLAS runs two, and the count is two again afterwards. 600 pooled
+    rows make 5 blocks in each of the two walks."""
+    got = _child(_MMD)
+    if got == "none":
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert got == "11 [1] 2"
 
 
 def test_cli_leaves_environ_as_found_and_blas_at_one_thread(tmp_path):
