@@ -4,7 +4,7 @@ of the child. The median must come from one walk of the triangle (a second
 walk sums the kernel). The block runner's byte budget keeps at most two of
 the walk's 20 MB blocks in flight on any number of CPUs. ru_maxrss was
 203 MB with one block on a 2-core host with numpy 2.4 (255 MB with three
-walks and a byte copy of both domains), and 228 MB with two blocks, also
+walks and a byte copy of both domains), and 225 MB with two blocks, also
 at eight workers."""
 
 import time

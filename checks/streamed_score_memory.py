@@ -2,8 +2,8 @@
 the whole 205 MB target read first, this child peaked at 390 MB ru_maxrss,
 and streamed it peaks at 234 MB (2-core host, numpy 2.4). mmd and adist
 read the target through the same row source: one pass hashes it and a
-second copies the drawn rows. With the target loaded whole they peaked at
-402 and 378 MB, and streamed at about 207 and 203 MB. Every pass keeps at
+second reads a view of the drawn rows. With the target loaded whole they
+peaked at 402 and 378 MB, and streamed at 225 and 217 MB. Every pass keeps at
 most two of these blocks in flight, so pas at 8 workers stays under the
 same bound; with one block per worker it read 766 MB. The swapped runs
 score pas and silhouette with the 100,000-row file as the source against

@@ -16,6 +16,7 @@ import numpy as np
 from .embed_core import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    _Take,
     _block_ranges,
     _class_sums,
     _gram_to_distance,
@@ -90,36 +91,11 @@ def _unit_key(e) -> int:
     """blake2b-64 of the bytes of the unit rows of the row source `e`,
     hashed in row order by one serial pass (_row_pass) that normalizes a
     block at a time, so one float64 block exists at once. Raises
-    ZeroVector at the lowest zero row."""
+    ZeroVector at the lowest zero row. Its pass reads every row, also the
+    ones that a capped draw's view (_pooled_sample) skips."""
     key = hashlib.blake2b(digest_size=8)
     _row_pass(e, lambda lo, raw: key.update(_unit_rows(raw, lo)))
     return int.from_bytes(key.digest(), "little")
-
-
-def _unit_sample(e, cap: int, seed: int, out: np.ndarray) -> None:
-    """Write the unit rows of the row source `e` (n, dim, reader()) to
-    `out`; above `cap` rows, `cap` of them in their original order, drawn
-    with a seed keyed on the unit rows' digest (_unit_key) so argument
-    order cannot change the draw. A pass (_row_pass) then normalizes each
-    block's drawn rows straight into their rows of `out`; _unit_rows is
-    per row, so they are the bits of the whole matrix's unit rows. The
-    lowest zero row raises ZeroVector either way.
-    """
-    if e.n <= cap:
-
-        def copy(lo, raw):
-            _unit_rows(raw, lo, out=out[lo : lo + raw.shape[0]])
-
-    else:
-        rng = np.random.default_rng([seed, _unit_key(e)])
-        take = np.sort(rng.choice(e.n, size=cap, replace=False))
-
-        def copy(lo, raw):
-            a, b = np.searchsorted(take, [lo, lo + raw.shape[0]])
-            if b > a:
-                _unit_rows(raw[take[a:b] - lo], out=out[a:b])
-
-    _row_pass(e, copy, e.dim)
 
 
 def _order_halves(p: np.ndarray, h: int) -> None:
@@ -139,16 +115,21 @@ def _order_halves(p: np.ndarray, h: int) -> None:
 
 
 def _pooled_sample(source, target, cap: int, seed: int, least: int):
-    """(p, na): the unit rows of both domains, each a row source capped at
-    `cap` rows by _unit_sample, in the two halves of one float64 matrix p
-    whose first na rows are the smaller half. Equal halves are ordered by
-    their bytes (_order_halves), so p does not depend on which domain is
-    the source. A domain costs its drawn rows in p plus the blocks of its
-    passes, however many rows it has.
+    """(p, na): the unit rows of both domains, each a row source, in the
+    two halves of one float64 matrix p whose first na rows are the smaller
+    half. Above `cap` rows a domain gives a view (_Take) of `cap` rows in
+    their original order, drawn with a seed keyed on its unit rows' digest
+    (_unit_key) so argument order cannot change the draw. One pass
+    (_row_pass) over the domain or its view normalizes each block straight
+    into its rows of p; _unit_rows is per row, so they are the bits of the
+    whole matrix's unit rows. Equal halves are ordered by their bytes
+    (_order_halves), so p does not depend on which domain is the source. A
+    domain costs its drawn rows in p plus the blocks of its passes.
 
     Raises DimensionMismatch, TooFewSamples below `least` rows per domain,
     and ZeroVector at the lowest zero row of the source before any of the
-    target's; within a domain a non-finite value wins (_row_pass).
+    target's; within a domain a non-finite value wins (_row_pass), and the
+    key pass reads every row, drawn or not.
     """
     if source.dim != target.dim:
         raise DimensionMismatch(source.dim, target.dim)
@@ -158,7 +139,10 @@ def _pooled_sample(source, target, cap: int, seed: int, least: int):
     p = np.empty((ns + nt, source.dim))
     halves = (p[:ns], p[ns:]) if ns <= nt else (p[nt:], p[:nt])
     for e, half in zip((source, target), halves):
-        _unit_sample(e, cap, seed, half)
+        if e.n > cap:
+            rng = np.random.default_rng([seed, _unit_key(e)])
+            e = _Take(e, np.sort(rng.choice(e.n, size=cap, replace=False)))
+        _row_pass(e, lambda lo, raw: _unit_rows(raw, lo, out=half[lo : lo + raw.shape[0]]), e.dim)
     if ns == nt:
         _order_halves(p, ns)
     return p, min(ns, nt)
@@ -295,10 +279,10 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     """Biased (V-statistic) squared-MMD with kernel exp(-||x-y||^2 / 2s^2).
 
     Either domain may be any row source, such as a streamed
-    formats.PembRows. Domains above cfg.max_samples_per_domain are
-    subsampled with a seed keyed on each domain's unit-row digest, into one
-    pooled matrix in a canonical order (_pooled_sample), so the estimate is
-    exactly symmetric in its arguments.
+    formats.PembRows. A domain above cfg.max_samples_per_domain is read
+    as a view (_Take) of rows drawn with a seed keyed on its unit-row
+    digest, into one pooled matrix in a canonical order (_pooled_sample),
+    so the estimate is exactly symmetric in its arguments.
 
     The block runner walks the pooled rows in row blocks over the upper
     triangle of their pairwise squared distances s = max(2 - 2 x.y, 0),

@@ -303,7 +303,9 @@ class _Take:
     """The rows `idx` (ascending) of the row source `source`: a row source
     whose read(lo, hi) reads `source` in spans of at most _BLOCK_ROWS rows,
     each starting at its first index, and gathers the rows idx[lo:hi]. A
-    streamed source checks every row of a span finite, drawn or not."""
+    streamed source checks every row of a span finite, drawn or not; rows
+    between spans are not read, so a baseline's capped draw relies on its
+    key pass (baselines._unit_key) for the finiteness of every row."""
 
     def __init__(self, source, idx: np.ndarray):
         self.source, self.idx = source, idx

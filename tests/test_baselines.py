@@ -23,6 +23,7 @@ from adaptscore.errors import (
     TooFewSamples,
     ZeroVector,
 )
+from adaptscore.formats import open_embeddings, save_embeddings
 from conftest import random_labeled, random_orthogonal
 
 
@@ -351,10 +352,13 @@ class TestMmd:
         assert 0 in walks[0] and len(walks[0]) <= 3
         assert len(walks) > 1 and all(len(w) == 50 for w in walks[1:])  # _select's passes
 
+    @pytest.mark.parametrize("rows", ["memory", "pemb"])
     @pytest.mark.parametrize("ns, nt, cap", [(40, 40, 100), (40, 40, 30), (25, 40, 100), (40, 25, 30)])
-    def test_pooled_rows_in_canonical_order(self, rng, monkeypatch, ns, nt, cap):
+    def test_pooled_rows_in_canonical_order(self, rng, monkeypatch, tmp_path, ns, nt, cap, rows):
         # The pooled matrix is the canonical (rows, unit-row bytes) order of
-        # the reference draws, whichever argument comes first.
+        # the reference draws, whichever argument comes first. Streamed from
+        # PEMB files in 7-row blocks, a capped draw is a view whose blocks
+        # read several spans of the file.
         monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)  # compare and swap in 7-row blocks
         pooled = []
         upper = baselines._upper_blocks
@@ -362,9 +366,16 @@ class TestMmd:
         x = rng.standard_normal((ns, 5))
         y = rng.standard_normal((nt, 5))
         y[:10] = x[:10]  # the halves agree in their first blocks
+        domains = EmbeddingSet(x), EmbeddingSet(y)
+        if rows == "pemb":
+            monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 7)
+            x, y = x.astype(np.float32), y.astype(np.float32)
+            for name, e in zip("xy", (x, y)):
+                save_embeddings(tmp_path / f"{name}.pemb", EmbeddingSet(e))
+            domains = open_embeddings(tmp_path / "x.pemb"), open_embeddings(tmp_path / "y.pemb")
         cfg = MmdConfig(max_samples_per_domain=cap, seed=2)
-        for s, t in ((x, y), (y, x)):
-            mmd_gaussian(EmbeddingSet(s), EmbeddingSet(t), cfg)
+        for s, t in (domains, domains[::-1]):
+            mmd_gaussian(s, t, cfg)
         a, b = self.canonical_draws(EmbeddingSet(x), EmbeddingSet(y), cfg)
         for p in pooled:
             assert p.tobytes() == np.vstack([a, b]).tobytes()
@@ -478,11 +489,17 @@ class TestMmd:
                 tracemalloc.stop()
             assert peak < 1.5 * (s.n + t.n) * 1024 * 8, threads
 
-    def test_cap_draw_keeps_no_normalized_copy(self, rng):
+    @pytest.mark.parametrize("rows", ["memory", "pemb"])
+    def test_cap_draw_keeps_no_normalized_copy(self, rng, tmp_path, rows):
+        # Streamed, the 50 drawn rows are a sparse view of the file: each of
+        # its spans reads a block of the file for one row or a few.
         import tracemalloc
 
         big = EmbeddingSet(rng.standard_normal((100_000, 16)).astype(np.float32))
         small = EmbeddingSet(rng.standard_normal((50, 16)))
+        if rows == "pemb":
+            save_embeddings(tmp_path / "big.pemb", big)
+            big = open_embeddings(tmp_path / "big.pemb")
         tracemalloc.start()
         try:
             mmd_gaussian(big, small, MmdConfig(max_samples_per_domain=50))

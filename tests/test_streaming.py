@@ -404,6 +404,28 @@ def test_baselines_non_finite_in_a_later_block_beats_a_zero_row(files, method, d
     assert zero.value.row_index == 3
 
 
+@pytest.mark.parametrize("method", ["mmd", "adist"])
+def test_baselines_report_a_non_finite_row_that_the_draw_skips(tmp_path, rng, method, monkeypatch):
+    """A 200-row streamed domain above the cap (10 rows for MMD, the other
+    domain's 10 for the proxy) is read as a view of its drawn rows, whose
+    spans skip most of the file. A NaN in a row that no span of the draw
+    reads is still reported at its row and column, by the key pass
+    (baselines._unit_key), which reads every row before the draw."""
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)
+    data = rng.standard_normal((200, 9)).astype(np.float32)
+    other = EmbeddingSet(rng.standard_normal((10, 9)))
+    key = baselines._unit_key(EmbeddingSet(data))
+    idx = np.sort(np.random.default_rng([3, key]).choice(200, size=10, replace=False))
+    # A span starts at a drawn row and ends within BLOCK rows of it.
+    unread = [r for r in range(200) if not np.any((idx <= r) & (idx > r - BLOCK))]
+    row = unread[len(unread) // 2]
+    data[row, 6] = np.nan
+    with pytest.raises(NonFiniteValue) as info:
+        BASELINES[method](_bad_target(tmp_path / "bad.pemb", data), other, 10)
+    assert (info.value.row, info.value.col) == (row, 6)
+    assert any(entry.name == "_unit_key" for entry in info.traceback)
+
+
 @pytest.mark.parametrize("method", ["pas", "mmd", "adist"])
 def test_cli_reports_the_non_finite_value_of_a_streamed_target(files, method, monkeypatch, capsys):
     monkeypatch.setattr(embed_core, "_BLOCK_ROWS", BLOCK)

@@ -122,7 +122,7 @@ def test_each_pass_admits_the_workers_of_its_block_bytes(monkeypatch, flight):
     scores._pas_family(source, target, ["pas", "pas_avg_pairwise"])
     silhouette(source)
     mmd_gaussian(source.embeddings, target, MmdConfig(sigma=1.0, max_samples_per_domain=cap))
-    sampler = admitted(n // 64 + 1, 8 * 64 * d + 4 * 64 * d)
+    sampler = admitted(cap // 64 + 1, 8 * 64 * d + 4 * 64 * d)  # a pass over each view of cap rows
     walk = admitted(2 * cap // 16, 8 * 16 * 2 * cap)
     assert seen == [row_pass, row_pass, sampler, sampler, walk]
 
