@@ -23,8 +23,8 @@ from .errors import (
     TooFewSamples,
 )
 
-# The methods of score, rank and corr; reporting.METHODS holds one row for
-# each, in this order.
+# The methods of score, rank and corr: the PAS family (scores._FAMILY), then
+# the baselines (reporting._BASELINES), in this order.
 METHOD_NAMES = ("pas", "pas_euclidean", "pas_avg_pairwise", "oracle", "mmd", "adist", "silhouette")
 
 

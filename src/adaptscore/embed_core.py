@@ -243,8 +243,10 @@ def _gram_to_distance(g: np.ndarray, metric: str) -> np.ndarray:
 
 def _as_matrix(data, dtypes=(np.float64,)) -> np.ndarray:
     """A C-contiguous 2-D array of one of `dtypes`, widened to float64 when
-    it is of none of them."""
+    it is of none of them; ValueError for a dtype not bool, int or float."""
     arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"data of dtype {arr.dtype} are not real numbers")
     if arr.dtype not in dtypes:
         arr = arr.astype(np.float64)
     if arr.ndim != 2:
@@ -270,8 +272,9 @@ def _check_finite(rows: np.ndarray, first_row: int = 0) -> None:
 class EmbeddingSet:
     """An n x d matrix of finite real-valued feature embeddings.
 
-    float32 data is kept as float32; any other dtype is widened to float64.
-    Raises NonFiniteValue at the first non-finite entry in row-major order.
+    float32 data is kept as float32, other bool, int and float data are
+    widened to float64, and any other dtype raises ValueError. Raises
+    NonFiniteValue at the first non-finite entry in row-major order.
     """
 
     data: np.ndarray

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Callable
 
 from . import __version__
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
@@ -12,59 +10,41 @@ from .embed_core import LabeledEmbeddingSet
 from .corr import METHOD_NAMES, check_method, rank_candidates
 from .errors import ConfigInvalid, LabelCountMismatch
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
-from .scores import ScoreResult, _pas_family
+from .scores import _FAMILY, ScoreResult, _pas_family
 from .synth import SynthConfig, generate_pair
 
-
-@dataclass(frozen=True)
-class Method:
-    """A row of the method table. A baseline's score(source, target, cfg)
-    returns a float, where cfg is config(seed, max_samples): the settings of
-    mmd and adist, None for silhouette. A PAS-family row has no score, as
-    score_candidate scores the family together. A negated method is
-    lower-is-better, so rankings use its raw value negated."""
-
-    score: Callable | None = None
-    needs_target_labels: bool = False
-    negated: bool = False
-    config: Callable = lambda seed, max_samples: None
-
-
-# The baseline entries call their scorers through their module-global names
-# at call time rather than holding the function objects, so a tracer that
-# patches those names also sees the calls made through the table.
-METHODS = {
-    "pas": Method(),
-    "pas_euclidean": Method(),
-    "pas_avg_pairwise": Method(),
-    "oracle": Method(needs_target_labels=True),
-    "mmd": Method(
+# The baselines, name -> (score, config): score(source, target, cfg) is a
+# float, where cfg = config(seed, max_samples) is the settings of mmd or
+# adist, None for silhouette. The entries look up their scorers' module-global
+# names when called, so a tracer that patches those names sees the calls.
+_BASELINES = {
+    "mmd": (
         lambda s, t, cfg: mmd_gaussian(s.embeddings, t, cfg),
-        negated=True,
-        config=lambda seed, max_samples: MmdConfig(max_samples_per_domain=max_samples, seed=seed),
+        lambda seed, max_samples: MmdConfig(max_samples_per_domain=max_samples, seed=seed),
     ),
-    "adist": Method(
+    "adist": (
         lambda s, t, cfg: proxy_a_distance(s.embeddings, t, cfg),
-        negated=True,
-        config=lambda seed, _max_samples: ProxyClassifierConfig(seed=seed),
+        lambda seed, _max_samples: ProxyClassifierConfig(seed=seed),
     ),
-    "silhouette": Method(lambda s, _t, _cfg: silhouette(s)),
+    "silhouette": (lambda s, _t, _cfg: silhouette(s), lambda _seed, _max_samples: None),
 }
-if tuple(METHODS) != METHOD_NAMES:
-    raise ImportError("reporting.METHODS must have one row per corr.METHOD_NAMES name, in its order")
+# The lower-is-better methods: rankings use their raw values negated.
+NEGATED = ("mmd", "adist")
+if (*_FAMILY, *_BASELINES) != METHOD_NAMES:
+    raise ImportError("scores._FAMILY and reporting._BASELINES must name corr.METHOD_NAMES, in its order")
 
 
-def resolve_method(name, have_target_labels: bool = True, seed: int = 0, max_samples: int = 10_000):
-    """The settings of the METHODS entry `name`: MmdConfig,
-    ProxyClassifierConfig or None. ConfigInvalid for an unknown name, for
-    a method that needs target labels when none were given, and for
-    settings the method's config rejects (mmd, adist), so every one of
-    them is reported before any data file is read."""
+def resolve_method(name, have_target_labels: bool, seed: int, max_samples: int):
+    """The settings of method `name`: MmdConfig or ProxyClassifierConfig
+    from its _BASELINES config, or None for silhouette and a scores._FAMILY
+    method. ConfigInvalid for an unknown name, for oracle, which needs
+    target labels, when none were given, and for settings the method's
+    config rejects (mmd, adist), so every one of them is reported before
+    any data file is read."""
     check_method(name)
-    method = METHODS[name]
-    if method.needs_target_labels and not have_target_labels:
-        raise ConfigInvalid(f"{name} scoring requires target labels")
-    return method.config(seed, max_samples)
+    if name == "oracle" and not have_target_labels:
+        raise ConfigInvalid("oracle scoring requires target labels")
+    return _BASELINES[name][1](seed, max_samples) if name in _BASELINES else None
 
 
 def load_target(spec) -> tuple:
@@ -107,15 +87,15 @@ def load_candidate(entry) -> LabeledEmbeddingSet:
 def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_labels) -> dict:
     """{method: result} of one source against the target, a row source,
     for each method of `configs`, {method: settings} as resolve_method
-    gives them: a ScoreResult for a PAS-family method and a float for a
-    baseline, in the order of `configs`. The PAS-family methods share one
-    pass over the target, made at the first of them (scores._pas_family);
-    each baseline makes its own."""
-    family = [name for name in configs if METHODS[name].score is None]
+    gives them: a ScoreResult for a scores._FAMILY method and a float for
+    a _BASELINES method, in the order of `configs`. The family's methods
+    share one pass over the target, made at the first of them
+    (scores._pas_family); each baseline makes its own."""
+    family = [name for name in configs if name in _FAMILY]
     out = {}
     for name, cfg in configs.items():
         if name not in family:
-            out[name] = METHODS[name].score(source, target, cfg)
+            out[name] = _BASELINES[name][0](source, target, cfg)
         elif name == family[0]:
             out.update(_pas_family(source, target, family, target_labels))
     return {name: out[name] for name in configs}
@@ -150,7 +130,7 @@ def build_report(manifest: dict) -> dict:
                 "candidate_id": entry["id"],
                 "model_id": entry.get("model_id"),
                 "method_scores": raw,
-                "display_scores": {m: -v if METHODS[m].negated else v for m, v in raw.items()},
+                "display_scores": {m: -v if m in NEGATED else v for m, v in raw.items()},
                 "accuracy": entry.get("accuracy"),
             }
         )

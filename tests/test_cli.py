@@ -24,13 +24,14 @@ from adaptscore import (
 )
 from adaptscore.cli import main
 from adaptscore.commands import _write_score_json
+from adaptscore.corr import METHOD_NAMES
 from adaptscore.formats import (
     REPORT_SCHEMA,
     load_labels,
     save_embeddings,
     save_labels,
 )
-from adaptscore.reporting import METHODS
+from adaptscore.reporting import NEGATED
 from conftest import read_embeddings
 
 
@@ -397,7 +398,7 @@ class TestMethodTable:
         manifest = {
             "target": {"emb": "tgt.pemb", "labels": "tgt.plbl"},
             "candidates": [{"id": "a", "emb": "src.pemb", "labels": "src.plbl"}],
-            "methods": list(METHODS),
+            "methods": list(METHOD_NAMES),
             "seed": 4,
             "max_samples": 20,
         }
@@ -414,11 +415,11 @@ class TestMethodTable:
         assert main(["rank", "--manifest", "m.json", "--out", "r.json"]) == 0
         row = json.loads((fixture_dir / "r.json").read_text())["rows"][0]
         capsys.readouterr()
-        for name, method in METHODS.items():
+        for name in METHOD_NAMES:
             assert main(["score", "--method", name, *self.SCORE_ARGS]) == 0
             value = json.loads(capsys.readouterr().out)["value"]
             assert value == row["method_scores"][name], name
-            assert row["display_scores"][name] == (-value if method.negated else value), name
+            assert row["display_scores"][name] == (-value if name in NEGATED else value), name
 
     @pytest.mark.parametrize("command", ["rank", "substudy"])
     @pytest.mark.parametrize(
@@ -455,16 +456,8 @@ class TestMethodTable:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = re.findall(r"^\| `(\w+)` \| (yes|no) \| (yes|no) \|$", readme, re.M)
         assert {name: (labels == "yes", negated == "yes") for name, labels, negated in table} == {
-            name: (m.needs_target_labels, m.negated) for name, m in METHODS.items()
+            name: (name == "oracle", name in NEGATED) for name in METHOD_NAMES
         }
-
-    def test_rows_without_a_scorer_are_the_pas_family(self):
-        """score_candidate takes the METHODS rows without a scorer as the PAS
-        family, which scores._pas_family scores from its own table; the two
-        must list the same methods in the same order."""
-        from adaptscore import scores
-
-        assert [name for name, m in METHODS.items() if m.score is None] == list(scores._FAMILY)
 
     @pytest.mark.parametrize("command", ["score", "rank"])
     def test_unknown_method_is_config_invalid(self, fixture_dir, capsys, command):
@@ -723,7 +716,7 @@ class TestCorrErrors:
     def test_unknown_method_message_is_shared(self, tmp_path, capsys):
         """corr, which loads no method table, and score name the known
         methods in the table's order."""
-        want = "unknown method 'nope'; known: " + ", ".join(METHODS)
+        want = "unknown method 'nope'; known: " + ", ".join(METHOD_NAMES)
         missing = str(tmp_path / "missing")
         for argv in (["corr", "--report", missing, "--accuracy", missing],
                      ["score", "--source-emb", missing, "--source-labels", missing, "--target-emb", missing]):

@@ -223,6 +223,25 @@ class TestContainers:
             EmbeddingSet(np.ones(shape))
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([[1 + 5j, 0]]),  # the cast would drop the imaginary part
+            np.array([["1_0", "2"]]),  # the cast would parse "1_0" as 10.0
+            np.array([["2024-01-02", "2024-01-03"]], dtype="datetime64[D]"),  # day counts
+            np.array([[None, 1.0]], dtype=object),  # not a non-finite value
+        ],
+        ids=["complex", "string", "datetime64", "object"],
+    )
+    def test_rejects_data_that_are_not_real_numbers(self, data):
+        with pytest.raises(ValueError, match=re.escape(f"data of dtype {data.dtype} are not real numbers")):
+            EmbeddingSet(data)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint64, np.float16])
+    def test_other_real_dtypes_widen_to_float64(self, dtype):
+        s = EmbeddingSet(np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert s.data.dtype == np.float64 and s.data.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
         "labels",
         [
             [0.5, 1.7, 2.9],

@@ -14,8 +14,8 @@ import pytest
 
 from adaptscore import EmbeddingSet
 from adaptscore.cli import main
+from adaptscore.corr import METHOD_NAMES
 from adaptscore.formats import save_embeddings, save_labels
-from adaptscore.reporting import METHODS
 
 SYNTH = {"num_classes": 3, "dim": 4, "n_source_per_class": 6, "n_target_per_class": 4,
          "intra_spread": 0.3, "shift": 0.2, "seed": 1}
@@ -39,7 +39,7 @@ def inputs(tmp_path_factory):
             {"id": "a", "emb": "src.pemb", "labels": "src.plbl"},
             {"id": "b", "synth": dict(SYNTH)},
         ],
-        "methods": list(METHODS),
+        "methods": list(METHOD_NAMES),
         "seed": 3,
         "max_samples": 50,
     }
@@ -94,7 +94,7 @@ def _case(rng):
     command = pick(("score", "rank", "substudy", "corr", "synth"))
     if command == "score":
         return pick(BINARIES), [
-            "score", "--method", pick(list(METHODS)), "--source-emb", "src.pemb",
+            "score", "--method", pick(list(METHOD_NAMES)), "--source-emb", "src.pemb",
             "--source-labels", "src.plbl", "--target-emb", "tgt.pemb",
             "--target-labels", "tgt.plbl", "--max-samples", "50",
         ]
@@ -130,7 +130,7 @@ def test_damaged_inputs_exit_2_or_3_with_one_json_error(inputs, tmp_path, monkey
 
 
 @pytest.mark.parametrize("case", ["dimension", "degenerate", "nan"])
-@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("method", list(METHOD_NAMES))
 def test_score_and_rank_report_the_same_first_error(tmp_path, monkeypatch, capsys, method, case):
     """Inputs with two defects each: a target label of 7 for 3 classes,
     and either an 8-d source against a 6-d target, a source class whose

@@ -198,6 +198,8 @@ REMOVED = {
     "save_embeddings_csv": "formats",
     "save_labels_text": "formats",
     "CandidateScoreRow": "evaluation",
+    "Method": "reporting",
+    "METHODS": "reporting",
 }
 
 
@@ -206,10 +208,38 @@ def test_removed_names_are_gone(name):
     """The PAS kernel's unit-row centroids (embed_core._centroid_table of
     the class sums of unit rows) are the one centroid definition left, and
     the CSV and text files are read but no longer written, and
-    rank_candidates ranks a plain {id: score} dict; CentroidTable stays a
-    public name."""
+    rank_candidates ranks a plain {id: score} dict, and the method names
+    are corr.METHOD_NAMES; CentroidTable stays a public name."""
     assert name not in adaptscore.__all__
     with pytest.raises(AttributeError):
         getattr(adaptscore, name)
     assert not hasattr(importlib.import_module(f"adaptscore.{REMOVED[name]}"), name)
     assert hasattr(adaptscore, "CentroidTable")
+
+
+_GUARD = r"""
+from adaptscore import corr
+corr.METHOD_NAMES = {names}
+try:
+    import adaptscore.reporting
+except ImportError as exc:
+    print(exc)
+else:
+    print("imported")
+"""
+
+
+@pytest.mark.parametrize(
+    "names",
+    ["corr.METHOD_NAMES", "(*corr.METHOD_NAMES, 'extra')", "corr.METHOD_NAMES[:-1]",
+     "(*corr.METHOD_NAMES[:3], 'mmd', 'oracle', *corr.METHOD_NAMES[5:])"],
+    ids=["unchanged", "gains", "loses", "reordered"],
+)
+def test_reporting_import_checks_the_method_names(names):
+    """In a fresh interpreter, corr.METHOD_NAMES is edited before reporting
+    loads: reporting imports only when the PAS family (scores._FAMILY) and
+    its baselines (reporting._BASELINES) name corr.METHOD_NAMES, in its
+    order."""
+    out = _child(_GUARD.replace("{names}", names))
+    want = "scores._FAMILY and reporting._BASELINES must name corr.METHOD_NAMES, in its order"
+    assert out == ("imported" if names == "corr.METHOD_NAMES" else want)

@@ -28,9 +28,10 @@ from adaptscore import (
     scores,
 )
 from adaptscore.cli import main
+from adaptscore.corr import METHOD_NAMES
 from adaptscore.errors import ConfigInvalid, NonFiniteValue, TruncatedFile, ZeroVector
 from adaptscore.formats import PembRows, open_embeddings, save_embeddings, save_labels
-from adaptscore.reporting import METHODS, resolve_method, score_candidate
+from adaptscore.reporting import resolve_method, score_candidate
 from adaptscore.scores import ScoreResult, oracle_score, pas, pas_avg_pairwise, pas_euclidean
 from conftest import random_labeled, write_csv
 
@@ -484,7 +485,7 @@ def test_no_command_loads_a_streamed_file_whole(files, monkeypatch, capsys):
             yield lambda lo, hi: reads.append((self.path.name, hi - lo)) or read(lo, hi)
 
     monkeypatch.setattr(PembRows, "reader", recording)
-    manifest = _rank_manifest(tmp_path, list(METHODS))
+    manifest = _rank_manifest(tmp_path, list(METHOD_NAMES))
     for argv in (
         _score_argv(tmp_path, "mmd"),
         _score_argv(tmp_path, "adist"),
