@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     as_json = getattr(args, "json", False)
     try:
         command(args)
-    except (FormatError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (FormatError, OSError, ValueError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         _emit_error(exc, as_json, EXIT_DATA)
         return EXIT_DATA
     except AdaptScoreError as exc:

@@ -44,11 +44,11 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 
 def _cmd_score(args) -> None:
-    cfg = reporting.resolve_method(args.method, bool(args.target_labels), args.seed, args.max_samples)
     labels = {"labels": args.target_labels} if args.target_labels else {}
-    target, target_labels = reporting.load_target({"emb": args.target_emb, **labels})  # PEMB: only opened
-    source = reporting.load_candidate({"emb": args.source_emb, "labels": args.source_labels})
-    result = reporting.score_candidate(source, target, {args.method: cfg}, target_labels)[args.method]
+    manifest = {"target": {"emb": args.target_emb, **labels}, "max_samples": args.max_samples,
+                "candidates": [{"emb": args.source_emb, "labels": args.source_labels}], "seed": args.seed}
+    configs, (target, target_labels), [(_, source)] = reporting._inputs(manifest, [args.method])
+    result = reporting.score_candidate(source, target, configs, target_labels)[args.method]
     value = result.value if isinstance(result, scores.ScoreResult) else result
     if args.json:
         _write_score_json(sys.stdout, args.method, value, result)
@@ -93,8 +93,8 @@ def _cmd_substudy(args) -> None:
     fractions = evaluation._check_study(args.fractions.split(","), args.repeats)
     _check_out(args.out)
     manifest = formats.load_manifest(args.manifest)
-    target_emb, _ = reporting.load_target(manifest["target"])
-    sources = [reporting.load_candidate(c) for c in manifest["candidates"]]
+    _, (target_emb, _), candidates = reporting._inputs(manifest, [])
+    sources = [source for _, source in candidates]
     result = evaluation.subsample_study(
         sources,
         target_emb,

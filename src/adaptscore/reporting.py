@@ -47,41 +47,41 @@ def resolve_method(name, have_target_labels: bool, seed: int, max_samples: int):
     return _BASELINES[name][1](seed, max_samples) if name in _BASELINES else None
 
 
-def load_target(spec) -> tuple:
-    """Target or candidate entry, as formats._check_manifest checked it ->
-    (row source, labels-or-None).
-
-    A {"synth": cfg} entry yields the target half of the generated pair.
-    A PEMB file is only opened here (open_embeddings), and each method's
-    passes read its rows.
-    A label file must hold one label per row (LabelCountMismatch),
-    whether or not a method reads it.
-    """
-    if "synth" in spec:
-        _, target = generate_pair(SynthConfig.from_dict(spec["synth"]))
-        return target.embeddings, target.labels
-    emb = open_embeddings(spec["emb"])
-    if "labels" not in spec:
+def _open_entry(entry, half: int) -> tuple:
+    """Target (half 1) or candidate (half 0) entry, as formats._check_manifest
+    checked it -> (row source, labels-or-None): that half of the generated
+    pair for a {"synth": cfg} entry, else the opened PEMB file, which each
+    method's passes read, and the label file, one label per row
+    (LabelCountMismatch) whether or not a method reads it."""
+    if "synth" in entry:
+        part = generate_pair(SynthConfig.from_dict(entry["synth"]))[half]
+        return part.embeddings, part.labels
+    emb = open_embeddings(entry["emb"])
+    if "labels" not in entry:
         return emb, None
-    labels = load_labels(spec["labels"])
+    labels = load_labels(entry["labels"])
     if labels.shape[0] != emb.n:
         raise LabelCountMismatch(labels.shape[0], emb.n)
     return emb, labels
 
 
 def load_candidate(entry) -> LabeledEmbeddingSet:
-    """Candidate entry, as formats._check_manifest checked it -> labeled
-    source set, whose embeddings are a row source.
-
-    A {"synth": cfg} entry yields the source half of the generated pair.
-    A file entry goes through load_target. The class count is the largest
-    label + 1, and every class needs a member.
-    """
-    if "synth" in entry:
-        source, _ = generate_pair(SynthConfig.from_dict(entry["synth"]))
-        return source
-    emb, labels = load_target(entry)
+    """Candidate entry -> labeled source set of _open_entry's half 0, a row
+    source, with largest label + 1 classes, each of which needs a member."""
+    emb, labels = _open_entry(entry, 0)
     return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
+
+
+def _inputs(manifest: dict, methods) -> tuple:
+    """The one intake of score, rank and substudy: a manifest as
+    formats._check_manifest leaves it -> ({method: resolve_method settings}
+    for `methods`, (target rows, labels or None), a generator of (entry,
+    load_candidate(entry))), in that order, each candidate opened when it
+    is reached. A target with a "labels" file or a "synth" block has labels."""
+    target, candidates = manifest["target"], manifest["candidates"]
+    have_labels = "labels" in target or "synth" in target
+    configs = {m: resolve_method(m, have_labels, manifest["seed"], manifest["max_samples"]) for m in methods}
+    return configs, _open_entry(target, 1), ((entry, load_candidate(entry)) for entry in candidates)
 
 
 def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_labels) -> dict:
@@ -108,21 +108,15 @@ def build_report(manifest: dict) -> dict:
     Candidates are scored one after another (embed_core._run_blocks is the
     only parallel part), so identical manifest+seed yields an identical
     report, created_at aside. Each input is checked before the next file
-    is opened: the manifest entries (what load_manifest raises), the
-    methods and their settings (ConfigInvalid), the target, then each
-    candidate in turn.
+    is opened: the manifest entries (what load_manifest raises), then,
+    through _inputs, the methods and their settings (ConfigInvalid), the
+    target, then each candidate in turn.
     """
     manifest = _check_manifest(manifest)
-    methods = manifest["methods"]
-    target = manifest["target"]
-    seed = manifest["seed"]
-    have_labels = "labels" in target or "synth" in target
-    configs = {name: resolve_method(name, have_labels, seed, manifest["max_samples"]) for name in methods}
-    target_emb, target_labels = load_target(target)
+    configs, (target_emb, target_labels), candidates = _inputs(manifest, manifest["methods"])
 
     rows = []
-    for entry in manifest["candidates"]:
-        source = load_candidate(entry)
+    for entry, source in candidates:
         results = score_candidate(source, target_emb, configs, target_labels)
         raw = {m: r.value if isinstance(r, ScoreResult) else r for m, r in results.items()}
         rows.append(
@@ -135,15 +129,15 @@ def build_report(manifest: dict) -> dict:
             }
         )
 
-    ranking = {m: rank_candidates({r["candidate_id"]: r["display_scores"][m] for r in rows}) for m in methods}
+    ranking = {m: rank_candidates({r["candidate_id"]: r["display_scores"][m] for r in rows}) for m in configs}
     return {
         "schema": REPORT_SCHEMA,
-        "target": dict(target),
+        "target": dict(manifest["target"]),
         "rows": rows,
         "ranking": ranking,
         "selection": {m: ordered[0] for m, ordered in ranking.items()},
         "breakdown_path": manifest.get("breakdown_path"),
-        "seed": seed,
+        "seed": manifest["seed"],
         "toolkit_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -16,7 +16,9 @@ import adaptscore
 from adaptscore import (
     EmbeddingSet,
     LabeledEmbeddingSet,
+    SynthConfig,
     embed_core,
+    generate_pair,
     oracle_score,
     pas,
     pas_avg_pairwise,
@@ -257,6 +259,58 @@ class TestRankCommand:
         r1.pop("created_at")
         r2.pop("created_at")
         assert r1 == r2
+
+
+def test_synth_entries_give_rank_and_substudy_the_right_halves(tmp_path, capsys):
+    """With one synth config as both target and candidate, the target is
+    the pair's target half and the candidate its source half: the report's
+    pas and oracle and substudy's fraction-1.0 scores are those of the
+    library call on generate_pair(cfg), bit for bit."""
+    cfg = dict(synth_entry(4), n_target_per_class=15)
+    source, target = generate_pair(SynthConfig.from_dict(cfg))
+    want_pas = pas(source, target.embeddings).value.hex()
+    manifest = {"target": {"synth": cfg}, "candidates": [{"id": "a", "synth": cfg}]}
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(manifest, methods=["pas", "oracle"])))
+    assert main(["rank", "--manifest", str(mpath), "--out", str(tmp_path / "r.json")]) == 0
+    got = json.loads((tmp_path / "r.json").read_text())["rows"][0]["method_scores"]
+    assert got["pas"].hex() == want_pas
+    assert got["oracle"].hex() == oracle_score(source, target).value.hex()
+    study_path = tmp_path / "study.json"
+    argv = ["substudy", "--manifest", str(mpath), "--fractions", "0.5,1.0", "--repeats", "2"]
+    assert main(argv + ["--out", str(study_path)]) == 0
+    assert [v.hex() for v in json.loads(study_path.read_text())["scores"][1][0]] == [want_pas] * 2
+
+
+# num_classes x dim float64 class directions: 71.1 PiB, beyond any 47-bit
+# address space, so the allocation fails at once whatever the overcommit
+# setting, and no memory is touched.
+_UNALLOCATABLE = dict(synth_entry(5), num_classes=100_000_000, dim=100_000_000,
+                      n_source_per_class=1, n_target_per_class=1)
+
+
+@pytest.mark.parametrize("command", ["synth", "rank", "substudy"])
+def test_unallocatable_synth_size_is_a_data_error(tmp_path, capsys, command):
+    """A synth size that cannot be allocated exits 2 with numpy's message
+    (MemoryError), from synth --config and from a manifest's second
+    candidate, and writes nothing."""
+    out = tmp_path / "out"
+    if command == "synth":
+        (tmp_path / "cfg.json").write_text(json.dumps(_UNALLOCATABLE))
+        argv = ["synth", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]
+    else:
+        candidates = [{"id": "a", "synth": synth_entry(2)}, {"id": "big", "synth": _UNALLOCATABLE}]
+        manifest = {"target": {"synth": synth_entry(2)}, "candidates": candidates}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        argv = [command, "--manifest", str(tmp_path / "m.json"), "--out", str(out)]
+        argv += ["--fractions", "1.0", "--repeats", "1"] if command == "substudy" else []
+    assert main(argv + ["--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("MemoryError", 2)
+    assert "Unable to allocate" in err["message"]
+    assert not out.exists()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def _readme_manifest() -> dict:
@@ -858,7 +912,7 @@ class TestSubstudyCommand:
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(manifest))
         loaded = []
-        for module, name in ((formats, "load_manifest"), (reporting, "load_target"), (reporting, "load_candidate")):
+        for module, name in ((formats, "load_manifest"), (reporting, "_inputs"), (reporting, "load_candidate")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: loaded.append(name))
         code = main([
             "substudy", "--manifest", str(mpath), "--json",

@@ -200,6 +200,7 @@ REMOVED = {
     "CandidateScoreRow": "evaluation",
     "Method": "reporting",
     "METHODS": "reporting",
+    "load_target": "reporting",
 }
 
 
@@ -209,7 +210,8 @@ def test_removed_names_are_gone(name):
     the class sums of unit rows) are the one centroid definition left, and
     the CSV and text files are read but no longer written, and
     rank_candidates ranks a plain {id: score} dict, and the method names
-    are corr.METHOD_NAMES; CentroidTable stays a public name."""
+    are corr.METHOD_NAMES, and reporting._open_entry opens the target as
+    it opens a candidate; CentroidTable stays a public name."""
     assert name not in adaptscore.__all__
     with pytest.raises(AttributeError):
         getattr(adaptscore, name)
