@@ -30,6 +30,10 @@ from .errors import ConfigInvalid, DimensionMismatch, SingletonClass, TooFewSamp
 # Rows of one MMD pairwise block (rows x pooled n, float64): 20 MB at the
 # default cap's 20,000 pooled rows.
 _MMD_BLOCK_ROWS = 128
+# Bytes of a whole walk's blocks (about n^2 / 2 float64 values, so pooled
+# samples up to about 4,000 rows) that the default-sigma median walk keeps
+# for the kernel sums, which then take no second walk.
+_KEPT_BYTES = 64 << 20
 # First-level median buckets are floor(s * 2**_BUCKET_BITS) over s in [0, 4].
 _BUCKET_BITS = 14
 # x.x of a unit row rounds by at most about d 2**-52, which is <= 2**-40 for
@@ -153,7 +157,8 @@ def _upper_blocks(p: np.ndarray, reduce):
     the rows of p, yielded in block order by the block runner (_run_blocks):
     s[r, c] = max(2 - 2 p[lo + r].p[lo + c], 0) for c > r, and +inf on and
     below the diagonal, so each pair of rows appears once over all blocks.
-    reduce may overwrite s and should return something small; a block
+    reduce may overwrite s and should return something small, or s itself
+    when its caller keeps the walk (_within); a block it does not return
     lives only while its reduce runs, within the runner's flight budget.
 
     Each block is one product p[lo:hi] @ p[lo:].T; only the last one
@@ -191,32 +196,42 @@ def _bucket_counts(p: np.ndarray, lo: float, scale: float, buckets: int) -> np.n
     return sum(_upper_blocks(p, count), np.zeros(buckets, dtype=np.int64))
 
 
-def _within(p: np.ndarray, ranks, lo: float, hi: float):
+def _within(p: np.ndarray, ranks, lo: float, hi: float, kept: list | None = None):
     """The values at `ranks` (ascending; one, or two adjacent) among the
     pairwise squared distances of p, from one walk that counts those below
     lo and copies those in [lo, hi) into a buffer of _MMD_BLOCK_ROWS * n
     values. None, as soon as the walk shows it, if the ranks are not inside
-    or the buffer would overflow."""
+    or the buffer would overflow.
+
+    Given a list `kept`, each block's reduce also returns its distance
+    block, which joins `kept` in block order, so the whole walk stays in
+    memory for the caller; on None the list is cleared at once. Without
+    it a block lives only while its reduce runs."""
 
     def split(_, s):
         under = s < lo
         inside = s < hi
         inside ^= under  # s < lo implies s < hi
-        return np.count_nonzero(under), s[inside]
+        return np.count_nonzero(under), s[inside], None if kept is None else s
 
     buf = np.empty(_MMD_BLOCK_ROWS * p.shape[0])
-    below = kept = 0
-    for count, values in _upper_blocks(p, split):
+    below = filled = 0
+    for count, values, block in _upper_blocks(p, split):
         below += count
-        if below > ranks[0] or kept + values.shape[0] > buf.shape[0]:
-            return None  # closes the walk, cancelling the blocks not yet started
-        buf[kept : kept + values.shape[0]] = values
-        kept += values.shape[0]
-    at = np.subtract(ranks, below)
-    if at[-1] >= kept:
-        return None
-    buf[:kept].partition(at)
-    return list(buf[at])
+        if below > ranks[0] or filled + values.shape[0] > buf.shape[0]:
+            break  # closes the walk, cancelling the blocks not yet started
+        buf[filled : filled + values.shape[0]] = values
+        filled += values.shape[0]
+        if kept is not None:
+            kept.append(block)
+    else:
+        at = np.subtract(ranks, below)
+        if at[-1] < filled:
+            buf[:filled].partition(at)
+            return list(buf[at])
+    if kept is not None:
+        kept.clear()
+    return None
 
 
 def _select(p: np.ndarray, ranks, below=0, lo=0.0, scale=2.0**_BUCKET_BITS, buckets=4 * 2**_BUCKET_BITS + 1):
@@ -268,11 +283,12 @@ def _window(p: np.ndarray, ranks) -> tuple[float, float]:
     return sample[at[0]], np.nextafter(sample[at[1]], np.inf)
 
 
-def _select_windowed(p: np.ndarray, ranks):
+def _select_windowed(p: np.ndarray, ranks, kept: list | None = None):
     """_within's values at `ranks`, in one walk of the triangle over a
-    sampled window (_window) in the usual case, and by _select's counting
-    passes when the window misses the ranks or overflows."""
-    return _within(p, ranks, *_window(p, ranks)) or _select(p, ranks)
+    sampled window (_window) in the usual case, which fills `kept` when
+    given, and by _select's counting passes, which keep nothing, when the
+    window misses the ranks or overflows."""
+    return _within(p, ranks, *_window(p, ranks), kept) or _select(p, ranks)
 
 
 def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> float:
@@ -287,7 +303,13 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     The block runner walks the pooled rows in row blocks over the upper
     triangle of their pairwise squared distances s = max(2 - 2 x.y, 0),
     so memory is O(workers x block x n) within the runner's byte budget,
-    never n x n; each block's kernel sums are added in block order. The
+    never n x n; each block's kernel sums are added in block order. When
+    the whole walk's blocks fit _KEPT_BYTES (64 MiB, pooled samples up to
+    about 4,000 rows), the median's windowed walk keeps its distance
+    blocks, up to those 64 MiB, and the kernel sums run over them in
+    place, each dropped once summed, with the bits of a second walk; above
+    the ceiling, on a window miss or with cfg.sigma set, the kernel sums
+    take a walk of their own. The
     diagonal of the pooled matrix is taken as exactly 0 and every
     off-diagonal value appears twice, so the median heuristic's sigma is
     the exact median of all n^2 pairwise Euclidean distances (np.median's
@@ -301,13 +323,15 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
     p, na = _pooled_sample(source, target, cfg.max_samples_per_domain, cfg.seed, 2)
     n = p.shape[0]
     nb = n - na
+    ranges = _block_ranges(n, _MMD_BLOCK_ROWS)  # the walks' blocks (_upper_blocks)
 
-    sigma = cfg.sigma
+    sigma, kept = cfg.sigma, None
     if sigma is None:
+        kept = [] if 8 * sum((hi - lo) * (n - lo) for lo, hi in ranges) <= _KEPT_BYTES else None
         # Middle positions of the n^2 multiset (n zeros, then each
         # strict-upper value twice) as ranks among the strict-upper values.
         ranks = sorted({((n * n - 1) // 2 - n) // 2, (n * n // 2 - n) // 2})
-        middle = np.sqrt([0.0 if v <= _DUPLICATE_SQ else v for v in _select_windowed(p, ranks)])
+        middle = np.sqrt([0.0 if v <= _DUPLICATE_SQ else v for v in _select_windowed(p, ranks, kept)])
         sigma = float(middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2)
         if sigma <= 0:
             sigma = 1.0
@@ -322,8 +346,14 @@ def mmd_gaussian(source: EmbeddingSet, target: EmbeddingSet, cfg: MmdConfig) -> 
         a, b = s[:rows], s[rows:]
         return float(a[:, :cols].sum()), float(a[:, cols:].sum()), float(b[:, cols:].sum())
 
+    if kept:  # the median walk's blocks, each dropped once summed
+        blocks = dict(zip([lo for lo, _ in ranges], kept))
+        kept.clear()
+        sums = _run_blocks(lambda lo, _: kernel_sums(lo, blocks.pop(lo)), ranges, 8 * n)
+    else:
+        sums = _upper_blocks(p, kernel_sums)
     aa = bb = ab = 0.0
-    for block_aa, block_ab, block_bb in _upper_blocks(p, kernel_sums):  # added in block order
+    for block_aa, block_ab, block_bb in sums:  # added in block order
         aa += block_aa
         ab += block_ab
         bb += block_bb

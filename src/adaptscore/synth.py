@@ -102,6 +102,14 @@ def generate_pair(cfg: SynthConfig):
     plus per-class jitter of the same magnitude; samples then get their own
     noise and normalization. Deterministic for a fixed config.
     """
+    return tuple(_halves(cfg, (0, 1)))
+
+
+def _halves(cfg: SynthConfig, want) -> list:
+    """[generate_pair(cfg)[h] for h in want], drawn in its order: the
+    source's noise comes first, so without the target (1) the draws stop
+    after the source's, and without the source (0) they are made but not
+    stacked or normalized, and every kept half has its bits."""
     rng = np.random.default_rng(cfg.seed)
     means = _orthonormal_means(rng, cfg.num_classes, cfg.dim)
     u, v = _rotation_plane(rng, cfg.dim)
@@ -109,24 +117,20 @@ def generate_pair(cfg: SynthConfig):
     jitter /= np.linalg.norm(jitter, axis=1, keepdims=True)
     target_means = _rotate(means, u, v, cfg.shift) + cfg.shift * jitter
 
-    src_spread = cfg.intra_spread
     tgt_spread = cfg.intra_spread if cfg.target_spread is None else cfg.target_spread
-
-    def draw(class_means, n_per_class, spread):
+    halves = ((means, cfg.n_source_per_class, cfg.intra_spread), (target_means, cfg.n_target_per_class, tgt_spread))
+    out = []
+    for half, (class_means, n_per_class, spread) in enumerate(halves[: max(want) + 1]):
+        keep = half in want
         rows = []
-        labels = []
-        for c in range(class_means.shape[0]):
+        for c in range(cfg.num_classes):
             noise = rng.standard_normal((n_per_class, cfg.dim))
-            rows.append(class_means[c] + spread * noise)
-            labels.append(np.full(n_per_class, c, dtype=np.int64))
-        data = np.vstack(rows)
-        return EmbeddingSet(_unit_rows(data)), np.concatenate(labels)
-
-    src_emb, src_labels = draw(means, cfg.n_source_per_class, src_spread)
-    tgt_emb, tgt_labels = draw(target_means, cfg.n_target_per_class, tgt_spread)
-    source = LabeledEmbeddingSet(src_emb, src_labels, cfg.num_classes)
-    target = LabeledEmbeddingSet(tgt_emb, tgt_labels, cfg.num_classes)
-    return source, target
+            if keep:
+                rows.append(class_means[c] + spread * noise)
+        if keep:
+            labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), n_per_class)
+            out.append(LabeledEmbeddingSet(EmbeddingSet(_unit_rows(np.vstack(rows))), labels, cfg.num_classes))
+    return out
 
 
 def nearest_centroid_accuracy(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> float:

@@ -380,15 +380,119 @@ class TestMmd:
         for p in pooled:
             assert p.tobytes() == np.vstack([a, b]).tobytes()
 
-    def test_median_takes_one_walk(self, rng, monkeypatch):
-        # One walk selects the median and one sums the kernel.
-        walks = []
+    @pytest.mark.parametrize("ceiling, walks", [(64 << 20, 1), (0, 2)], ids=["kept", "ceiling-0"])
+    def test_median_takes_one_walk(self, rng, monkeypatch, ceiling, walks):
+        # One walk selects the median. Its 5.9 MB of blocks fit the ceiling,
+        # so the kernel sums reuse them; at a ceiling of 0 a second walk
+        # sums the kernel.
+        monkeypatch.setattr(baselines, "_KEPT_BYTES", ceiling)
+        shapes = []
         upper = baselines._upper_blocks
-        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: walks.append(p.shape) or upper(p, reduce))
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: shapes.append(p.shape) or upper(p, reduce))
         s = EmbeddingSet(rng.standard_normal((700, 32)))
         t = EmbeddingSet(rng.standard_normal((500, 32)) + 0.1)
         mmd_gaussian(s, t, MmdConfig())
-        assert walks == [(1_200, 32)] * 2
+        assert shapes == [(1_200, 32)] * walks
+
+    @staticmethod
+    def walk_bytes(n):
+        """Bytes of the blocks of one walk of n pooled rows."""
+        return 8 * sum((hi - lo) * (n - lo) for lo, hi in embed_core._block_ranges(n, baselines._MMD_BLOCK_ROWS))
+
+    @pytest.mark.parametrize("slack, walks", [(0, 1), (-1, 2)])
+    def test_walk_is_kept_up_to_the_ceiling(self, rng, monkeypatch, slack, walks):
+        # A walk whose blocks take exactly the ceiling is kept; a byte less
+        # and the kernel sums take their own walk. A fixed sigma takes its
+        # one walk either way.
+        s = EmbeddingSet(rng.standard_normal((300, 8)))
+        t = EmbeddingSet(rng.standard_normal((301, 8)) + 0.1)
+        monkeypatch.setattr(baselines, "_KEPT_BYTES", self.walk_bytes(601) + slack)
+        calls = []
+        upper = baselines._upper_blocks
+        monkeypatch.setattr(baselines, "_upper_blocks", lambda p, reduce: calls.append(p.shape) or upper(p, reduce))
+        mmd_gaussian(s, t, MmdConfig())
+        assert len(calls) == walks
+        calls.clear()
+        mmd_gaussian(s, t, MmdConfig(sigma=0.5))
+        assert len(calls) == 1
+
+    @staticmethod
+    def kept_cases(rng):
+        """(name, source, target, cfg): the domain shapes and median paths
+        that the kept walk must give the bits of two walks on."""
+        def pair(ns, nt, d, shift):
+            return EmbeddingSet(rng.standard_normal((ns, d))), EmbeddingSet(rng.standard_normal((nt, d)) + shift)
+
+        yield "unequal", *pair(170, 90, 12, 0.2), MmdConfig()
+        x = rng.standard_normal((130, 12))
+        y = rng.standard_normal((130, 12)) + 0.2
+        y[:20] = x[:20]  # _order_halves compares past the first block
+        yield "equal", EmbeddingSet(x), EmbeddingSet(y), MmdConfig()
+        yield "capped", *pair(400, 150, 12, 0.1), MmdConfig(max_samples_per_domain=120, seed=3)
+        yield "d=1", *pair(160, 140, 1, 0.5), MmdConfig()
+        u, v = rng.standard_normal((2, 16))
+        yield "duplicates", EmbeddingSet(np.tile(u, (300, 1))), EmbeddingSet(np.tile(v, (100, 1))), MmdConfig()
+        yield "miss", *pair(170, 90, 12, 0.2), MmdConfig()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_kept_walk_gives_the_bits_of_two_walks(self, rng, monkeypatch, threads):
+        # 16-row blocks straddle the domains' boundary. With the ceiling at
+        # 0 every case takes the two walks; "miss" forces the window to miss,
+        # so _select's passes read the median and a second walk sums the
+        # kernel however large the ceiling.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 16)
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        window = baselines._window
+        for name, s, t, cfg in self.kept_cases(rng):
+            if name == "miss":
+                monkeypatch.setattr(baselines, "_window", lambda *_: (np.inf, np.inf))
+            bits = {}
+            for ceiling in (64 << 20, 0):
+                monkeypatch.setattr(baselines, "_KEPT_BYTES", ceiling)
+                bits[ceiling] = mmd_gaussian(s, t, cfg).hex(), mmd_gaussian(t, s, cfg).hex()
+            assert bits[64 << 20] == bits[0], name
+            assert len(set(bits[0])) == 1, name
+            if name == "duplicates":
+                assert bits[0][0] == mmd_gaussian(s, t, MmdConfig(sigma=1.0)).hex()
+            monkeypatch.setattr(baselines, "_window", window)
+
+    @pytest.mark.parametrize("window", ["above", "below"])
+    def test_window_miss_clears_the_kept_blocks(self, rng, monkeypatch, window):
+        # "above" stops the walk at its first block, "below" walks it all
+        # before the ranks turn out to lie past the window; either way the
+        # blocks kept so far are let go.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 7)
+        p = _unit_rows(rng.standard_normal((200, 5)))
+        values = np.sort(np.concatenate(list(baselines._upper_blocks(p, lambda _, s: s[np.isfinite(s)]))))
+        edges = {"above": (values[9_960], values[9_990]), "below": (values[9_900], values[9_940])}[window]
+        kept = []
+        assert baselines._within(p, [9_949, 9_950], *edges, kept) is None
+        assert kept == []
+        want = baselines._within(p, [9_949, 9_950], values[9_900], values[9_990])
+        assert baselines._within(p, [9_949, 9_950], values[9_900], values[9_990], kept) == want
+        ranges = embed_core._block_ranges(200, 7)
+        assert [b.shape for b in kept] == [(hi - lo, 200 - lo) for lo, hi in ranges]
+
+    def test_kept_walk_memory_is_the_triangle(self, rng, monkeypatch):
+        # The kept blocks of 3,001 pooled rows take 37.5 MB; on top of them
+        # and the pooled rows the walk holds its value buffer and the masks
+        # of the blocks in flight, about 1.0 block at one or two workers and
+        # 1.4 at eight (3.1 MB blocks).
+        import tracemalloc
+
+        s = EmbeddingSet(rng.standard_normal((1500, 32)))
+        t = EmbeddingSet(rng.standard_normal((1501, 32)) + 0.1)
+        pooled = s.n + t.n
+        block = baselines._MMD_BLOCK_ROWS * pooled * 8
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+            tracemalloc.start()
+            try:
+                mmd_gaussian(s, t, MmdConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < self.walk_bytes(pooled) + pooled * 32 * 8 + 2 * block, threads
 
     @pytest.mark.parametrize("cap", [10_000, 40])
     def test_symmetry_and_workers_exact(self, rng, monkeypatch, cap):

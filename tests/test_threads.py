@@ -296,6 +296,7 @@ def recording_cdist(*args):  # the window sample, then each block of both walks
     seen.append(blas[0]())
     return cdist(*args)
 baselines.cdist = recording_cdist
+baselines._KEPT_BYTES = {ceiling}
 rng = np.random.default_rng(0)
 s, t = (baselines.EmbeddingSet(rng.standard_normal((300, 8))) for _ in range(2))
 baselines.mmd_gaussian(s, t, baselines.MmdConfig())
@@ -303,15 +304,17 @@ print(len(seen), sorted(set(seen)), blas[0]())
 """
 
 
-def test_mmd_products_run_at_one_blas_thread():
+@pytest.mark.parametrize("ceiling, products", [(64 << 20, 6), (0, 11)], ids=["kept", "ceiling-0"])
+def test_mmd_products_run_at_one_blas_thread(ceiling, products):
     """Every product of a default-sigma MMD, the window sample included,
     runs with BLAS pinned to one thread in a numpy-first process whose
     OpenBLAS runs two, and the count is two again afterwards. 600 pooled
-    rows make 5 blocks in each of the two walks."""
-    got = _child(_MMD)
+    rows make 5 blocks in the median's walk, which the kernel sums reuse,
+    or, with the ceiling at 0, in each of two walks."""
+    got = _child(_MMD.format(ceiling=ceiling))
     if got == "none":
         pytest.skip("numpy bundles no OpenBLAS")
-    assert got == "11 [1] 2"
+    assert got == f"{products} [1] 2"
 
 
 def test_cli_leaves_environ_as_found_and_blas_at_one_thread(tmp_path):
