@@ -1,7 +1,7 @@
 """Command-line surface: the parser, the error reporting and main. The
-commands themselves (commands.py) load after the arguments parse, so
+commands live in reporting, which loads after the arguments parse, so
 `--help` and usage errors load no numpy. corr runs from corr.py, on the
-standard library, without loading them.
+standard library, without loading it.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 method
 precondition error. With --json, errors are emitted as a JSON object on
@@ -78,15 +78,15 @@ def _emit_error(exc: Exception, as_json: bool, code: int) -> None:
 
 
 def _load_commands():
-    """The command layer, loaded once. The thread variables a user left
-    unset are 1 while it loads numpy and are removed after it, so a child
-    process does not inherit them: OpenBLAS sizes its thread pool then, and
-    the block runner runs BLAS at one thread anyway, so a larger pool
-    would only cost start-up time."""
+    """The command layer (reporting), loaded once. The thread variables a
+    user left unset are 1 while it loads numpy and are removed after it, so
+    a child process does not inherit them: OpenBLAS sizes its thread pool
+    then, and the block runner runs BLAS at one thread anyway, so a larger
+    pool would only cost start-up time."""
     pinned = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if v not in os.environ]
     os.environ.update(dict.fromkeys(pinned, "1"))
     try:
-        return importlib.import_module(".commands", __package__)
+        return importlib.import_module(".reporting", __package__)
     finally:
         for name in pinned:
             del os.environ[name]

@@ -2,7 +2,7 @@
 UTF-8 text and JSON readers, the accuracy CSV, the method names, the
 correlation statistics and candidate ranking. The CLI imports this module
 at the top and runs corr through it without loading the command layer
-(commands.py), so corr loads no numpy. The other layers import these names
+(reporting), so corr loads no numpy. The other layers import these names
 from here."""
 
 from __future__ import annotations

@@ -1,12 +1,21 @@
-"""Manifest-driven scoring pipeline, the method table and report assembly."""
+"""Manifest-driven scoring pipeline, the method table, report assembly and
+the commands but corr (COMMANDS), which cli.main loads after the arguments
+parse, so `--help` and usage errors load no numpy. The commands call
+formats, evaluation and synth by module, so a patch there sees each call."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
+import itertools
+import json
+import os
+import sys
+from pathlib import Path
 
-from . import __version__
+from . import __version__, evaluation, formats, synth
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
-from .embed_core import LabeledEmbeddingSet
+from .embed_core import LabeledEmbeddingSet, _block_ranges
 from .corr import METHOD_NAMES, check_method, rank_candidates
 from .errors import ConfigInvalid, LabelCountMismatch
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
@@ -141,3 +150,99 @@ def build_report(manifest: dict) -> dict:
         "toolkit_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+
+
+# One breakdown row as json.dumps renders a PerSampleBreakdown dict: ints
+# and floats by repr, the default ", " and ": " separators.
+_ROW_JSON = (
+    '{{"sample_index": {}, "d1": {!r}, "d2": {!r}, '
+    '"nearest_class": {}, "contribution": {!r}}}'
+)
+
+
+def _write_score_json(out, method: str, value: float, result) -> None:
+    """json.dumps({"method", "value", "breakdown": [rows]}) and a newline,
+    written to `out` with the rows formatted straight from a ScoreResult's
+    columns one block at a time; no breakdown for a baseline's plain float."""
+    head = json.dumps({"method": method, "value": value})
+    if not isinstance(result, ScoreResult):
+        out.write(head + "\n")
+        return
+    out.write(f'{head[:-1]}, "breakdown": [')
+    columns = result.breakdown_arrays()
+    for lo, hi in _block_ranges(columns[0].shape[0]):
+        rows = map(_ROW_JSON.format, itertools.count(lo), *(c[lo:hi].tolist() for c in columns))
+        out.write((", " if lo else "") + ", ".join(rows))
+    out.write("]}\n")
+
+
+def _cmd_score(args) -> None:
+    labels = {"labels": args.target_labels} if args.target_labels else {}
+    manifest = {"target": {"emb": args.target_emb, **labels}, "max_samples": args.max_samples,
+                "candidates": [{"emb": args.source_emb, "labels": args.source_labels}], "seed": args.seed}
+    configs, (target, target_labels), [(_, source)] = _inputs(manifest, [args.method])
+    result = score_candidate(source, target, configs, target_labels)[args.method]
+    value = result.value if isinstance(result, ScoreResult) else result
+    if args.json:
+        _write_score_json(sys.stdout, args.method, value, result)
+    else:
+        print(f"{value:.5f}")
+
+
+def _check_out(path) -> None:
+    """OSError (exit 2) unless `path` names a file ("" and "dir/" do not),
+    no directory or read-only file, in a writable directory that exists,
+    so that rank and substudy fail before they score."""
+    if not os.path.basename(path):
+        raise OSError(f"cannot write {path!r}: it names no file")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise OSError(f"cannot write {path}: it is a directory or a read-only file")
+
+
+def _cmd_rank(args) -> None:
+    _check_out(args.out)
+    manifest = formats.load_manifest(args.manifest)
+    report = build_report(manifest)
+    formats.dump_report(report, args.out)
+    print(f"wrote {args.out}")
+
+
+def _cmd_synth(args) -> None:
+    cfg = synth.SynthConfig.from_dict(formats._load_json(args.config))
+    source, target = synth.generate_pair(cfg)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    formats.save_embeddings(out / "source_emb.pemb", source.embeddings)
+    formats.save_labels(out / "source_labels.plbl", source.labels)
+    formats.save_embeddings(out / "target_emb.pemb", target.embeddings)
+    formats.save_labels(out / "target_labels.plbl", target.labels)
+    print(f"wrote 4 files to {out}")
+
+
+def _cmd_substudy(args) -> None:
+    fractions = evaluation._check_study(args.fractions.split(","), args.repeats)
+    _check_out(args.out)
+    manifest = formats.load_manifest(args.manifest)
+    _, (target_emb, _), candidates = _inputs(manifest, [])
+    sources = [source for _, source in candidates]
+    result = evaluation.subsample_study(
+        sources,
+        target_emb,
+        fractions,
+        repeats=args.repeats,
+        base_seed=manifest["seed"],
+        candidate_ids=[c["id"] for c in manifest["candidates"]],
+    )
+    formats.dump_report(dataclasses.asdict(result), args.out)
+    print(f"wrote {args.out}")
+
+
+COMMANDS = {
+    "score": _cmd_score,
+    "rank": _cmd_rank,
+    "synth": _cmd_synth,
+    "substudy": _cmd_substudy,
+}

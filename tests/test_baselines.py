@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -493,6 +494,36 @@ class TestMmd:
             finally:
                 tracemalloc.stop()
             assert peak < self.walk_bytes(pooled) + pooled * 32 * 8 + 2 * block, threads
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_kept_blocks_are_dropped_once_summed(self, rng, monkeypatch, threads):
+        # The peak is the kept walk either way, so it cannot show this: each
+        # block the median walk kept must be gone by the time the runner
+        # yields its kernel sums, not held until the last block is summed.
+        monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 16)
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        within, run_blocks = baselines._within, baselines._run_blocks
+        refs, dead = [], []
+
+        def keeping(p, ranks, lo, hi, kept=None):
+            values = within(p, ranks, lo, hi, kept)
+            refs.extend(weakref.ref(block) for block in kept or ())
+            return values
+
+        def runner(fn, ranges, row_bytes):
+            summing = refs and not dead  # the one call after the kept walk
+            for i, result in enumerate(run_blocks(fn, ranges, row_bytes)):
+                if summing:
+                    dead.append(refs[i]() is None)
+                yield result
+
+        monkeypatch.setattr(baselines, "_within", keeping)
+        monkeypatch.setattr(baselines, "_run_blocks", runner)
+        s = EmbeddingSet(rng.standard_normal((170, 12)))
+        t = EmbeddingSet(rng.standard_normal((90, 12)) + 0.2)
+        mmd_gaussian(s, t, MmdConfig())
+        assert len(refs) == len(embed_core._block_ranges(260, 16))
+        assert dead == [True] * len(refs)
 
     @pytest.mark.parametrize("cap", [10_000, 40])
     def test_symmetry_and_workers_exact(self, rng, monkeypatch, cap):

@@ -25,7 +25,6 @@ from adaptscore import (
     pas_euclidean,
 )
 from adaptscore.cli import main
-from adaptscore.commands import _write_score_json
 from adaptscore.corr import METHOD_NAMES
 from adaptscore.formats import (
     REPORT_SCHEMA,
@@ -33,7 +32,7 @@ from adaptscore.formats import (
     save_embeddings,
     save_labels,
 )
-from adaptscore.reporting import NEGATED
+from adaptscore.reporting import NEGATED, _write_score_json
 from conftest import read_embeddings
 
 

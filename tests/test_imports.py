@@ -109,8 +109,8 @@ def test_baselines_does_not_import_scores():
 def test_only_cli_and_the_package_defer_loads():
     deferring = {m for m in MODULES if _deferred_loads(m)}
     assert deferring == {"cli", "__init__"}
-    assert _deferred_loads("cli") == {"commands"}
-    assert "commands" in _internal_imports("cli")
+    assert _deferred_loads("cli") == {"reporting"}
+    assert "reporting" in _internal_imports("cli")
 
 
 @pytest.mark.parametrize(
