@@ -20,7 +20,6 @@ from .corr import METHOD_NAMES, check_method, rank_candidates
 from .errors import ConfigInvalid, LabelCountMismatch
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
 from .scores import _FAMILY, ScoreResult, _pas_family
-from .synth import SynthConfig, _halves
 
 # The baselines, name -> (score, config): score(source, target, cfg) is a
 # float, where cfg = config(seed, max_samples) is the settings of mmd or
@@ -63,7 +62,7 @@ def _open_entry(entry, half: int) -> tuple:
     method's passes read, and the label file, one label per row
     (LabelCountMismatch) whether or not a method reads it."""
     if "synth" in entry:
-        [part] = _halves(SynthConfig.from_dict(entry["synth"]), (half,))
+        part = synth.generate_pair(synth.SynthConfig.from_dict(entry["synth"]))[half]
         return part.embeddings, part.labels
     emb = open_embeddings(entry["emb"])
     if "labels" not in entry:

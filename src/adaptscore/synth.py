@@ -60,12 +60,13 @@ def _orthonormal_means(rng, num_classes: int, dim: int):
         q = np.empty_like(raw)
         for i in range(num_classes):
             v = raw[i].copy()
-            for j in range(i):
-                v -= (v @ q[j]) * q[j]
-            n = np.linalg.norm(v)
-            if n < 1e-9:  # astronomically unlikely; redraw direction
-                v = rng.standard_normal(dim)
+            while True:
+                for j in range(i):
+                    v -= (v @ q[j]) * q[j]
                 n = np.linalg.norm(v)
+                if n >= 1e-9:
+                    break
+                v = rng.standard_normal(dim)  # astronomically unlikely; redraw direction
             q[i] = v / n
         return q
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -102,14 +103,6 @@ def generate_pair(cfg: SynthConfig):
     plus per-class jitter of the same magnitude; samples then get their own
     noise and normalization. Deterministic for a fixed config.
     """
-    return tuple(_halves(cfg, (0, 1)))
-
-
-def _halves(cfg: SynthConfig, want) -> list:
-    """[generate_pair(cfg)[h] for h in want], drawn in its order: the
-    source's noise comes first, so without the target (1) the draws stop
-    after the source's, and without the source (0) they are made but not
-    stacked or normalized, and every kept half has its bits."""
     rng = np.random.default_rng(cfg.seed)
     means = _orthonormal_means(rng, cfg.num_classes, cfg.dim)
     u, v = _rotation_plane(rng, cfg.dim)
@@ -120,17 +113,11 @@ def _halves(cfg: SynthConfig, want) -> list:
     tgt_spread = cfg.intra_spread if cfg.target_spread is None else cfg.target_spread
     halves = ((means, cfg.n_source_per_class, cfg.intra_spread), (target_means, cfg.n_target_per_class, tgt_spread))
     out = []
-    for half, (class_means, n_per_class, spread) in enumerate(halves[: max(want) + 1]):
-        keep = half in want
-        rows = []
-        for c in range(cfg.num_classes):
-            noise = rng.standard_normal((n_per_class, cfg.dim))
-            if keep:
-                rows.append(class_means[c] + spread * noise)
-        if keep:
-            labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), n_per_class)
-            out.append(LabeledEmbeddingSet(EmbeddingSet(_unit_rows(np.vstack(rows))), labels, cfg.num_classes))
-    return out
+    for class_means, n_per_class, spread in halves:
+        rows = [class_means[c] + spread * rng.standard_normal((n_per_class, cfg.dim)) for c in range(cfg.num_classes)]
+        labels = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), n_per_class)
+        out.append(LabeledEmbeddingSet(EmbeddingSet(_unit_rows(np.vstack(rows))), labels, cfg.num_classes))
+    return tuple(out)
 
 
 def nearest_centroid_accuracy(source: LabeledEmbeddingSet, target: LabeledEmbeddingSet) -> float:

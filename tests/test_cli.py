@@ -281,36 +281,6 @@ def test_synth_entries_give_rank_and_substudy_the_right_halves(tmp_path, capsys)
     assert [v.hex() for v in json.loads(study_path.read_text())["scores"][1][0]] == [want_pas] * 2
 
 
-@pytest.mark.parametrize("half", [0, 1])
-def test_synth_entry_normalizes_only_its_half(monkeypatch, half):
-    """A synth candidate (half 0) stops after the source's draws; a synth
-    target (half 1) makes them but normalizes only its own rows. Each
-    normalizes one domain, with the bits of that half of generate_pair."""
-    from adaptscore import reporting, synth
-
-    cfg = dict(synth_entry(4), n_target_per_class=15)
-    want = generate_pair(SynthConfig.from_dict(cfg))[half]
-    normalized, draws = [], []
-    unit = synth._unit_rows
-    monkeypatch.setattr(synth, "_unit_rows", lambda rows: normalized.append(rows.shape) or unit(rows))
-    default_rng = np.random.default_rng
-
-    class Recording:  # records the shape of each normal draw
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def standard_normal(self, shape):
-            draws.append(shape)
-            return self.rng.standard_normal(shape)
-
-    monkeypatch.setattr(synth.np.random, "default_rng", Recording)
-    emb, labels = reporting._open_entry({"synth": cfg}, half)
-    assert normalized == [want.embeddings.data.shape]
-    assert draws.count((25, 8)) == 4 and draws.count((15, 8)) == 4 * half
-    assert emb.data.tobytes() == want.embeddings.data.tobytes()
-    assert labels.tobytes() == want.labels.tobytes()
-
-
 # num_classes x dim float64 class directions: 71.1 PiB, beyond any 47-bit
 # address space, so the allocation fails at once whatever the overcommit
 # setting, and no memory is touched.

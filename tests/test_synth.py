@@ -10,6 +10,7 @@ from adaptscore import (
     pas,
 )
 from adaptscore.errors import ConfigInvalid
+from adaptscore.synth import _orthonormal_means
 
 
 def cfg(**kw):
@@ -63,6 +64,24 @@ class TestGeneratePair:
     def test_more_classes_than_dims_supported(self):
         s, t = generate_pair(cfg(num_classes=10, dim=4))
         assert s.num_classes == 10
+
+    def test_redrawn_direction_is_projected(self):
+        """A direction that Gram-Schmidt leaves at norm < 1e-9 is redrawn,
+        and each redraw is projected against the earlier directions until
+        its norm clears 1e-9: here the second row repeats the first, and
+        the first redraw repeats it too."""
+        real = np.random.default_rng(3)
+        first = real.standard_normal(5)
+        redraws = [first]
+
+        class Repeating:
+            def standard_normal(self, shape):
+                if shape == (3, 5):
+                    return np.stack([first, first, real.standard_normal(5)])
+                return redraws.pop() if redraws else real.standard_normal(shape)
+
+        q = _orthonormal_means(Repeating(), 3, 5)
+        np.testing.assert_allclose(q @ q.T, np.eye(3), rtol=0, atol=1e-12)
 
 
 class TestNearestCentroidAccuracy:

@@ -345,3 +345,34 @@ def test_blas_threads_after_a_gemm(env):
     gemm = "a = np.ones((512, 512)); a @ a; print(len(os.listdir('/proc/self/task')))"
     alone = _child("import os, numpy as np; " + gemm, **env)
     assert _child("import os, adaptscore, numpy as np; " + gemm, **env) == alone
+
+
+def test_scores_without_openblas(monkeypatch):
+    """Where numpy bundles no OpenBLAS (MKL, Accelerate, a system BLAS),
+    _openblas() is None, the pin enters and leaves without touching a
+    thread count, and pas, mmd and adist score as with the real library."""
+    rng = np.random.default_rng(4)
+    source = LabeledEmbeddingSet(EmbeddingSet(rng.standard_normal((60, 8))), np.arange(60) % 3, 3)
+    target = EmbeddingSet(rng.standard_normal((40, 8)) + 0.3)
+
+    def values():
+        return (
+            scores.pas(source, target).value,
+            mmd_gaussian(source.embeddings, target, MmdConfig()),
+            baselines.proxy_a_distance(source.embeddings, target, baselines.ProxyClassifierConfig()),
+        )
+
+    want = values()
+
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(embed_core.ctypes, "CDLL", no_library)
+    embed_core._openblas.cache_clear()
+    try:
+        assert embed_core._openblas() is None
+        with embed_core._ONE_BLAS_THREAD:
+            pass
+        np.testing.assert_allclose(values(), want, rtol=0, atol=1e-12)
+    finally:
+        embed_core._openblas.cache_clear()
