@@ -141,34 +141,49 @@ class _BlasPin:
 _ONE_BLAS_THREAD = _BlasPin()
 
 
+# The workers that a runner call made on a pool thread may use: its share
+# of the call that started the thread (_run_blocks).
+_SHARE = threading.local()
+
+
 def _run_blocks(fn, ranges, row_bytes: int | None):
     """Yield fn(lo, hi) for each (lo, hi) of `ranges`, in block order.
 
-    The one block runner, and the only code that pins BLAS to one thread
-    (_ONE_BLAS_THREAD): every product a score takes runs in a call of it.
-    Given `row_bytes`, what fn holds per row, blocks run on a thread pool,
-    at most worker_count() at once and no more blocks of the first
-    (largest) range than fit in _FLIGHT_BYTES, but two at least; with None
-    in order on the calling thread, for a fn that must see them in order or
-    a single computation ([(0, 1)]: MMD's window sample, the proxy probe).
-    Results come back in block order whatever finishes first, so a
-    consumer that combines them in order gets the same bits at any worker
-    count. A consumer that stops early closes the generator: blocks not yet
-    started are cancelled and running ones are waited for. The exception
-    of the lowest block that raised one escapes at its turn.
+    The one block runner, and the only code that starts threads or pins
+    BLAS to one thread (_ONE_BLAS_THREAD): every product a score takes runs
+    in a call of it. Given `row_bytes`, what fn holds per row, blocks run
+    on a thread pool, at most `budget` at once and no more blocks of the
+    first (largest) range than fit in _FLIGHT_BYTES, but two at least; with
+    None in order on the calling thread, for a fn that must see them in
+    order or a single computation ([(0, 1)]: MMD's window sample, the proxy
+    probe). The budget is worker_count(), or on a pool thread of a call
+    with w workers and budget b, that thread's share max(1, b // w), so
+    nested calls (rank's candidates, each with its passes) run no more
+    threads than the outer budget, and with a share of 1 run in order on
+    that thread. Results come back in block order whatever finishes first,
+    so a consumer that combines them in order gets the same bits at any
+    worker count. A consumer that stops early closes the generator: blocks
+    not yet started are cancelled and running ones are waited for. The
+    exception of the lowest block that raised one escapes at its turn.
     """
+    budget = getattr(_SHARE, "workers", None) or worker_count()
     cap = 1 if row_bytes is None else max(2, _FLIGHT_BYTES // (row_bytes * (ranges[0][1] - ranges[0][0])))
-    workers = min(worker_count(), len(ranges), cap)
+    workers = min(budget, len(ranges), cap)
     with _ONE_BLAS_THREAD:
         if workers <= 1:
             for lo, hi in ranges:
                 yield fn(lo, hi)
             return
+
+        def shared(lo, hi):
+            _SHARE.workers = max(1, budget // workers)
+            return fn(lo, hi)
+
         pool = ThreadPoolExecutor(max_workers=workers)
         flight = deque()
         try:
             for lo, hi in ranges:
-                flight.append(pool.submit(fn, lo, hi))
+                flight.append(pool.submit(shared, lo, hi))
                 if len(flight) == workers:
                     yield flight.popleft().result()
             while flight:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, evaluation, formats, synth
 from .baselines import MmdConfig, ProxyClassifierConfig, mmd_gaussian, proxy_a_distance, silhouette
-from .embed_core import LabeledEmbeddingSet, _block_ranges
+from .embed_core import _FLIGHT_BYTES, LabeledEmbeddingSet, _block_ranges, _run_blocks
 from .corr import METHOD_NAMES, check_method, rank_candidates
 from .errors import ConfigInvalid, LabelCountMismatch
 from .formats import REPORT_SCHEMA, _check_manifest, load_labels, open_embeddings
@@ -113,29 +113,38 @@ def build_report(manifest: dict) -> dict:
     """Score every manifest candidate against the target and assemble the
     adaptscore-report-v1 document; `manifest` itself is not changed.
 
-    Candidates are scored one after another (embed_core._run_blocks is the
-    only parallel part), so identical manifest+seed yields an identical
-    report, created_at aside. Each input is checked before the next file
-    is opened: the manifest entries (what load_manifest raises), then,
-    through _inputs, the methods and their settings (ConfigInvalid), the
-    target, then each candidate in turn.
+    The candidates are scored two at a time as blocks of one block runner
+    call (embed_core._run_blocks), so their passes share its workers; each
+    is opened by load_candidate on the thread that scores it. An odd last
+    candidate is scored alone on the calling thread, with every worker.
+    The runner yields in manifest order, so identical manifest+seed yields
+    an identical report, created_at aside. The inputs are checked in order:
+    the manifest entries (what load_manifest raises), then, through _inputs,
+    the methods and their settings (ConfigInvalid) and the target, then the
+    candidates, whose first error in manifest order is raised once the
+    candidates before it are scored.
     """
     manifest = _check_manifest(manifest)
-    configs, (target_emb, target_labels), candidates = _inputs(manifest, manifest["methods"])
+    configs, (target_emb, target_labels), _ = _inputs(manifest, manifest["methods"])
+    entries = manifest["candidates"]
 
-    rows = []
-    for entry, source in candidates:
-        results = score_candidate(source, target_emb, configs, target_labels)
+    def row(i, _):
+        entry = entries[i]
+        results = score_candidate(load_candidate(entry), target_emb, configs, target_labels)
         raw = {m: r.value if isinstance(r, ScoreResult) else r for m, r in results.items()}
-        rows.append(
-            {
-                "candidate_id": entry["id"],
-                "model_id": entry.get("model_id"),
-                "method_scores": raw,
-                "display_scores": {m: -v if m in NEGATED else v for m, v in raw.items()},
-                "accuracy": entry.get("accuracy"),
-            }
-        )
+        return {
+            "candidate_id": entry["id"],
+            "model_id": entry.get("model_id"),
+            "method_scores": raw,
+            "display_scores": {m: -v if m in NEGATED else v for m, v in raw.items()},
+            "accuracy": entry.get("accuracy"),
+        }
+
+    # A candidate counts as one block above the flight budget: two in flight.
+    pairs = [(i, i + 1) for i in range(len(entries) - len(entries) % 2)]
+    rows = list(_run_blocks(row, pairs, _FLIGHT_BYTES + 1)) if pairs else []
+    if len(entries) % 2:
+        rows.append(row(len(entries) - 1, None))
 
     ranking = {m: rank_candidates({r["candidate_id"]: r["display_scores"][m] for r in rows}) for m in configs}
     return {

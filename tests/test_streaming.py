@@ -9,6 +9,7 @@ import contextlib
 import itertools
 import json
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -445,8 +446,9 @@ def test_cli_reports_the_non_finite_value_of_a_streamed_target(files, method, mo
 def test_rank_loads_the_candidate_before_it_reads_the_target(files, capsys):
     """A rank target is only opened up front; its NaN is found in the first
     candidate's pass, so a missing candidate file is reported first, and
-    the NaN of the second candidate is not reached. substudy opens its
-    target and candidates as rank does and reports the same first error."""
+    the NaN of the second candidate, which may be read while the first is
+    scored, is not reported. substudy opens its target and candidates as
+    rank does and reports the same first error."""
     tmp_path, source, target = files
     data = target.embeddings.data.copy()
     data[5, 1] = np.nan
@@ -549,19 +551,29 @@ def test_pas_family_equals_the_single_calls(files, subset, streamed, threads, mo
                 np.testing.assert_array_equal(g, w, strict=True)
 
 
-def test_rank_reads_the_target_once_per_candidate_for_the_pas_family(files, monkeypatch, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rank_reads_the_target_once_per_candidate_for_the_pas_family(files, monkeypatch, capsys, threads):
+    """Each candidate's class sums read its source, then its one PAS-family
+    pass reads the target. Two candidates may be scored at once, each on
+    one thread, so the reads are checked per thread, in pairs."""
+    monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
     tmp_path, _, _ = files
+    (tmp_path / "src2.pemb").write_bytes((tmp_path / "src.pemb").read_bytes())
     reader = PembRows.reader
-    reads = []
-    monkeypatch.setattr(PembRows, "reader", lambda self: reads.append(self.path.name) or reader(self))
+    reads = {}
+    monkeypatch.setattr(
+        PembRows, "reader",
+        lambda self: reads.setdefault(threading.get_ident(), []).append(self.path.name) or reader(self),
+    )
     path = _rank_manifest(tmp_path, list(FAMILY))
     with open(path) as fh:
         manifest = json.load(fh)
-    manifest["candidates"].append(dict(manifest["candidates"][0], id="b"))
+    manifest["candidates"].append(dict(manifest["candidates"][0], id="b", emb=str(tmp_path / "src2.pemb")))
     with open(path, "w") as fh:
         json.dump(manifest, fh)
     assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json")]) == 0
-    assert reads == ["src.pemb", "tgt.pemb"] * 2  # each candidate's class sums, then the target
+    pairs = [tuple(names[i : i + 2]) for names in reads.values() for i in range(0, len(names), 2)]
+    assert sorted(pairs) == [("src.pemb", "tgt.pemb"), ("src2.pemb", "tgt.pemb")]
     capsys.readouterr()
 
 

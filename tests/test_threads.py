@@ -1,13 +1,18 @@
 """The thread budget: the block runner (embed_core._run_blocks) is the only
 parallelism, and the only code that pins BLAS: it runs BLAS at one thread
-for each of its calls and restores the process's count after it. Every
+for each of its calls and restores the process's count after it. A call
+made on one of its pool threads, such as a pass of a rank candidate, runs
+within that thread's share of the workers. Every
 product a score takes runs in such a call, a pass over blocks or a single
 computation on the calling thread (MMD's window sample, the proxy
 A-distance probe). OpenBLAS reads its thread variables once, when numpy
 loads it, so every check of the BLAS setting runs in a fresh
 interpreter."""
 
+import contextlib
+import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,8 +23,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptscore import LabeledEmbeddingSet, MmdConfig, baselines, embed_core, mmd_gaussian, scores, silhouette
+from adaptscore import (
+    LabeledEmbeddingSet,
+    MmdConfig,
+    baselines,
+    embed_core,
+    formats,
+    mmd_gaussian,
+    reporting,
+    scores,
+    silhouette,
+)
+from adaptscore.cli import main
 from adaptscore.embed_core import EmbeddingSet, _row_pass, _run_blocks, worker_count
+from adaptscore.errors import NonFiniteValue
 
 THREAD_VARS = ("ADAPTSCORE_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -376,3 +393,140 @@ def test_scores_without_openblas(monkeypatch):
         np.testing.assert_allclose(values(), want, rtol=0, atol=1e-12)
     finally:
         embed_core._openblas.cache_clear()
+
+def _rank_inputs(tmp_path, count, sources="file"):
+    """A rank manifest of `count` candidates against a 120-row labeled
+    PEMB target, all seven methods, and the path it is written to. With
+    sources="file" every candidate is a PEMB file of its own; with "mixed"
+    every other one is a synth entry. A 16-row block (and MMD walk block)
+    gives every target and source pass several blocks."""
+    rng = np.random.default_rng(7)
+    means = rng.standard_normal((4, 8))
+    yt = np.arange(120) % 4
+    formats.save_embeddings(tmp_path / "t.pemb", means[yt] + 1.5 * rng.standard_normal((120, 8)))
+    formats.save_labels(tmp_path / "t.plbl", yt)
+    candidates = []
+    for i in range(count):
+        if sources == "mixed" and i % 2:
+            synth = {"num_classes": 4, "dim": 8, "n_source_per_class": 25, "n_target_per_class": 25,
+                     "intra_spread": 0.2, "shift": 0.3, "seed": i}
+            candidates.append({"id": f"c{i}", "synth": synth})
+            continue
+        ys = np.arange(100 + 10 * i) % 4
+        emb, labels = tmp_path / f"s{i}.pemb", tmp_path / f"s{i}.plbl"
+        formats.save_embeddings(emb, means[ys] + (0.5 + 0.1 * i) * rng.standard_normal((ys.shape[0], 8)))
+        formats.save_labels(labels, ys)
+        candidates.append({"id": f"c{i}", "emb": str(emb), "labels": str(labels)})
+    manifest = {"target": {"emb": str(tmp_path / "t.pemb"), "labels": str(tmp_path / "t.plbl")},
+                "candidates": candidates, "methods": list(scores._FAMILY) + ["mmd", "adist", "silhouette"],
+                "max_samples": 40, "seed": 3}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    return manifest, str(path)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(embed_core, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(baselines, "_MMD_BLOCK_ROWS", 16)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_rank_report_bytes_at_every_worker_count(tmp_path, monkeypatch, capsys, small_blocks, count):
+    """rank scores two candidates at a time and an odd last one alone; its
+    report is the same bytes, created_at aside, at 1, 2, 3 and 8 workers."""
+    _, path = _rank_inputs(tmp_path, count, "mixed")
+    reports = set()
+    for threads in ("1", "2", "3", "8"):
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json")]) == 0
+        reports.add(re.sub(r'"created_at": "[^"]*"', "", (tmp_path / "r.json").read_text()))
+    capsys.readouterr()
+    assert len(reports) == 1
+
+
+def test_rank_candidates_share_the_workers(tmp_path, monkeypatch, small_blocks):
+    """The pool sizes and threads of a 3-candidate rank against a rank of
+    its last candidate alone, which runs every pass with the full count.
+    At 8 workers the candidate call admits 2, and each pass of the paired
+    candidates gets min(4, what it gets alone), on its candidate's thread;
+    the odd last candidate's passes get what they get alone. At 2 the
+    paired candidates' passes start no pool: each runs on the thread that
+    scores its candidate, which is also where that candidate's files are read."""
+    pools, reads, scored = [], [], {}
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append((threading.get_ident(), max_workers))
+            super().__init__(max_workers)
+
+    reader = formats.PembRows.reader
+
+    @contextlib.contextmanager
+    def recording(self):
+        with reader(self) as read:
+            yield lambda lo, hi: reads.append((self.path.name, threading.get_ident())) or read(lo, hi)
+
+    real = reporting.score_candidate
+
+    def score(source, *args):
+        scored[threading.get_ident()] = scored.get(threading.get_ident(), 0) + 1
+        return real(source, *args)
+
+    monkeypatch.setattr(embed_core, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(formats.PembRows, "reader", recording)
+    monkeypatch.setattr(reporting, "score_candidate", score)
+    manifest, _ = _rank_inputs(tmp_path, 3)
+    me = threading.get_ident()
+    alone = {}
+    for threads in ("8", "2"):
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        pools.clear()
+        reporting.build_report(dict(manifest, candidates=manifest["candidates"][2:]))
+        alone[threads] = [w for _, w in pools]
+        assert {t for t, _ in pools} == {me}
+        pools.clear()
+        reads.clear()
+        scored.clear()
+        reporting.build_report(manifest)
+        assert pools[0] == (me, 2)  # the candidate call
+        assert [w for t, w in pools[1:] if t == me] == alone[threads]  # the odd last candidate's passes
+        assert scored.pop(me) == 1
+        assert len(scored) in (1, 2) and sum(scored.values()) == 2  # the paired candidates' threads
+        for t, count in scored.items():
+            nested = [w for u, w in pools if u == t]
+            assert nested == ([min(4, w) for w in alone[threads]] * count if threads == "8" else [])
+        if threads == "2":
+            for name in ("s0.pemb", "s1.pemb"):
+                readers = {t for n, t in reads if n == name}
+                assert len(readers) == 1 and readers <= set(scored), name
+    assert min(alone["8"]) < 4 < max(alone["8"])  # the share and a pass's own cap both bind
+
+
+def test_rank_reports_the_first_candidates_error_and_leaves_no_thread(tmp_path, monkeypatch, capsys):
+    """Candidate 0 fails later than candidate 1, which runs beside it: rank
+    reports candidate 0's error, and its runner threads have all ended."""
+    manifest, path = _rank_inputs(tmp_path, 2)
+    data = np.ones((100, 8), dtype="<f4")
+    data[9, 3] = np.nan  # written raw: save_embeddings refuses it
+    (tmp_path / "s0.pemb").write_bytes(formats.PEMB_HEADER.pack(b"PEMB", 1, 0, *data.shape) + data.tobytes())
+    manifest["candidates"][1]["labels"] = str(tmp_path / "missing.plbl")
+    manifest["methods"] = ["silhouette"]
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    load = reporting.load_candidate
+
+    def slow_first(entry):
+        if entry["id"] == "c0":
+            time.sleep(0.2)
+        return load(entry)
+
+    monkeypatch.setattr(reporting, "load_candidate", slow_first)
+    monkeypatch.setenv("ADAPTSCORE_THREADS", "2")
+    before = set(threading.enumerate())
+    assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json"), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteValue" and "row 9, col 3" in err["message"]
+    with pytest.raises(NonFiniteValue, match="row 9, col 3"):
+        reporting.build_report(manifest)
+    assert set(threading.enumerate()) == before
