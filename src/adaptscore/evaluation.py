@@ -74,7 +74,9 @@ def subsample_study(
     candidate_ids=None,
 ) -> SubsampleStudyResult:
     """PAS stability under joint subsampling of row sources: the `target`
-    and the embeddings of the LabeledEmbeddingSet `sources`.
+    and the embeddings of the LabeledEmbeddingSet `sources`. The study
+    covers pas only, so the substudy command reads neither a manifest's
+    methods nor its max_samples; only rank and score read them.
 
     Fraction 1.0 bypasses the sampling path entirely, so its row is
     bit-identical to direct scoring. Stratified source sampling keeps

@@ -75,21 +75,22 @@ def _open_entry(entry, half: int) -> tuple:
 
 def load_candidate(entry) -> LabeledEmbeddingSet:
     """Candidate entry -> labeled source set of _open_entry's half 0, a row
-    source, with largest label + 1 classes, each of which needs a member."""
+    source, with largest label + 1 classes, each of which needs a member:
+    the only opener of a candidate. score calls it after _inputs, rank on
+    the thread that scores the candidate, substudy before its first score."""
     emb, labels = _open_entry(entry, 0)
     return LabeledEmbeddingSet(emb, labels, int(labels.max()) + 1)
 
 
 def _inputs(manifest: dict, methods) -> tuple:
-    """The one intake of score, rank and substudy: a manifest as
-    formats._check_manifest leaves it -> ({method: resolve_method settings}
-    for `methods`, (target rows, labels or None), a generator of (entry,
-    load_candidate(entry))), in that order, each candidate opened when it
-    is reached. A target with a "labels" file or a "synth" block has labels."""
-    target, candidates = manifest["target"], manifest["candidates"]
+    """The one intake of score, rank and substudy, which opens no candidate:
+    a manifest as formats._check_manifest leaves it -> ({method:
+    resolve_method settings} for `methods`, (target rows, labels or None)).
+    A target with a "labels" file or a "synth" block has labels."""
+    target = manifest["target"]
     have_labels = "labels" in target or "synth" in target
     configs = {m: resolve_method(m, have_labels, manifest["seed"], manifest["max_samples"]) for m in methods}
-    return configs, _open_entry(target, 1), ((entry, load_candidate(entry)) for entry in candidates)
+    return configs, _open_entry(target, 1)
 
 
 def score_candidate(source: LabeledEmbeddingSet, target, configs: dict, target_labels) -> dict:
@@ -125,7 +126,7 @@ def build_report(manifest: dict) -> dict:
     candidates before it are scored.
     """
     manifest = _check_manifest(manifest)
-    configs, (target_emb, target_labels), _ = _inputs(manifest, manifest["methods"])
+    configs, (target_emb, target_labels) = _inputs(manifest, manifest["methods"])
     entries = manifest["candidates"]
 
     def row(i, _):
@@ -186,9 +187,9 @@ def _write_score_json(out, method: str, value: float, result) -> None:
 
 def _cmd_score(args) -> None:
     labels = {"labels": args.target_labels} if args.target_labels else {}
-    manifest = {"target": {"emb": args.target_emb, **labels}, "max_samples": args.max_samples,
-                "candidates": [{"emb": args.source_emb, "labels": args.source_labels}], "seed": args.seed}
-    configs, (target, target_labels), [(_, source)] = _inputs(manifest, [args.method])
+    manifest = {"target": {"emb": args.target_emb, **labels}, "max_samples": args.max_samples, "seed": args.seed}
+    configs, (target, target_labels) = _inputs(manifest, [args.method])
+    source = load_candidate({"emb": args.source_emb, "labels": args.source_labels})
     result = score_candidate(source, target, configs, target_labels)[args.method]
     value = result.value if isinstance(result, ScoreResult) else result
     if args.json:
@@ -234,16 +235,11 @@ def _cmd_substudy(args) -> None:
     fractions = evaluation._check_study(args.fractions.split(","), args.repeats)
     _check_out(args.out)
     manifest = formats.load_manifest(args.manifest)
-    _, (target_emb, _), candidates = _inputs(manifest, [])
-    sources = [source for _, source in candidates]
-    result = evaluation.subsample_study(
-        sources,
-        target_emb,
-        fractions,
-        repeats=args.repeats,
-        base_seed=manifest["seed"],
-        candidate_ids=[c["id"] for c in manifest["candidates"]],
-    )
+    _, (target_emb, _) = _inputs(manifest, [])
+    sources = [load_candidate(entry) for entry in manifest["candidates"]]
+    ids = [c["id"] for c in manifest["candidates"]]
+    result = evaluation.subsample_study(sources, target_emb, fractions, repeats=args.repeats,
+                                        base_seed=manifest["seed"], candidate_ids=ids)
     formats.dump_report(dataclasses.asdict(result), args.out)
     print(f"wrote {args.out}")
 

@@ -447,8 +447,10 @@ def test_rank_loads_the_candidate_before_it_reads_the_target(files, capsys):
     """A rank target is only opened up front; its NaN is found in the first
     candidate's pass, so a missing candidate file is reported first, and
     the NaN of the second candidate, which may be read while the first is
-    scored, is not reported. substudy opens its target and candidates as
-    rank does and reports the same first error."""
+    scored, is not reported. substudy opens every candidate before its
+    first score, where rank opens each one where it scores it; opening a
+    PEMB candidate reads none of its rows, so both report the same first
+    error."""
     tmp_path, source, target = files
     data = target.embeddings.data.copy()
     data[5, 1] = np.nan

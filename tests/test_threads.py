@@ -530,3 +530,53 @@ def test_rank_reports_the_first_candidates_error_and_leaves_no_thread(tmp_path, 
     with pytest.raises(NonFiniteValue, match="row 9, col 3"):
         reporting.build_report(manifest)
     assert set(threading.enumerate()) == before
+
+
+def test_each_command_opens_each_candidate_once_where_it_scores_it(tmp_path, monkeypatch, capsys):
+    """load_candidate opens every candidate, where a command scores it:
+    _inputs opens none, score its one source, rank (at 1 and 2 workers)
+    and substudy each candidate once. At 2 workers rank holds at most two
+    candidates open: no more have been opened when candidate 0's scoring
+    starts."""
+    manifest, path = _rank_inputs(tmp_path, 4)
+    ids = [c["id"] for c in manifest["candidates"]]
+    opened, names, at_first = [], {}, []
+    load, real = reporting.load_candidate, reporting.score_candidate
+
+    def recording(entry):
+        opened.append(entry.get("id"))
+        source = load(entry)
+        names[id(source)] = entry.get("id")
+        return source
+
+    def score(source, *args):
+        if names[id(source)] == "c0":
+            at_first.append(len(opened))
+        return real(source, *args)
+
+    monkeypatch.setattr(reporting, "load_candidate", recording)
+    monkeypatch.setattr(reporting, "score_candidate", score)
+    configs, _ = reporting._inputs(formats._check_manifest(manifest), manifest["methods"])
+    assert list(configs) == manifest["methods"] and opened == []
+
+    first = manifest["candidates"][0]
+    assert main(["score", "--method", "pas", "--source-emb", first["emb"], "--source-labels", first["labels"],
+                 "--target-emb", manifest["target"]["emb"]]) == 0
+    assert opened == [None]
+
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ADAPTSCORE_THREADS", threads)
+        for count in (1, 2, 3, 4):
+            with open(path, "w") as fh:
+                json.dump(dict(manifest, candidates=manifest["candidates"][:count]), fh)
+            opened.clear()
+            at_first.clear()
+            assert main(["rank", "--manifest", path, "--out", str(tmp_path / "r.json")]) == 0
+            assert sorted(opened) == ids[:count] and len(at_first) == 1, (threads, count)
+    assert at_first[0] <= 2  # 2 workers, 4 candidates
+
+    opened.clear()
+    assert main(["substudy", "--manifest", path, "--fractions", "0.5,1.0", "--repeats", "2",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert opened == ids
+    capsys.readouterr()
